@@ -337,7 +337,8 @@ def _cmd_hom_check(args):
             "abs_Z": rep.abs_Z,
             "zero_free": rep.zero_free,
             "edge_samples": rep.edge_samples,
-            "min_edge_abs_Z": rep.min_edge_abs_Z,
+            # NaN (no edge samples) is not valid JSON
+            "min_edge_abs_Z": rep.min_edge_abs_Z if rep.edge_samples else None,
         }
         rows = [payload]
         _emit(args, payload, rows, list(payload))

@@ -27,7 +27,7 @@ from .errors import (
     TruncationDepthError,
     ZeroRegionViolationError,
 )
-from .exact import NEAR_ZERO_REL, ind_poly
+from .exact import _near_zero, ind_poly
 from .graphs import apply_hardcore_boundary, remove_vertices
 from .series import PowerSeries
 
@@ -165,10 +165,10 @@ def estimate_M(g, v, lam, spec, samples=DEFAULT_SAMPLES):
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    den_poly = ind_poly(g)
+    den_poly = ind_poly(g, max_vertices=None)
     closed = set(g.adj[v]) | {v}
     h, _ = remove_vertices(g, closed)
-    num_poly = ind_poly(h)
+    num_poly = ind_poly(h, max_vertices=None)
     r = spec.r
     best = 0.0
     for j in range(samples):
@@ -176,7 +176,7 @@ def estimate_M(g, v, lam, spec, samples=DEFAULT_SAMPLES):
         w = lam * _map_point(spec, z)
         num = w * num_poly(w)
         den = den_poly(w)
-        if abs(den) <= NEAR_ZERO_REL * (1.0 + abs(num)):
+        if _near_zero(num, den):
             raise ZeroRegionViolationError(
                 f"partition function vanishes at sampled activity {w}", point=w
             )
@@ -191,7 +191,7 @@ def _zeros_in_strip_disk(g, spec, lam, margin=0.0):
     radius r * (1 + margin) under the strip map scaled by lam."""
     hits = []
     r = spec.r * (1.0 + margin)
-    for rho in ind_poly(g).roots():
+    for rho in ind_poly(g, max_vertices=None).roots():
         rho = complex(rho)
         try:
             z = g_inverse(spec, rho / lam)
@@ -231,6 +231,11 @@ def choose_strip_spec(
     """Pick a strip width whose disk clears the zeros of Z_g with margin and
     whose certified depth fits under max_depth.  Wider strips give faster
     rates, so the ladder is walked widest-first."""
+    return _strip_and_M(g, v, lam, eps_target, max_depth, samples, ladder)[0]
+
+
+def _strip_and_M(g, v, lam, eps_target, max_depth, samples, ladder):
+    """choose_strip_spec's strip together with its estimate_M bound."""
     best_required = None
     nearest = None
     for eps in ladder:
@@ -246,7 +251,7 @@ def choose_strip_spec(
             continue
         n = _depth_for(M, spec.r, eps_target)
         if n <= max_depth:
-            return spec
+            return spec, M
         if best_required is None or n < best_required:
             best_required = n
     if best_required is not None:
@@ -297,7 +302,7 @@ def approx_cond_prob(
     vv = mapping[v]
 
     if spec is None:
-        spec = choose_strip_spec(h, vv, lam, eps_target, max_depth=max_depth, samples=samples)
+        spec, M = _strip_and_M(h, vv, lam, eps_target, max_depth, samples, EPS_LADDER)
     else:
         hits = _zeros_in_strip_disk(h, spec, lam)
         if hits:
@@ -305,8 +310,7 @@ def approx_cond_prob(
                 f"partition-function zero {hits[0]} lies in the scaled strip image",
                 point=hits[0],
             )
-
-    M = estimate_M(h, vv, lam, spec, samples=samples)
+        M = estimate_M(h, vv, lam, spec, samples=samples)
     r = spec.r
     n = _depth_for(M, r, eps_target)
     if n > max_depth:

@@ -30,9 +30,11 @@ from .errors import (
 )
 from .exact import (
     DEFAULT_MAX_SUMMANDS,
-    NEAR_ZERO_REL,
     _as_matrix,
+    _as_xi,
     _hom_sum,
+    _near_zero,
+    _pins,
     eval_poly,
     hom_Z_poly,
     multivariate_Z,
@@ -151,11 +153,8 @@ def polymer_weight(polymer, A, z, sigma=None, xi=None, max_summands=DEFAULT_MAX_
     A = _as_matrix(A)
     q = A.shape[0]
     C = A - np.ones((q, q), dtype=complex)
-    pinned = {}
-    if sigma is not None:
-        if sigma.q != q:
-            raise BoundaryError(f"boundary has q={sigma.q}, matrix has q={q}")
-        pinned = {u: sigma.assignment[u] for u in polymer.vertices if u in sigma.assignment}
+    pins = _pins(sigma, q)
+    pinned = {u: pins[u] for u in polymer.vertices if u in pins}
     if xi is None:
         rows = None
         norm = complex(q ** (len(polymer.vertices) - len(pinned)))
@@ -168,7 +167,7 @@ def polymer_weight(polymer, A, z, sigma=None, xi=None, max_summands=DEFAULT_MAX_
     local = {u: k for k, u in enumerate(polymer.vertices)}
     fixed = {local[u]: c for u, c in pinned.items()}
     num = _local_hom_sum(polymer, C, rows, fixed, q, max_summands)
-    if abs(norm) <= NEAR_ZERO_REL * (1.0 + abs(num)):
+    if _near_zero(num, norm):
         raise NearZeroDenominatorError(
             "free-vertex mass vanishes", abs_denominator=abs(norm), point=z
         )
@@ -183,14 +182,8 @@ def hom_Z_via_polymers(g, A, z=1.0, sigma=None, xi=None, max_count=DEFAULT_POLYM
     """
     A = _as_matrix(A)
     q = A.shape[0]
-    pinned = {}
-    if sigma is not None:
-        if sigma.q != q:
-            raise BoundaryError(f"boundary has q={sigma.q}, matrix has q={q}")
-        sigma.validate(g)
-        pinned = dict(sigma.assignment)
-    if xi is not None:
-        xi = np.asarray(xi, dtype=complex)
+    pinned = _pins(sigma, q, g)
+    xi = _as_xi(xi, g.n, q)
     polys = enumerate_polymers(g, max_edges=g.num_edges(), max_count=max_count)
     pg = polymer_graph(polys)
     weights = [
@@ -228,9 +221,7 @@ def hom_ratio_series(
     """
     A = _as_matrix(A)
     q = A.shape[0]
-    if sigma.q != q:
-        raise BoundaryError(f"boundary has q={sigma.q}, matrix has q={q}")
-    sigma.validate(g)
+    pins = _pins(sigma, q, g)
     if v in sigma.region:
         raise BoundaryError(f"vertex {v} is pinned by the boundary")
     if not (0 <= i < q):
@@ -246,7 +237,7 @@ def hom_ratio_series(
     vsets = []
     for p in polys:
         local = {u: k for k, u in enumerate(p.vertices)}
-        pinned = {local[u]: sigma.assignment[u] for u in p.vertices if u in sigma.assignment}
+        pinned = {local[u]: pins[u] for u in p.vertices if u in pins}
         nfree = len(p.vertices) - len(pinned)
         zval = _local_hom_sum(p, C, None, pinned, q, max_summands)
         w_at_1.append(zval / q**nfree)
@@ -514,7 +505,7 @@ def bounded_ratio_check(
     for z in points:
         num = eval_poly(num_poly, z)
         den = eval_poly(den_poly, z)
-        if abs(den) <= NEAR_ZERO_REL * (1.0 + abs(num)):
+        if _near_zero(num, den):
             violations.append((z, math.inf))
             ratios.append(None)
             continue
@@ -597,7 +588,7 @@ def hom_ssm_experiment(g, v, i, sigma, tau, A, eta, samples=64, max_summands=DEF
     def ratio_at(num_key, den_key, z):
         num = eval_poly(polys[num_key], z)
         den = eval_poly(polys[den_key], z)
-        if abs(den) <= NEAR_ZERO_REL * (1.0 + abs(num)):
+        if _near_zero(num, den):
             raise ZeroRegionViolationError(
                 f"homomorphism sum vanishes at z = {z}", point=z
             )

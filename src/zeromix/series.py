@@ -8,6 +8,8 @@ a finite exact combination of the inputs.
 
 from dataclasses import dataclass
 
+from .exact import eval_poly
+
 
 @dataclass(frozen=True)
 class PowerSeries:
@@ -123,7 +125,4 @@ class PowerSeries:
         return sum(cs, start=0j)
 
     def __call__(self, z):
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+        return eval_poly(self.coeffs, z)

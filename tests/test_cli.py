@@ -253,6 +253,24 @@ def test_hom_check_zero_mode(files, capsys):
     assert payload["zero_free"] is True
 
 
+def test_hom_check_zero_mode_without_samples_is_valid_json(files, capsys):
+    g = files("g.txt", P3)
+    m = files("m.json", "[[1.05, 1], [1, 1.05]]")
+    code, out = run(
+        capsys,
+        ["hom-check", "--mode", "zero", "--graph", g, "--matrix", m,
+         "--samples", "0", "--output", "json"],
+    )
+    assert code == 0
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    payload = json.loads(out, parse_constant=reject)
+    assert payload["edge_samples"] == 0
+    assert payload["min_edge_abs_Z"] is None
+
+
 def test_hom_check_zero_mode_rejects_far_matrix(files, capsys):
     g = files("g.txt", C5)
     m = files("m.json", "[[1, -1], [-1, 1]]")

@@ -133,6 +133,14 @@ def test_hom_Z_via_polymers_at_J_is_the_prefactor():
     assert abs(got - want) <= 1e-12 * (1 + abs(want))
 
 
+def test_hom_Z_via_polymers_rejects_xi_of_wrong_shape():
+    # an extra color column would otherwise enter the free-vertex mass
+    g = path_graph(3)
+    for xi in (np.ones((3, 3)), np.ones((2, 2))):
+        with pytest.raises(ValueError):
+            hom_Z_via_polymers(g, np.ones((2, 2)), xi=xi)
+
+
 def test_hom_Z_via_polymers_z0():
     g = cycle_graph(4)
     A = np.array([[1.0, 0.3], [0.3, 2.0]])
