@@ -225,7 +225,9 @@ def _cmd_zero_scan(args):
     if len(rect) != 4:
         raise ValueError("--rect needs re_min,re_max,im_min,im_max")
     parts = [int(x) for x in args.resolution.split(",")]
-    resolution = parts[0] if len(parts) == 1 else (parts[0], parts[1])
+    if len(parts) > 2:
+        raise ValueError("--resolution needs n or n_re,n_im")
+    resolution = parts[0] if len(parts) == 1 else tuple(parts)
     rep = zero_scan(
         g,
         rect,

@@ -10,6 +10,10 @@ phi(blowup) / prod m_i!  to the coefficient of order k = sum m_i.
 The blowup of a connected induced subgraph S with multiplicities m places
 m_u copies of each u in S; copies of one vertex form a clique and copies of
 adjacent vertices are fully joined.
+
+The same terms, graded by sum m_u * size(u) in place of k, give the
+polymer series of polymers.hom_ratio_series: there the graph is the polymer
+graph and a polymer's size is its edge count.
 """
 
 import functools
@@ -137,34 +141,54 @@ def _compositions(total, parts):
     return tuple(out)
 
 
-def connected_subsets(g, max_size, containing=None):
-    """All connected induced vertex subsets of size <= max_size, as sorted
-    tuples; restricted to subsets containing `containing` when given."""
-    results = []
-    if containing is not None:
-        seeds = [frozenset([containing])] if g.n else []
-        min_rule = False
+def _connected_sets(g, budget, sizes=None, containing=None, max_count=None):
+    """Connected induced vertex subsets of g, as sorted tuples in growth
+    order, grown one neighbor at a time while their total size (sizes[u]
+    each, 1 by default) stays within budget.
+
+    With `containing` (a collection of vertices) only the subsets meeting it
+    are grown, each from its least member there; otherwise each subset is
+    grown from its least vertex.  SizeLimitError past max_count subsets.
+    """
+    if sizes is None:
+        sizes = [1] * g.n
+    # neighbors by increasing size (a stable sort keeps the order of equal
+    # sizes), so a scan stops at the first one past the budget
+    adj = [sorted(nbrs, key=sizes.__getitem__) for nbrs in g.adj]
+    if containing is None:
+        anchors = range(g.n)
     else:
-        seeds = [frozenset([s]) for s in range(g.n)]
-        min_rule = True
-    for seed in seeds:
-        anchor = min(seed)
+        anchors = sorted(set(containing)) if g.n else []
+    barrier = frozenset(anchors)
+    results = []
+    for anchor in anchors:
+        seed = frozenset([anchor])
         visited = {seed}
-        stack = [seed]
+        stack = [(seed, sizes[anchor])]
         while stack:
-            S = stack.pop()
+            S, size = stack.pop()
             results.append(tuple(sorted(S)))
-            if len(S) >= max_size:
+            if max_count is not None and len(results) > max_count:
+                raise SizeLimitError(f"more than {max_count} connected sets")
+            if size >= budget:
                 continue
             for u in S:
-                for w in g.adj[u]:
-                    if w in S or (min_rule and w < anchor):
+                for w in adj[u]:
+                    if size + sizes[w] > budget:
+                        break
+                    if w in S or (w < anchor and w in barrier):
                         continue
                     T = S | {w}
                     if T not in visited:
                         visited.add(T)
-                        stack.append(T)
+                        stack.append((T, size + sizes[w]))
     return results
+
+
+def connected_subsets(g, max_size, containing=None):
+    """All connected induced vertex subsets of size <= max_size, as sorted
+    tuples; restricted to subsets containing `containing` when given."""
+    return _connected_sets(g, max_size, containing=None if containing is None else (containing,))
 
 
 def _pattern_bits(g, subset):
@@ -180,20 +204,38 @@ def _pattern_bits(g, subset):
     return bits
 
 
-def logZ_series(g, order=DEFAULT_CLUSTER_ORDER):
-    """Taylor series of log Z_g at 0, to the given order."""
-    coeffs = [0j] * (order + 1)
-    for subset in connected_subsets(g, order):
+def _cluster_terms(g, order, sizes=None, containing=None):
+    """The nonzero terms of the cluster expansion on g up to graded order:
+    (subset, mults, grade, phi, prod m!) for each connected subset (through
+    `containing` when given) and each composition mults of it whose graded
+    size sum m_u * sizes[u] (the multiplicity k with unit sizes) is at most
+    order; phi is the Ursell function of the blowup."""
+    for subset in _connected_sets(g, order, sizes, containing):
         s = len(subset)
         bits = _pattern_bits(g, subset)
-        for k in range(s, order + 1):
+        # each copy beyond the first adds at least 1 to the grade
+        base = s if sizes is None else sum(sizes[u] for u in subset)
+        for k in range(s, s + order - base + 1):
             for m in _compositions(k, s):
+                if sizes is None:
+                    grade = k
+                else:
+                    grade = sum(mi * sizes[u] for mi, u in zip(m, subset))
+                    if grade > order:
+                        continue
                 phi = _ursell_blowup(k, bits, m)
                 if phi:
                     denom = 1
                     for mi in m:
                         denom *= math.factorial(mi)
-                    coeffs[k] += phi / denom
+                    yield subset, m, grade, phi, denom
+
+
+def logZ_series(g, order=DEFAULT_CLUSTER_ORDER):
+    """Taylor series of log Z_g at 0, to the given order."""
+    coeffs = [0j] * (order + 1)
+    for _, _, k, phi, denom in _cluster_terms(g, order):
+        coeffs[k] += phi / denom
     return PowerSeries(tuple(coeffs))
 
 
@@ -204,18 +246,8 @@ def ratio_series_cluster(g, v, order=DEFAULT_CLUSTER_ORDER):
     if not (0 <= v < g.n):
         raise ValueError(f"vertex {v} not in graph with n={g.n}")
     coeffs = [0j] * (order + 1)
-    for subset in connected_subsets(g, order, containing=v):
-        s = len(subset)
-        vpos = subset.index(v)
-        bits = _pattern_bits(g, subset)
-        for k in range(s, order + 1):
-            for m in _compositions(k, s):
-                phi = _ursell_blowup(k, bits, m)
-                if phi:
-                    denom = 1
-                    for mi in m:
-                        denom *= math.factorial(mi)
-                    coeffs[k] += phi * m[vpos] / denom
+    for subset, m, k, phi, denom in _cluster_terms(g, order, containing=(v,)):
+        coeffs[k] += phi * m[subset.index(v)] / denom
     return PowerSeries(tuple(coeffs))
 
 

@@ -126,7 +126,8 @@ def ssm_scan(
         sigma = HardcoreBoundary(first)
         tau = HardcoreBoundary(second)
         gap = abs(
-            cond_prob_hardcore(g, v, sigma, lam) - cond_prob_hardcore(g, v, tau, lam)
+            cond_prob_hardcore(g, v, sigma, lam, max_vertices=None)
+            - cond_prob_hardcore(g, v, tau, lam, max_vertices=None)
         )
         if collect_boundaries:
             records.append(SSMRecord(graph_ids[k], v, d, gap, sigma=sigma, tau=tau))
@@ -206,7 +207,7 @@ def zero_scan(g, rect, resolution, pts_per_side=64, max_doublings=4, tol=1e-9):
         n_re, n_im = resolution
     if n_re < 1 or n_im < 1:
         raise ValueError(f"resolution must be positive, got {resolution}")
-    poly = ind_poly(g)
+    poly = ind_poly(g, max_vertices=None)
     dx = (re_max - re_min) / n_re
     dy = (im_max - im_min) / n_im
     counts = [[0] * n_im for _ in range(n_re)]
@@ -269,7 +270,9 @@ def clawfree_root_check(g):
             f"non-adjacent neighbors {leaves}",
             witness=witness,
         )
-    roots = sorted((complex(r) for r in ind_poly(g).roots()), key=lambda z: z.real)
+    roots = sorted(
+        (complex(r) for r in ind_poly(g, max_vertices=None).roots()), key=lambda z: z.real
+    )
     resid = max((abs(z.imag) / (1.0 + abs(z)) for z in roots), default=0.0)
     verdict = bool(roots == [] or (resid <= 1e-7 and all(z.real < 0 for z in roots)))
     return ClawfreeRootReport(tuple(roots), verdict, resid)
@@ -292,6 +295,8 @@ def ratio_bound_scan(graphs, activities, graph_ids=None, avoid_tol=1e-12):
     """
     if graph_ids is None:
         graph_ids = [f"g{k}" for k in range(len(graphs))]
+    if len(graph_ids) != len(graphs):
+        raise ValueError("graph_ids must match graphs")
     best = 0.0
     witness = None
     violations = []
@@ -302,12 +307,12 @@ def ratio_bound_scan(graphs, activities, graph_ids=None, avoid_tol=1e-12):
                 lam = complex(lam)
                 n_eval += 1
                 try:
-                    p = ratio_P(g, v, lam)
+                    p = ratio_P(g, v, lam, max_vertices=None)
                 except NearZeroDenominatorError:
                     violations.append(("zero_Z", gid, v, lam))
                     continue
                 try:
-                    ratio_R(g, v, lam)
+                    ratio_R(g, v, lam, max_vertices=None)
                 except NearZeroDenominatorError:
                     violations.append(("zero_Z_minus_v", gid, v, lam))
                 if abs(p) > best:

@@ -10,18 +10,22 @@ set turns Z^sigma_G into a hard-core partition function over polymers:
 where Gamma joins two polymers when their vertex sets intersect, w^sigma(H)
 is z^{|F|} times the A - J homomorphism sum of H = (S, F) normalized by the
 free-vertex mass, and p^sigma(xi) is the boundary-weighted vertex mass of
-the whole graph.  The conditional color ratio then has a cluster expansion
-in z whose order-ell coefficient only involves polymers within distance ell
-of the target vertex.
+the whole graph.  The series of the conditional color ratio in z is the
+cluster expansion of this hard-core model on Gamma, graded by polymer edge
+count (the power of z) and differentiated in xi; it runs through the same
+connected-set grower and Ursell-term loop as the vertex hard-core series in
+cluster.py.  Its order-ell coefficient only involves polymers within
+distance ell of the target vertex.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from .cluster import _ursell_blowup
+from .cluster import _cluster_terms, _connected_sets
 from .errors import (
     BoundaryError,
     NearZeroDenominatorError,
@@ -81,34 +85,15 @@ def enumerate_polymers(g, max_edges=DEFAULT_POLYMER_EDGES, within=None, max_coun
     if within is not None:
         within = set(within)
         edges = [e for e in edges if e[0] in within and e[1] in within]
-    m = len(edges)
-    adj = [[] for _ in range(m)]
-    for a in range(m):
-        ua, wa = edges[a]
-        for b in range(a + 1, m):
-            ub, wb = edges[b]
-            if ua == ub or ua == wb or wa == ub or wa == wb:
-                adj[a].append(b)
-                adj[b].append(a)
-    found = []
-    for start in range(m):
-        visited = {frozenset([start])}
-        stack = [frozenset([start])]
-        while stack:
-            S = stack.pop()
-            found.append(S)
-            if len(found) > max_count:
-                raise SizeLimitError(f"more than {max_count} polymers")
-            if len(S) >= max_edges:
-                continue
-            for a in S:
-                for b in adj[a]:
-                    if b <= start or b in S:
-                        continue
-                    T = S | {b}
-                    if T not in visited:
-                        visited.add(T)
-                        stack.append(T)
+    incident = {}
+    for a, e in enumerate(edges):
+        for u in e:
+            incident.setdefault(u, []).append(a)
+    line = from_edges(len(edges), [(a, b) for es in incident.values() for a, b in combinations(es, 2)])
+    try:
+        found = _connected_sets(line, max_edges, max_count=max_count)
+    except SizeLimitError:
+        raise SizeLimitError(f"more than {max_count} polymers") from None
     polys = [Polymer.from_edge_set(edges[a] for a in S) for S in found]
     polys.sort(key=lambda p: (p.size, p.edges))
     return polys
@@ -125,23 +110,6 @@ def polymer_graph(polymers):
         if vsets[a] & vsets[b]
     ]
     return PolymerGraph(tuple(polymers), from_edges(n, edges))
-
-
-def _local_hom_sum(polymer, C, xi, fixed_colors, q, max_summands):
-    """Homomorphism sum of the polymer's subgraph (S, F) with edge symbol C,
-    vertex weights xi (rows indexed by local position), pinned colors given
-    by fixed_colors on local positions."""
-    local = {u: k for k, u in enumerate(polymer.vertices)}
-    edges = [(local[u], local[w]) for u, w in polymer.edges]
-    return _hom_sum(
-        len(polymer.vertices),
-        edges,
-        q,
-        lambda e, cu, cw: C[cu, cw],
-        xi,
-        fixed_colors,
-        max_summands,
-    )
 
 
 def polymer_weight(polymer, A, z, sigma=None, xi=None, max_summands=DEFAULT_MAX_SUMMANDS):
@@ -165,8 +133,15 @@ def polymer_weight(polymer, A, z, sigma=None, xi=None, max_summands=DEFAULT_MAX_
         for u in polymer.vertices:
             norm *= xi[u, pinned[u]] if u in pinned else xi[u].sum()
     local = {u: k for k, u in enumerate(polymer.vertices)}
-    fixed = {local[u]: c for u, c in pinned.items()}
-    num = _local_hom_sum(polymer, C, rows, fixed, q, max_summands)
+    num = _hom_sum(
+        len(polymer.vertices),
+        [(local[u], local[w]) for u, w in polymer.edges],
+        q,
+        lambda e, cu, cw: C[cu, cw],
+        rows,
+        {local[u]: c for u, c in pinned.items()},
+        max_summands,
+    )
     if _near_zero(num, norm):
         raise NearZeroDenominatorError(
             "free-vertex mass vanishes", abs_denominator=abs(norm), point=z
@@ -212,116 +187,52 @@ def hom_ratio_series(
     """Taylor series in z of the conditional color ratio
     Z^{sigma, v->i}(J + z(A - J)) / Z^sigma(J + z(A - J)).
 
-    Constant term 1/q.  The order-ell coefficient sums, over multisets of
-    polymers with total edge count ell whose union contains v and whose
-    intersection graph is connected, the Ursell function of the multiset's
-    blowup times the xi-derivative of the normalized weight product; every
-    polymer involved lies within distance ell of v, so the coefficient only
-    depends on that ball.
+    Constant term 1/q; the rest is the xi_{v,i}-derivative of the cluster
+    expansion of log Z_Gamma, the hard-core model on the polymer graph,
+    graded by edge count: the order-ell coefficient sums, over connected
+    multisets of polymers with total edge count ell that meet v, the
+    Ursell function of the multiset's blowup times the derivative of its
+    weight product.  Every polymer involved lies within distance ell of v,
+    so the coefficient only depends on that ball.
     """
     A = _as_matrix(A)
     q = A.shape[0]
-    pins = _pins(sigma, q, g)
+    _pins(sigma, q, g)
     if v in sigma.region:
         raise BoundaryError(f"vertex {v} is pinned by the boundary")
     if not (0 <= i < q):
         raise ValueError(f"color {i} not in 0..{q - 1}")
 
-    C = A - np.ones((q, q), dtype=complex)
     region = ball(g, v, order)
     polys = enumerate_polymers(g, max_edges=order, within=region, max_count=max_count)
 
-    # per-polymer data at xi = 1: normalized weight and its xi_{v,i} derivative
-    w_at_1 = []
-    dw_at_1 = []
-    vsets = []
-    for p in polys:
-        local = {u: k for k, u in enumerate(p.vertices)}
-        pinned = {local[u]: pins[u] for u in p.vertices if u in pins}
-        nfree = len(p.vertices) - len(pinned)
-        zval = _local_hom_sum(p, C, None, pinned, q, max_summands)
-        w_at_1.append(zval / q**nfree)
-        if v in local:
-            pinned_v = dict(pinned)
-            pinned_v[local[v]] = i
-            zv = _local_hom_sum(p, C, None, pinned_v, q, max_summands)
-            dw_at_1.append((zv - zval / q) / q**nfree)
-        else:
-            dw_at_1.append(0j)
-        vsets.append(frozenset(p.vertices))
-
-    npoly = len(polys)
-    inter = [
-        [b for b in range(npoly) if b != a and vsets[a] & vsets[b]] for a in range(npoly)
-    ]
+    # per-polymer weight at xi = 1 and its xi_{v,i} derivative, which is
+    # nonzero only on polymers through v
+    w = [polymer_weight(p, A, 1.0, sigma, max_summands=max_summands) for p in polys]
+    sigma_v = sigma.extended(v, i)
+    dw = {
+        a: (polymer_weight(p, A, 1.0, sigma_v, max_summands=max_summands) - w[a]) / q
+        for a, p in enumerate(polys)
+        if v in p.vertices
+    }
 
     coeffs = [0j] * (order + 1)
     coeffs[0] = 1.0 / q
-
-    support = []  # list of (polymer index, multiplicity)
-
-    def support_ok():
-        # union must contain v and the intersection graph must be connected
-        idxs = [a for a, _ in support]
-        if all(v not in vsets[a] for a in idxs):
-            return False
-        seen = {idxs[0]}
-        frontier = [idxs[0]]
-        members = set(idxs)
-        while frontier:
-            a = frontier.pop()
-            for b in inter[a]:
-                if b in members and b not in seen:
-                    seen.add(b)
-                    frontier.append(b)
-        return len(seen) == len(members)
-
-    def emit():
-        if not support_ok():
-            return
-        idxs = [a for a, _ in support]
-        mults = tuple(m for _, m in support)
-        k = sum(mults)
-        s = len(idxs)
-        bits = 0
-        for x in range(s):
-            for y in range(x + 1, s):
-                if vsets[idxs[x]] & vsets[idxs[y]]:
-                    bits |= 1 << (x * s + y)
-                    bits |= 1 << (y * s + x)
-        phi = _ursell_blowup(k, bits, mults)
-        if phi == 0:
-            return
-        denom = 1
-        for m in mults:
-            denom *= math.factorial(m)
-        # d/dxi_{v,i} of prod_j w_j^{m_j} at xi = 1
+    terms = _cluster_terms(
+        polymer_graph(polys).graph, order, sizes=[p.size for p in polys], containing=dw.keys()
+    )
+    for support, mults, ell, phi, denom in terms:
+        # d/dxi_{v,i} of prod_a w_a^{m_a} at xi = 1
         deriv = 0j
-        for pos, (a, m) in enumerate(support):
-            if dw_at_1[a] == 0:
+        for pos, a in enumerate(support):
+            if a not in dw:
                 continue
-            term = m * dw_at_1[a] * w_at_1[a] ** (m - 1)
-            for pos2, (b, m2) in enumerate(support):
+            term = mults[pos] * dw[a] * w[a] ** (mults[pos] - 1)
+            for pos2, b in enumerate(support):
                 if pos2 != pos:
-                    term *= w_at_1[b] ** m2
+                    term *= w[b] ** mults[pos2]
             deriv += term
-        ell = sum(m * polys[a].size for a, m in support)
         coeffs[ell] += phi * deriv / denom
-
-    def extend(start, budget):
-        for a in range(start, npoly):
-            size = polys[a].size
-            if size > budget:
-                continue
-            m = 1
-            while m * size <= budget:
-                support.append((a, m))
-                emit()
-                extend(a + 1, budget - m * size)
-                support.pop()
-                m += 1
-
-    extend(0, order)
     return PowerSeries(tuple(coeffs))
 
 

@@ -356,3 +356,10 @@ def test_out_file(files, capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(dest.read_text())["Z"] == [3.0, 0.0]
+
+
+def test_zero_scan_rejects_three_part_resolution(files, capsys):
+    g = files("g.txt", K1)
+    code = main(["zero-scan", "--graph", g, "--rect=-1.37,-0.61,-0.41,0.39", "--resolution", "2,3,4"])
+    assert code == 1
+    assert "--resolution" in capsys.readouterr().err

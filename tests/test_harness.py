@@ -10,6 +10,7 @@ from zeromix import (
     cycle_graph,
     dist_to_disagreement,
     from_edges,
+    grid_graph,
     path_graph,
     ratio_bound_scan,
     shearer_radius,
@@ -191,3 +192,22 @@ def test_ratio_bound_scan_at_zero_activity():
     rep = ratio_bound_scan([path_graph(3)], [0.0])
     assert rep.max_abs_ratio == 0.0
     assert rep.violations == ()
+
+
+def test_ratio_bound_scan_checks_graph_ids():
+    with pytest.raises(ValueError):
+        ratio_bound_scan([path_graph(3), path_graph(4)], [0.5], graph_ids=["a"])
+
+
+def test_scans_apply_no_vertex_cap():
+    # the exact oracles refuse graphs above 40 vertices by default; the scans
+    # follow approx_cond_prob and evaluate graphs of any size
+    records, fit = ssm_scan([grid_graph(7, 7)], 0.5, 50, 3, seed=1)
+    assert len(records) == 50
+    assert fit is not None
+    big = path_graph(45)
+    rep = zero_scan(big, (0.1, 1.0, 0.1, 1.0), 1)
+    assert rep.total == 0 and rep.inconclusive == ()
+    k41 = from_edges(41, [(u, w) for u in range(41) for w in range(u + 1, 41)])
+    assert clawfree_root_check(k41).roots == pytest.approx([-1 / 41])
+    assert ratio_bound_scan([big], [0.5]).n_evaluations == 45

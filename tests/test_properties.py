@@ -1,17 +1,27 @@
 """Property tests for the exact kernels against the brute-force oracles in
-helpers.py: the deletion recurrence over both of its coefficient rings, and
-the z-polynomial of the homomorphism sum with and without pinned colors."""
+helpers.py: the deletion recurrence over both of its coefficient rings, the
+z-polynomial of the homomorphism sum with and without pinned colors, and the
+polymer series of the color ratio against division of those polynomials."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeromix import SpinBoundary, eval_poly, from_edges, hom_Z_poly, ind_poly, multivariate_Z
-from helpers import brute_hom_Z, brute_ind_poly, brute_multivariate_Z
+from zeromix import (
+    SpinBoundary,
+    eval_poly,
+    from_edges,
+    hom_ratio_series,
+    hom_Z_poly,
+    ind_poly,
+    multivariate_Z,
+)
+from helpers import brute_hom_Z, brute_ind_poly, brute_multivariate_Z, series_quotient
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
 ENTRIES = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+NEAR_ZERO = st.complex_numbers(max_magnitude=0.5, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
@@ -54,3 +64,26 @@ def test_hom_Z_poly_matches_brute_hom_Z(data):
         want = brute_hom_Z(g, J + z * (A - J), sigma=sigma)
         scale = brute_hom_Z(g, J + abs(z) * np.abs(A - J), sigma=sigma).real
         assert abs(eval_poly(coeffs, z) - want) <= 1e-9 * (1 + scale)
+
+
+@PROPERTY
+@given(st.data())
+def test_hom_ratio_series_matches_division(data):
+    # at most 10 edges: the polymer graph of a dense 7-vertex graph at order 4
+    # has thousands of vertices
+    n = data.draw(st.integers(1, 7))
+    pairs = [(u, w) for u in range(n) for w in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), max_size=10, unique=True)) if pairs else []
+    g = from_edges(n, edges)
+    q = data.draw(st.integers(2, 3))
+    A = 1.0 + np.array(data.draw(st.lists(NEAR_ZERO, min_size=q * q, max_size=q * q))).reshape(q, q)
+    v = data.draw(st.integers(0, n - 1))
+    i = data.draw(st.integers(0, q - 1))
+    others = [u for u in range(n) if u != v]
+    pins = data.draw(st.dictionaries(st.sampled_from(others), st.integers(0, q - 1))) if others else {}
+    sigma = SpinBoundary(pins, q)
+    order = data.draw(st.integers(0, 4))
+    want = series_quotient(
+        hom_Z_poly(g, A, sigma=sigma.extended(v, i)), hom_Z_poly(g, A, sigma=sigma), order
+    )
+    assert np.allclose(hom_ratio_series(g, v, i, sigma, A, order=order).coeffs, want, rtol=0, atol=1e-9)
