@@ -204,31 +204,37 @@ def _pattern_bits(g, subset):
     return bits
 
 
+@functools.lru_cache(maxsize=None)
+def _graded_compositions(weights, order):
+    """(mults, k, grade, prod m!) for each composition mults of len(weights)
+    parts, by increasing total multiplicity k, whose graded size
+    grade = sum m_i * weights[i] is at most order."""
+    s = len(weights)
+    out = []
+    # each copy beyond the first adds at least 1 to the grade
+    for k in range(s, s + order - sum(weights) + 1):
+        for m in _compositions(k, s):
+            grade = sum(mi * w for mi, w in zip(m, weights))
+            if grade <= order:
+                out.append((m, k, grade, math.prod(map(math.factorial, m))))
+    return tuple(out)
+
+
 def _cluster_terms(g, order, sizes=None, containing=None):
     """The nonzero terms of the cluster expansion on g up to graded order:
     (subset, mults, grade, phi, prod m!) for each connected subset (through
     `containing` when given) and each composition mults of it whose graded
-    size sum m_u * sizes[u] (the multiplicity k with unit sizes) is at most
-    order; phi is the Ursell function of the blowup."""
+    size sum m_u * sizes[u] (sizes 1 by default, so the multiplicity k) is
+    at most order; phi is the Ursell function of the blowup."""
+    if sizes is None:
+        sizes = [1] * g.n
     for subset in _connected_sets(g, order, sizes, containing):
-        s = len(subset)
         bits = _pattern_bits(g, subset)
-        # each copy beyond the first adds at least 1 to the grade
-        base = s if sizes is None else sum(sizes[u] for u in subset)
-        for k in range(s, s + order - base + 1):
-            for m in _compositions(k, s):
-                if sizes is None:
-                    grade = k
-                else:
-                    grade = sum(mi * sizes[u] for mi, u in zip(m, subset))
-                    if grade > order:
-                        continue
-                phi = _ursell_blowup(k, bits, m)
-                if phi:
-                    denom = 1
-                    for mi in m:
-                        denom *= math.factorial(mi)
-                    yield subset, m, grade, phi, denom
+        weights = tuple(sizes[u] for u in subset)
+        for m, k, grade, denom in _graded_compositions(weights, order):
+            phi = _ursell_blowup(k, bits, m)
+            if phi:
+                yield subset, m, grade, phi, denom
 
 
 def logZ_series(g, order=DEFAULT_CLUSTER_ORDER):

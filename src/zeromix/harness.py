@@ -270,9 +270,7 @@ def clawfree_root_check(g):
             f"non-adjacent neighbors {leaves}",
             witness=witness,
         )
-    roots = sorted(
-        (complex(r) for r in ind_poly(g, max_vertices=None).roots()), key=lambda z: z.real
-    )
+    roots = sorted((complex(r) for r in ind_poly(g).roots()), key=lambda z: z.real)
     resid = max((abs(z.imag) / (1.0 + abs(z)) for z in roots), default=0.0)
     verdict = bool(roots == [] or (resid <= 1e-7 and all(z.real < 0 for z in roots)))
     return ClawfreeRootReport(tuple(roots), verdict, resid)
