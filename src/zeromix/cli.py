@@ -9,8 +9,10 @@ passed to roots, or an unreachable truncation target).
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
+import re
 import sys
 
 import numpy as np
@@ -40,6 +42,31 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _arg(flag, **kwargs):
+    """An argument spec: the flag and its add_argument keywords."""
+    return flag, kwargs
+
+
+def _helped(spec, text):
+    """A shared spec with a command's own help text."""
+    flag, kwargs = spec
+    return flag, {**kwargs, "help": text}
+
+
+_COMMON = (
+    _arg("--seed", type=int, default=0, help="seed for randomized steps"),
+    _arg("--output", choices=("csv", "json"), default="csv"),
+    _arg("--out-file", default=None, help="write output here instead of stdout"),
+)
+_GRAPH = _arg("--graph", required=True)
+_VERTEX = _arg("--vertex", type=int, required=True)
+_COLOR = _arg("--color", type=int, required=True)
+_MATRIX = _arg("--matrix", required=True)
+_SPIN_BOUNDARY = _arg("--boundary", default=None)
+_FAMILY = _arg("--family", choices=FAMILY_KINDS, required=True)
+_PARAMS = _arg("--params", required=True)
+
+
 def _read_text(path):
     if path == "-":
         return sys.stdin.read()
@@ -47,13 +74,9 @@ def _read_text(path):
         return fh.read()
 
 
-def _load_graph(path):
-    return parse_graph(_read_text(path))
-
-
-def _parse_assignments(text):
+def _parse_assignments(path):
     out = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         parts = raw.split()
         if not parts:
             continue
@@ -61,14 +84,6 @@ def _parse_assignments(text):
             raise ValueError(f"boundary line {lineno}: expected 'vertex value', got {raw!r}")
         out[int(parts[0])] = int(parts[1])
     return out
-
-
-def _load_hardcore_boundary(path):
-    return HardcoreBoundary(_parse_assignments(_read_text(path)))
-
-
-def _load_spin_boundary(path, q):
-    return SpinBoundary(_parse_assignments(_read_text(path)), q)
 
 
 def _entry_to_complex(x):
@@ -79,25 +94,58 @@ def _entry_to_complex(x):
     raise ValueError(f"matrix entries must be numbers or [re, im] pairs, got {x!r}")
 
 
-def _load_matrix(path):
-    data = json.loads(_read_text(path))
-    return np.array([[_entry_to_complex(x) for x in row] for row in data])
+def _load(args):
+    """The inputs named by a command's arguments, read in argument order:
+    g from --graph; A and its spin boundary sigma from --matrix and the
+    optional --boundary; otherwise the hard-core sigma from --boundary; and
+    the family's graphs with their ids from --family and --params."""
+    inputs = {}
+    if hasattr(args, "graph"):
+        inputs["g"] = parse_graph(_read_text(args.graph))
+    if hasattr(args, "matrix"):
+        data = json.loads(_read_text(args.matrix))
+        A = np.array([[_entry_to_complex(x) for x in row] for row in data])
+        pins = _parse_assignments(args.boundary) if args.boundary else {}
+        inputs["A"], inputs["sigma"] = A, SpinBoundary(pins, A.shape[0])
+    elif hasattr(args, "boundary"):
+        inputs["sigma"] = HardcoreBoundary(_parse_assignments(args.boundary))
+    if hasattr(args, "family"):
+        graphs = generate_family(args.family, json.loads(args.params), seed=args.seed)
+        inputs["graphs"] = graphs
+        inputs["ids"] = [f"{args.family}-{k}" for k in range(len(graphs))]
+    return inputs
 
 
-def _pair(z):
-    z = complex(z)
-    return [z.real, z.imag]
+def _fields(obj, names):
+    return {name: getattr(obj, name) for name in names}
+
+
+def _json_default(x):
+    # complex values are written as [re, im] pairs
+    if isinstance(x, complex):
+        return [x.real, x.imag]
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+
+def _csv_row(row):
+    """The row with each complex value split into <key>_re and <key>_im."""
+    out = {}
+    for key, x in row.items():
+        if isinstance(x, complex):
+            out[key + "_re"], out[key + "_im"] = x.real, x.imag
+        else:
+            out[key] = x
+    return out
 
 
 def _emit(args, payload, rows, fieldnames):
     if args.output == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload, indent=2, default=_json_default) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=fieldnames)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(map(_csv_row, rows))
         text = buf.getvalue()
     if args.out_file:
         with open(args.out_file, "w", encoding="utf-8") as fh:
@@ -106,50 +154,25 @@ def _emit(args, payload, rows, fieldnames):
         sys.stdout.write(text)
 
 
-def _series_output(args, series, vertex, method):
-    coeffs = [_pair(c) for c in series.coeffs]
-    payload = {
-        "vertex": vertex,
-        "order": series.order,
-        "method": method,
-        "coefficients": coeffs,
-    }
-    rows = [
-        {"k": k, "re": c[0], "im": c[1]} for k, c in enumerate(coeffs)
-    ]
-    _emit(args, payload, rows, ["k", "re", "im"])
+def _series_output(series, vertex, method):
+    payload = {"vertex": vertex, "order": series.order, "method": method}
+    payload["coefficients"] = series.coeffs
+    rows = [{"k": k, "re": c.real, "im": c.imag} for k, c in enumerate(series.coeffs)]
+    return payload, rows, ["k", "re", "im"]
 
 
-def _cmd_exact_z(args):
-    g = _load_graph(args.graph)
+def _exact_z(args, g):
     lam = complex(args.activity)
-    z = eval_Z(g, lam)
-    payload = {"vertices": g.n, "activity": _pair(lam), "Z": _pair(z)}
-    rows = [
-        {
-            "activity_re": lam.real,
-            "activity_im": lam.imag,
-            "Z_re": z.real,
-            "Z_im": z.imag,
-        }
-    ]
-    _emit(args, payload, rows, ["activity_re", "activity_im", "Z_re", "Z_im"])
-    return 0
+    row = {"activity": lam, "Z": eval_Z(g, lam)}
+    return {"vertices": g.n, **row}, [row], ["activity_re", "activity_im", "Z_re", "Z_im"]
 
 
-def _cmd_ratio_series(args):
-    g = _load_graph(args.graph)
-    if args.method == "cluster":
-        s = ratio_series_cluster(g, args.vertex, args.order)
-    else:
-        s = ratio_series_division(g, args.vertex, args.order)
-    _series_output(args, s, args.vertex, args.method)
-    return 0
+def _ratio_series(args, g):
+    method = ratio_series_cluster if args.method == "cluster" else ratio_series_division
+    return _series_output(method(g, args.vertex, args.order), args.vertex, args.method)
 
 
-def _cmd_approx_prob(args):
-    g = _load_graph(args.graph)
-    sigma = _load_hardcore_boundary(args.boundary)
+def _approx_prob(args, g, sigma):
     spec = None
     if args.eps_region is not None:
         spec = interpolate.StripSpec(args.eps_region / (2.0 * args.activity))
@@ -163,64 +186,26 @@ def _cmd_approx_prob(args):
         samples=args.samples,
         max_depth=args.max_depth,
     )
-    payload = {
-        "value": res.value,
-        "errorBound": res.error_bound,
-        "depthUsed": res.depth_used,
-        "boundM": res.bound_M,
-        "rateR": res.rate_r,
-    }
-    rows = [
-        {
-            "value": res.value,
-            "error_bound": res.error_bound,
-            "depth_used": res.depth_used,
-            "bound_M": res.bound_M,
-            "rate_r": res.rate_r,
-        }
-    ]
-    _emit(args, payload, rows, ["value", "error_bound", "depth_used", "bound_M", "rate_r"])
-    return 0
+    # CSV columns are the result's field names, JSON keys their camelCase
+    row = dataclasses.asdict(res)
+    payload = {re.sub("_(.)", lambda m: m[1].upper(), f): x for f, x in row.items()}
+    return payload, [row], list(row)
 
 
-def _cmd_ssm_scan(args):
-    params = json.loads(args.params)
-    graphs = generate_family(args.family, params, seed=args.seed)
-    ids = [f"{args.family}-{k}" for k in range(len(graphs))]
+def _ssm_scan(args, graphs, ids):
     records, fit = ssm_scan(
-        graphs,
-        args.activity,
-        args.trials,
-        args.max_distance,
-        seed=args.seed,
-        graph_ids=ids,
+        graphs, args.activity, args.trials, args.max_distance, seed=args.seed, graph_ids=ids
     )
-    rows = [
-        {
-            "graph_id": rec.graph_id,
-            "vertex": rec.vertex,
-            "distance": rec.distance,
-            "gap": rec.gap,
-        }
-        for rec in records
-    ]
+    fields = ["graph_id", "vertex", "distance", "gap"]
+    rows = [_fields(rec, fields) for rec in records]
     payload = {"records": rows}
     if fit is not None:
-        payload["fit"] = {
-            "C": fit.C,
-            "r": fit.r,
-            "cover_C": fit.cover_C,
-            "mean_gap_by_distance": {str(d): m for d, m in fit.mean_gap_by_distance.items()},
-            "n_fit": fit.n_fit,
-            "n_records": fit.n_records,
-            "n_skipped_trials": fit.n_skipped_trials,
-        }
-    _emit(args, payload, rows, ["graph_id", "vertex", "distance", "gap"])
-    return 0
+        gaps = {str(d): m for d, m in fit.mean_gap_by_distance.items()}
+        payload["fit"] = {**dataclasses.asdict(fit), "mean_gap_by_distance": gaps}
+    return payload, rows, fields
 
 
-def _cmd_zero_scan(args):
-    g = _load_graph(args.graph)
+def _zero_scan(args, g):
     rect = tuple(float(x) for x in args.rect.split(","))
     if len(rect) != 4:
         raise ValueError("--rect needs re_min,re_max,im_min,im_max")
@@ -236,242 +221,169 @@ def _cmd_zero_scan(args):
         max_doublings=args.max_doublings,
         tol=args.tol,
     )
-    payload = {
-        "rect": list(rep.rect),
-        "resolution": list(rep.resolution),
-        "counts": [list(row) for row in rep.counts],
-        "total": rep.total,
-        "inconclusive": [list(c) for c in rep.inconclusive],
-        "min_abs_Z": rep.min_abs_Z,
-    }
     rows = [
         {"i": i, "j": j, "count": rep.counts[i][j]}
         for i in range(rep.resolution[0])
         for j in range(rep.resolution[1])
     ]
-    _emit(args, payload, rows, ["i", "j", "count"])
-    return 0
+    return dataclasses.asdict(rep), rows, ["i", "j", "count"]
 
 
-def _cmd_roots(args):
-    g = _load_graph(args.graph)
+def _roots(args, g):
     rep = clawfree_root_check(g)
-    payload = {
-        "roots": [_pair(z) for z in rep.roots],
-        "all_real_negative": rep.all_real_negative,
-        "max_imag_residual": rep.max_imag_residual,
-    }
     rows = [{"re": z.real, "im": z.imag} for z in rep.roots]
-    _emit(args, payload, rows, ["re", "im"])
-    return 0
+    return dataclasses.asdict(rep), rows, ["re", "im"]
 
 
-def _cmd_ratio_scan(args):
-    params = json.loads(args.params)
-    graphs = generate_family(args.family, params, seed=args.seed)
-    ids = [f"{args.family}-{k}" for k in range(len(graphs))]
+def _ratio_scan(args, graphs, ids):
     activities = [complex(s) for s in args.activities.split(",")]
     rep = ratio_bound_scan(graphs, activities, graph_ids=ids)
-    payload = {
-        "max_abs_ratio": rep.max_abs_ratio,
-        "witness": None
-        if rep.witness is None
-        else {
-            "graph_id": rep.witness[0],
-            "vertex": rep.witness[1],
-            "activity": _pair(rep.witness[2]),
-        },
-        "n_evaluations": rep.n_evaluations,
-        "violations": [
-            {"kind": k, "graph_id": gid, "vertex": v, "activity": _pair(lam)}
-            for k, gid, v, lam in rep.violations
-        ],
-    }
-    rows = [
-        {
-            "kind": k,
-            "graph_id": gid,
-            "vertex": v,
-            "activity_re": complex(lam).real,
-            "activity_im": complex(lam).imag,
-        }
-        for k, gid, v, lam in rep.violations
-    ]
-    _emit(args, payload, rows, ["kind", "graph_id", "vertex", "activity_re", "activity_im"])
-    return 0 if not rep.violations else 2
+    keys = ("kind", "graph_id", "vertex", "activity")
+    violations = [dict(zip(keys, v)) for v in rep.violations]
+    payload = dataclasses.asdict(rep)
+    payload["witness"] = None if rep.witness is None else dict(zip(keys[1:], rep.witness))
+    payload["violations"] = violations
+    fields = ["kind", "graph_id", "vertex", "activity_re", "activity_im"]
+    return payload, violations, fields, 0 if not rep.violations else 2
 
 
-def _cmd_hom_prob(args):
-    g = _load_graph(args.graph)
-    A = _load_matrix(args.matrix)
-    q = A.shape[0]
-    sigma = _load_spin_boundary(args.boundary, q) if args.boundary else SpinBoundary({}, q)
+def _hom_prob(args, g, A, sigma):
     z = complex(args.z)
     val = hom_ratio(g, args.vertex, args.color, sigma, A, z)
-    payload = {"vertex": args.vertex, "color": args.color, "z": _pair(z), "ratio": _pair(val)}
-    rows = [{"ratio_re": val.real, "ratio_im": val.imag}]
-    _emit(args, payload, rows, ["ratio_re", "ratio_im"])
-    return 0
+    payload = {"vertex": args.vertex, "color": args.color, "z": z, "ratio": val}
+    return payload, [{"ratio": val}], ["ratio_re", "ratio_im"]
 
 
-def _cmd_hom_series(args):
-    g = _load_graph(args.graph)
-    A = _load_matrix(args.matrix)
-    q = A.shape[0]
-    sigma = _load_spin_boundary(args.boundary, q) if args.boundary else SpinBoundary({}, q)
+def _hom_series(args, g, A, sigma):
     s = hom_ratio_series(g, args.vertex, args.color, sigma, A, order=args.order)
-    _series_output(args, s, args.vertex, "polymer")
-    return 0
+    return _series_output(s, args.vertex, "polymer")
 
 
-def _cmd_hom_check(args):
-    g = _load_graph(args.graph)
-    A = _load_matrix(args.matrix)
-    q = A.shape[0]
-    sigma = _load_spin_boundary(args.boundary, q) if args.boundary else None
+def _hom_check(args, g, A, sigma):
     if args.mode == "zero":
         rep = barvinok_zero_check(g, A, sigma=sigma, samples=args.samples, seed=args.seed)
-        payload = {
-            "mode": "zero",
-            "delta": rep.delta,
-            "max_deviation": rep.max_deviation,
-            "hypothesis_ok": rep.hypothesis_ok,
-            "abs_Z": rep.abs_Z,
-            "zero_free": rep.zero_free,
-            "edge_samples": rep.edge_samples,
-            # NaN (no edge samples) is not valid JSON
-            "min_edge_abs_Z": rep.min_edge_abs_Z if rep.edge_samples else None,
-        }
-        rows = [payload]
-        _emit(args, payload, rows, list(payload))
-        return 0 if rep.hypothesis_ok and rep.zero_free else 2
-    # bounded
-    if args.vertex is None or args.color is None:
-        raise ValueError("--mode bounded needs --vertex and --color")
-    sb = sigma if sigma is not None else SpinBoundary({}, q)
-    rep = bounded_ratio_check(
-        g,
-        args.vertex,
-        args.color,
-        sb,
-        A,
-        args.eta,
-        args.eps,
-        samples=args.samples,
-        seed=args.seed,
-    )
-    payload = {
-        "mode": "bounded",
-        "delta": rep.delta,
-        "box_limit": rep.box_limit,
-        "max_deviation": rep.max_deviation,
-        "hypothesis_ok": rep.hypothesis_ok,
-        "ratio_cap": rep.ratio_cap,
-        "max_abs_ratio": rep.max_abs_ratio,
-        "n_violations": len(rep.violations),
-        "max_identity_residual": rep.max_identity_residual,
-    }
-    rows = [payload]
-    _emit(args, payload, rows, list(payload))
-    return 0 if rep.hypothesis_ok and not rep.violations else 2
+        payload = {"mode": "zero", **dataclasses.asdict(rep)}
+        # NaN (no edge samples) is not valid JSON
+        payload["min_edge_abs_Z"] = rep.min_edge_abs_Z if rep.edge_samples else None
+        code = 0 if rep.hypothesis_ok and rep.zero_free else 2
+    else:
+        if args.vertex is None or args.color is None:
+            raise ValueError("--mode bounded needs --vertex and --color")
+        v, i = args.vertex, args.color
+        rep = bounded_ratio_check(
+            g, v, i, sigma, A, args.eta, args.eps, samples=args.samples, seed=args.seed
+        )
+        names = (
+            "delta",
+            "box_limit",
+            "max_deviation",
+            "hypothesis_ok",
+            "ratio_cap",
+            "max_abs_ratio",
+        )
+        payload = {"mode": "bounded", **_fields(rep, names), "n_violations": len(rep.violations)}
+        payload["max_identity_residual"] = rep.max_identity_residual
+        code = 0 if rep.hypothesis_ok and not rep.violations else 2
+    return payload, [payload], list(payload), code
+
+
+# ((name, help, command), argument specs...), in --help order.  A command takes
+# the parsed arguments and the inputs _load read for them, and returns
+# (payload, rows, CSV fieldnames), plus an exit code when it reports a check.
+_COMMANDS = (
+    (
+        ("exact-z", "evaluate Z at one activity", _exact_z),
+        _helped(_GRAPH, "edge-list file, or - for stdin"),
+        _arg("--activity", required=True, help="complex literal, e.g. 0.5 or -0.1+0.2j"),
+    ),
+    (
+        ("ratio-series", "occupation-ratio Taylor series", _ratio_series),
+        _GRAPH,
+        _VERTEX,
+        _arg("--order", type=int, default=8),
+        _arg("--method", choices=("cluster", "division"), default="cluster"),
+    ),
+    (
+        ("approx-prob", "conditional probability with certified error", _approx_prob),
+        _GRAPH,
+        _VERTEX,
+        _arg("--boundary", required=True, help="file of 'vertex value' lines"),
+        _arg("--activity", type=float, required=True),
+        _arg("--eps-target", type=float, required=True),
+        _arg(
+            "--eps-region",
+            type=float,
+            default=None,
+            help="width of the zero-free neighborhood of [0, activity]; auto-tuned if omitted",
+        ),
+        _arg("--samples", type=int, default=interpolate.DEFAULT_SAMPLES),
+        _arg("--max-depth", type=int, default=interpolate.DEFAULT_MAX_DEPTH),
+    ),
+    (
+        ("ssm-scan", "boundary-pair gap scan over a family", _ssm_scan),
+        _FAMILY,
+        _helped(_PARAMS, "family parameters as JSON"),
+        _arg("--activity", type=float, required=True),
+        _arg("--trials", type=int, default=100),
+        _arg("--max-distance", type=int, default=5),
+    ),
+    (
+        ("zero-scan", "per-cell zero counts in a rectangle", _zero_scan),
+        _GRAPH,
+        _arg("--rect", required=True, help="re_min,re_max,im_min,im_max"),
+        _arg("--resolution", default="4", help="cells per axis: n or n_re,n_im"),
+        _arg("--pts-per-side", type=int, default=64),
+        _arg("--max-doublings", type=int, default=4),
+        _arg("--tol", type=float, default=1e-9),
+    ),
+    (("roots", "independence-polynomial roots (claw-free)", _roots), _GRAPH),
+    (
+        ("ratio-scan", "ratio magnitude sweep over a family", _ratio_scan),
+        _FAMILY,
+        _PARAMS,
+        _arg("--activities", required=True, help="comma-separated complex literals"),
+    ),
+    (
+        ("hom-prob", "conditional color ratio at one z", _hom_prob),
+        _GRAPH,
+        _VERTEX,
+        _COLOR,
+        _helped(_MATRIX, "JSON q x q matrix file"),
+        _helped(_SPIN_BOUNDARY, "file of 'vertex color' lines"),
+        _arg("--z", default="1"),
+    ),
+    (
+        ("hom-series", "color-ratio series in z", _hom_series),
+        _GRAPH,
+        _VERTEX,
+        _COLOR,
+        _MATRIX,
+        _SPIN_BOUNDARY,
+        _arg("--order", type=int, default=6),
+    ),
+    (
+        ("hom-check", "zero-freeness / bounded-ratio checks", _hom_check),
+        _arg("--mode", choices=("zero", "bounded"), required=True),
+        _GRAPH,
+        _MATRIX,
+        _SPIN_BOUNDARY,
+        _arg("--vertex", type=int, default=None),
+        _arg("--color", type=int, default=None),
+        _arg("--eta", type=float, default=0.5),
+        _arg("--eps", type=float, default=0.1),
+        _arg("--samples", type=int, default=16),
+    ),
+)
 
 
 def build_parser():
     parser = _Parser(prog="zeromix", description=__doc__)
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
-    common.add_argument("--output", choices=("csv", "json"), default="csv")
-    common.add_argument("--out-file", default=None, help="write output here instead of stdout")
-
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("exact-z", parents=[common], help="evaluate Z at one activity")
-    p.add_argument("--graph", required=True, help="edge-list file, or - for stdin")
-    p.add_argument("--activity", required=True, help="complex literal, e.g. 0.5 or -0.1+0.2j")
-    p.set_defaults(func=_cmd_exact_z)
-
-    p = sub.add_parser("ratio-series", parents=[common], help="occupation-ratio Taylor series")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--vertex", type=int, required=True)
-    p.add_argument("--order", type=int, default=8)
-    p.add_argument("--method", choices=("cluster", "division"), default="cluster")
-    p.set_defaults(func=_cmd_ratio_series)
-
-    p = sub.add_parser(
-        "approx-prob", parents=[common], help="conditional probability with certified error"
-    )
-    p.add_argument("--graph", required=True)
-    p.add_argument("--vertex", type=int, required=True)
-    p.add_argument("--boundary", required=True, help="file of 'vertex value' lines")
-    p.add_argument("--activity", type=float, required=True)
-    p.add_argument("--eps-target", type=float, required=True)
-    p.add_argument(
-        "--eps-region",
-        type=float,
-        default=None,
-        help="width of the zero-free neighborhood of [0, activity]; auto-tuned if omitted",
-    )
-    p.add_argument("--samples", type=int, default=interpolate.DEFAULT_SAMPLES)
-    p.add_argument("--max-depth", type=int, default=interpolate.DEFAULT_MAX_DEPTH)
-    p.set_defaults(func=_cmd_approx_prob)
-
-    p = sub.add_parser("ssm-scan", parents=[common], help="boundary-pair gap scan over a family")
-    p.add_argument("--family", choices=FAMILY_KINDS, required=True)
-    p.add_argument("--params", required=True, help="family parameters as JSON")
-    p.add_argument("--activity", type=float, required=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--max-distance", type=int, default=5)
-    p.set_defaults(func=_cmd_ssm_scan)
-
-    p = sub.add_parser("zero-scan", parents=[common], help="per-cell zero counts in a rectangle")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--rect", required=True, help="re_min,re_max,im_min,im_max")
-    p.add_argument("--resolution", default="4", help="cells per axis: n or n_re,n_im")
-    p.add_argument("--pts-per-side", type=int, default=64)
-    p.add_argument("--max-doublings", type=int, default=4)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.set_defaults(func=_cmd_zero_scan)
-
-    p = sub.add_parser("roots", parents=[common], help="independence-polynomial roots (claw-free)")
-    p.add_argument("--graph", required=True)
-    p.set_defaults(func=_cmd_roots)
-
-    p = sub.add_parser("ratio-scan", parents=[common], help="ratio magnitude sweep over a family")
-    p.add_argument("--family", choices=FAMILY_KINDS, required=True)
-    p.add_argument("--params", required=True)
-    p.add_argument("--activities", required=True, help="comma-separated complex literals")
-    p.set_defaults(func=_cmd_ratio_scan)
-
-    p = sub.add_parser("hom-prob", parents=[common], help="conditional color ratio at one z")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--vertex", type=int, required=True)
-    p.add_argument("--color", type=int, required=True)
-    p.add_argument("--matrix", required=True, help="JSON q x q matrix file")
-    p.add_argument("--boundary", default=None, help="file of 'vertex color' lines")
-    p.add_argument("--z", default="1")
-    p.set_defaults(func=_cmd_hom_prob)
-
-    p = sub.add_parser("hom-series", parents=[common], help="color-ratio series in z")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--vertex", type=int, required=True)
-    p.add_argument("--color", type=int, required=True)
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--boundary", default=None)
-    p.add_argument("--order", type=int, default=6)
-    p.set_defaults(func=_cmd_hom_series)
-
-    p = sub.add_parser("hom-check", parents=[common], help="zero-freeness / bounded-ratio checks")
-    p.add_argument("--mode", choices=("zero", "bounded"), required=True)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--boundary", default=None)
-    p.add_argument("--vertex", type=int, default=None)
-    p.add_argument("--color", type=int, default=None)
-    p.add_argument("--eta", type=float, default=0.5)
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--samples", type=int, default=16)
-    p.set_defaults(func=_cmd_hom_check)
-
+    for (name, help_text, func), *specs in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in (*_COMMON, *specs):
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -482,7 +394,9 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code
     try:
-        return args.func(args)
+        payload, rows, fieldnames, *code = args.func(args, **_load(args))
+        _emit(args, payload, rows, fieldnames)
+        return code[0] if code else 0
     except (
         NearZeroDenominatorError,
         ZeroRegionViolationError,
@@ -491,7 +405,7 @@ def main(argv=None):
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (ZeromixError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ZeromixError, ValueError, OSError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -20,8 +20,8 @@ import functools
 import math
 
 from .errors import SizeLimitError
-from .graphs import ball, induced_subgraph, remove_vertices
-from .exact import ind_poly
+from .graphs import _check_vertex, ball, induced_subgraph, remove_vertices
+from .exact import _neighbor_masks, ind_poly
 from .series import PowerSeries
 
 DEFAULT_CLUSTER_ORDER = 8
@@ -191,14 +191,15 @@ def connected_subsets(g, max_size, containing=None):
     return _connected_sets(g, max_size, containing=None if containing is None else (containing,))
 
 
-def _pattern_bits(g, subset):
-    """Pack the induced adjacency of `subset` (sorted tuple) into an int."""
+def _pattern_bits(nbr, subset):
+    """Pack the induced adjacency of `subset` (sorted tuple) into an int,
+    given the graph's neighbor bitmasks `nbr`."""
     s = len(subset)
     bits = 0
     for i in range(s):
-        nbrs = g.adj[subset[i]]
+        mask = nbr[subset[i]]
         for j in range(i + 1, s):
-            if subset[j] in nbrs:
+            if mask >> subset[j] & 1:
                 bits |= 1 << (i * s + j)
                 bits |= 1 << (j * s + i)
     return bits
@@ -228,8 +229,9 @@ def _cluster_terms(g, order, sizes=None, containing=None):
     at most order; phi is the Ursell function of the blowup."""
     if sizes is None:
         sizes = [1] * g.n
+    nbr = _neighbor_masks(g)
     for subset in _connected_sets(g, order, sizes, containing):
-        bits = _pattern_bits(g, subset)
+        bits = _pattern_bits(nbr, subset)
         weights = tuple(sizes[u] for u in subset)
         for m, k, grade, denom in _graded_compositions(weights, order):
             phi = _ursell_blowup(k, bits, m)
@@ -249,8 +251,7 @@ def ratio_series_cluster(g, v, order=DEFAULT_CLUSTER_ORDER):
     """Taylor series at 0 of the occupation ratio of v, from the cluster
     expansion: the order-k coefficient sums phi(blowup) * m_v / prod m_i!
     over connected multisets through v of total multiplicity k."""
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} not in graph with n={g.n}")
+    _check_vertex(g, v)
     coeffs = [0j] * (order + 1)
     for subset, m, k, phi, denom in _cluster_terms(g, order, containing=(v,)):
         coeffs[k] += phi * m[subset.index(v)] / denom
@@ -264,8 +265,7 @@ def ratio_series_division(g, v, order=DEFAULT_CLUSTER_ORDER, ball_radius=None, m
     The order-k coefficient only depends on the ball of radius k - 1, so
     ball_radius defaults to `order` (one more than needed at top order).
     """
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} not in graph with n={g.n}")
+    _check_vertex(g, v)
     radius = order if ball_radius is None else ball_radius
     h, mapping = induced_subgraph(g, ball(g, v, radius))
     vv = mapping[v]

@@ -6,8 +6,9 @@ sub-states and component factorization, homomorphism sums by direct
 enumeration of colorings.  Integer coefficients are exact (Python ints);
 complex evaluations are plain double-precision arithmetic.
 
-Brute-force limits are arguments with defaults, not hard constants, so
-callers can pin or extend them.
+The vertex limit of the independence-polynomial oracles is an argument with
+a default, so callers can pin or extend it; every coloring sum is capped at
+DEFAULT_MAX_SUMMANDS colorings.
 """
 
 import functools
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryError, NearZeroDenominatorError, SizeLimitError
-from .graphs import apply_hardcore_boundary
+from .graphs import _check_vertex, apply_hardcore_boundary
 
 DEFAULT_MAX_VERTICES = 40
 DEFAULT_MAX_SUMMANDS = 1 << 24
@@ -224,6 +225,7 @@ def ratio_P(g, v, lam, max_vertices=DEFAULT_MAX_VERTICES):
     """
     from .graphs import remove_vertices
 
+    _check_vertex(g, v)
     closed = set(g.adj[v]) | {v}
     h, _ = remove_vertices(g, closed)
     num = lam * eval_Z(h, lam, max_vertices=max_vertices)
@@ -235,6 +237,7 @@ def ratio_R(g, v, lam, max_vertices=DEFAULT_MAX_VERTICES):
     """Odds ratio lam * Z_{g - N[v]}(lam) / Z_{g - v}(lam); P = R / (1 + R)."""
     from .graphs import remove_vertices
 
+    _check_vertex(g, v)
     closed = set(g.adj[v]) | {v}
     h, _ = remove_vertices(g, closed)
     gv, _ = remove_vertices(g, {v})
@@ -253,6 +256,7 @@ def cond_prob_hardcore(g, v, sigma, lam, method="ratio", max_vertices=DEFAULT_MA
     """
     if not (isinstance(lam, (int, float)) and lam > 0):
         raise ValueError(f"activity must be a positive real, got {lam!r}")
+    _check_vertex(g, v)
     sigma.validate(g)
     if v in sigma.region:
         raise BoundaryError(f"vertex {v} lies in the boundary region")
@@ -314,14 +318,14 @@ def _as_xi(xi, n, q):
     return xi
 
 
-def _color_chunks(n, q, fixed, max_summands, chunk=1 << 15):
+def _color_chunks(n, q, fixed, chunk=1 << 15):
     """Every coloring of 0..n-1 extending `fixed`, as int64 arrays of up to
-    `chunk` rows; SizeLimitError past max_summands colorings."""
+    `chunk` rows; SizeLimitError past DEFAULT_MAX_SUMMANDS colorings."""
     free = [v for v in range(n) if v not in fixed]
     total = q ** len(free)
-    if total > max_summands:
+    if total > DEFAULT_MAX_SUMMANDS:
         raise SizeLimitError(
-            f"{q}^{len(free)} colorings exceed the summand limit {max_summands}"
+            f"{q}^{len(free)} colorings exceed the summand limit {DEFAULT_MAX_SUMMANDS}"
         )
     powers = q ** np.arange(len(free) - 1, -1, -1, dtype=np.int64)
     for start in range(0, total, chunk):
@@ -333,11 +337,11 @@ def _color_chunks(n, q, fixed, max_summands, chunk=1 << 15):
         yield colors
 
 
-def _hom_sum(n, edges, q, edge_factor, xi, fixed, max_summands):
+def _hom_sum(n, edges, q, edge_factor, xi, fixed):
     """Sum over colorings of 0..n-1 extending `fixed` of
     prod_v xi[v, c_v] * prod_e edge_factor(e, c_u, c_w)."""
     total = 0j
-    for colors in _color_chunks(n, q, fixed, max_summands):
+    for colors in _color_chunks(n, q, fixed):
         fac = np.ones(colors.shape[0], dtype=complex)
         if xi is not None:
             for v in range(n):
@@ -348,7 +352,7 @@ def _hom_sum(n, edges, q, edge_factor, xi, fixed, max_summands):
     return total
 
 
-def hom_Z(g, A, xi=None, sigma=None, max_summands=DEFAULT_MAX_SUMMANDS):
+def hom_Z(g, A, xi=None, sigma=None):
     """Homomorphism partition function
     Z^sigma_g(A, xi) = sum_{colorings extending sigma} prod_v xi_{v,c(v)}
     prod_{(u,w) in E} A_{c(u),c(w)}.
@@ -360,10 +364,10 @@ def hom_Z(g, A, xi=None, sigma=None, max_summands=DEFAULT_MAX_SUMMANDS):
     q = A.shape[0]
     fixed = _pins(sigma, q, g)
     xi = _as_xi(xi, g.n, q)
-    return _hom_sum(g.n, g.edges(), q, lambda e, cu, cw: A[cu, cw], xi, fixed, max_summands)
+    return _hom_sum(g.n, g.edges(), q, lambda e, cu, cw: A[cu, cw], xi, fixed)
 
 
-def edge_matrix_Z(g, matrices, xi=None, sigma=None, max_summands=DEFAULT_MAX_SUMMANDS):
+def edge_matrix_Z(g, matrices, xi=None, sigma=None):
     """Homomorphism sum with one matrix per edge.
 
     matrices maps each lexicographically oriented edge (u, w), u < w, to its
@@ -385,12 +389,10 @@ def edge_matrix_Z(g, matrices, xi=None, sigma=None, max_summands=DEFAULT_MAX_SUM
     fixed = _pins(sigma, q, g)
     xi = _as_xi(xi, g.n, q)
     ordered = [mats[e] for e in edges]
-    return _hom_sum(
-        g.n, edges, q, lambda e, cu, cw: ordered[e][cu, cw], xi, fixed, max_summands
-    )
+    return _hom_sum(g.n, edges, q, lambda e, cu, cw: ordered[e][cu, cw], xi, fixed)
 
 
-def hom_ratio(g, v, i, sigma, A, z, xi=None, max_summands=DEFAULT_MAX_SUMMANDS):
+def hom_ratio(g, v, i, sigma, A, z, xi=None):
     """Conditional color ratio Z^{sigma, v->i}(J + z(A - J)) / Z^sigma(J + z(A - J)).
 
     At z = 1 and real nonnegative data this is the probability that v gets
@@ -399,12 +401,12 @@ def hom_ratio(g, v, i, sigma, A, z, xi=None, max_summands=DEFAULT_MAX_SUMMANDS):
     A = _as_matrix(A)
     q = A.shape[0]
     M = np.ones((q, q), dtype=complex) + z * (A - np.ones((q, q)))
-    num = hom_Z(g, M, xi=xi, sigma=sigma.extended(v, i), max_summands=max_summands)
-    den = hom_Z(g, M, xi=xi, sigma=sigma, max_summands=max_summands)
+    num = hom_Z(g, M, xi=xi, sigma=sigma.extended(v, i))
+    den = hom_Z(g, M, xi=xi, sigma=sigma)
     return _checked_ratio(num, den, z)
 
 
-def hom_Z_poly(g, A, sigma=None, max_summands=DEFAULT_MAX_SUMMANDS):
+def hom_Z_poly(g, A, sigma=None):
     """Coefficients (in z, constant first) of Z^sigma_g(J + z(A - J)).
 
     The polynomial has degree |E(g)|; extracting it once makes repeated
@@ -417,7 +419,7 @@ def hom_Z_poly(g, A, sigma=None, max_summands=DEFAULT_MAX_SUMMANDS):
     m = len(edges)
     C = A - np.ones((q, q), dtype=complex)
     total = np.zeros(m + 1, dtype=complex)
-    for colors in _color_chunks(g.n, q, fixed, max_summands):
+    for colors in _color_chunks(g.n, q, fixed):
         P = np.zeros((colors.shape[0], m + 1), dtype=complex)
         P[:, 0] = 1.0
         # one column at a time: the single-slice update

@@ -40,6 +40,12 @@ class Graph:
         return self.adj[v]
 
 
+def _check_vertex(g, v):
+    """Raise ValueError unless v is a vertex of g."""
+    if not (0 <= v < g.n):
+        raise ValueError(f"vertex {v} not in graph with n={g.n}")
+
+
 def from_edges(n, edges):
     """Build a Graph from an iterable of (u, w) pairs; duplicates collapse."""
     if n < 0:

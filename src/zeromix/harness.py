@@ -260,7 +260,10 @@ def clawfree_root_check(g):
     """Roots of the independence polynomial of a claw-free graph, with the
     verdict that they are all real and negative.
 
-    Raises HypothesisViolationError naming a claw when g is not claw-free.
+    The roots and their largest imaginary residual are numerical (np.roots);
+    the verdict is exact: the count, with multiplicity, of the integer
+    polynomial's roots in (-inf, 0] equals its degree.  Raises
+    HypothesisViolationError naming a claw when g is not claw-free.
     """
     ok, witness = is_claw_free(g)
     if not ok:
@@ -270,10 +273,14 @@ def clawfree_root_check(g):
             f"non-adjacent neighbors {leaves}",
             witness=witness,
         )
-    roots = sorted((complex(r) for r in ind_poly(g).roots()), key=lambda z: z.real)
+    import sympy  # here, so that importing zeromix does not load it
+
+    poly = ind_poly(g, max_vertices=None)
+    roots = sorted((complex(r) for r in poly.roots()), key=lambda z: z.real)
     resid = max((abs(z.imag) / (1.0 + abs(z)) for z in roots), default=0.0)
-    verdict = bool(roots == [] or (resid <= 1e-7 and all(z.real < 0 for z in roots)))
-    return ClawfreeRootReport(tuple(roots), verdict, resid)
+    exact = sympy.Poly(list(reversed(poly.coeffs)), sympy.Symbol("x"))
+    nonpositive = sum(m * f.count_roots(sup=0) for f, m in exact.sqf_list()[1])
+    return ClawfreeRootReport(tuple(roots), nonpositive == exact.degree(), resid)
 
 
 @dataclass(frozen=True)

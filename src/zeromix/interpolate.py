@@ -28,7 +28,7 @@ from .errors import (
     ZeroRegionViolationError,
 )
 from .exact import _near_zero, ind_poly
-from .graphs import apply_hardcore_boundary, remove_vertices
+from .graphs import _check_vertex, apply_hardcore_boundary, remove_vertices
 from .series import PowerSeries
 
 DEFAULT_MAX_DEPTH = 64
@@ -165,6 +165,7 @@ def estimate_M(g, v, lam, spec, samples=DEFAULT_SAMPLES):
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
+    _check_vertex(g, v)
     den_poly = ind_poly(g, max_vertices=None)
     closed = set(g.adj[v]) | {v}
     h, _ = remove_vertices(g, closed)
@@ -290,6 +291,7 @@ def approx_cond_prob(
         raise ValueError(f"error target must be positive, got {eps_target}")
     if spec is not None and not isinstance(spec, StripSpec):
         raise TypeError("approx_cond_prob runs on the strip map; pass a StripSpec")
+    _check_vertex(g, v)
     sigma.validate(g)
     if v in sigma.region:
         raise BoundaryError(f"vertex {v} lies in the boundary region")

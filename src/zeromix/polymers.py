@@ -33,7 +33,6 @@ from .errors import (
     ZeroRegionViolationError,
 )
 from .exact import (
-    DEFAULT_MAX_SUMMANDS,
     _as_matrix,
     _as_xi,
     _hom_sum,
@@ -43,7 +42,7 @@ from .exact import (
     hom_Z_poly,
     multivariate_Z,
 )
-from .graphs import Graph, ball, dist_to_disagreement, from_edges
+from .graphs import Graph, _check_vertex, ball, dist_to_disagreement, from_edges
 from .series import PowerSeries
 
 DEFAULT_POLYMER_EDGES = 8
@@ -112,7 +111,7 @@ def polymer_graph(polymers):
     return PolymerGraph(tuple(polymers), from_edges(n, edges))
 
 
-def polymer_weight(polymer, A, z, sigma=None, xi=None, max_summands=DEFAULT_MAX_SUMMANDS):
+def polymer_weight(polymer, A, z, sigma=None, xi=None):
     """Weight w^sigma(H) = z^|F| Z^sigma_H(A - J, xi) / (free-vertex mass).
 
     The normalization divides by sum_i xi_{u,i} for unpinned u in S and by
@@ -140,7 +139,6 @@ def polymer_weight(polymer, A, z, sigma=None, xi=None, max_summands=DEFAULT_MAX_
         lambda e, cu, cw: C[cu, cw],
         rows,
         {local[u]: c for u, c in pinned.items()},
-        max_summands,
     )
     if _near_zero(num, norm):
         raise NearZeroDenominatorError(
@@ -182,7 +180,6 @@ def hom_ratio_series(
     A,
     order=DEFAULT_SERIES_ORDER,
     max_count=DEFAULT_POLYMER_CAP,
-    max_summands=DEFAULT_MAX_SUMMANDS,
 ):
     """Taylor series in z of the conditional color ratio
     Z^{sigma, v->i}(J + z(A - J)) / Z^sigma(J + z(A - J)).
@@ -198,6 +195,7 @@ def hom_ratio_series(
     A = _as_matrix(A)
     q = A.shape[0]
     _pins(sigma, q, g)
+    _check_vertex(g, v)
     if v in sigma.region:
         raise BoundaryError(f"vertex {v} is pinned by the boundary")
     if not (0 <= i < q):
@@ -208,10 +206,10 @@ def hom_ratio_series(
 
     # per-polymer weight at xi = 1 and its xi_{v,i} derivative, which is
     # nonzero only on polymers through v
-    w = [polymer_weight(p, A, 1.0, sigma, max_summands=max_summands) for p in polys]
+    w = [polymer_weight(p, A, 1.0, sigma) for p in polys]
     sigma_v = sigma.extended(v, i)
     dw = {
-        a: (polymer_weight(p, A, 1.0, sigma_v, max_summands=max_summands) - w[a]) / q
+        a: (polymer_weight(p, A, 1.0, sigma_v) - w[a]) / q
         for a, p in enumerate(polys)
         if v in p.vertices
     }
@@ -288,7 +286,7 @@ class BarvinokReport:
     min_edge_abs_Z: float
 
 
-def barvinok_zero_check(g, A, sigma=None, samples=0, seed=0, max_summands=DEFAULT_MAX_SUMMANDS):
+def barvinok_zero_check(g, A, sigma=None, samples=0, seed=0):
     """Evaluate Z^sigma_g(A) exactly and report whether it is nonzero, along
     with whether A sits in the zero-free box for the graph's degree.
 
@@ -302,7 +300,7 @@ def barvinok_zero_check(g, A, sigma=None, samples=0, seed=0, max_summands=DEFAUL
     delta = delta_Delta(deg).delta
     dev = _box_deviation(A)
     hypothesis_ok = dev <= delta + 1e-15
-    Z = hom_Z(g, A, sigma=sigma, max_summands=max_summands)
+    Z = hom_Z(g, A, sigma=sigma)
     q = A.shape[0]
     nfree = g.n - (len(sigma.assignment) if sigma is not None else 0)
     scale = q**nfree * (1.0 + dev) ** g.num_edges()
@@ -316,7 +314,7 @@ def barvinok_zero_check(g, A, sigma=None, samples=0, seed=0, max_summands=DEFAUL
             radii = delta * np.sqrt(rng.uniform(size=(q, q)))
             angles = rng.uniform(0.0, 2.0 * math.pi, size=(q, q))
             mats[e] = 1.0 + radii * np.exp(1j * angles)
-        Ze = edge_matrix_Z(g, mats, sigma=sigma, max_summands=max_summands)
+        Ze = edge_matrix_Z(g, mats, sigma=sigma)
         min_edge = min(min_edge, abs(Ze))
     return BarvinokReport(
         delta=delta,
@@ -375,7 +373,6 @@ def bounded_ratio_check(
     samples=64,
     identity_points=4,
     seed=0,
-    max_summands=DEFAULT_MAX_SUMMANDS,
 ):
     """Check |ratio(z)| <= 1/eps over the disk |z| <= 1 + eta, given A inside
     the shrunken box delta / ((1 + eps)^Delta (1 + eta)).
@@ -396,8 +393,8 @@ def bounded_ratio_check(
     dev = _box_deviation(A)
     hypothesis_ok = dev <= box_limit + 1e-15
 
-    den_poly = hom_Z_poly(g, A, sigma=sigma, max_summands=max_summands)
-    num_poly = hom_Z_poly(g, A, sigma=sigma.extended(v, i), max_summands=max_summands)
+    den_poly = hom_Z_poly(g, A, sigma=sigma)
+    num_poly = hom_Z_poly(g, A, sigma=sigma.extended(v, i))
 
     rng = np.random.default_rng(seed)
     radius = 1.0 + eta
@@ -439,7 +436,7 @@ def bounded_ratio_check(
         xi = np.ones((g.n, q), dtype=complex)
         xi[v, i] = 1.0 - 1.0 / ratio
         mats = build_edge_matrices(g, A, z, xi)
-        residual = abs(edge_matrix_Z(g, mats, sigma=sigma, max_summands=max_summands))
+        residual = abs(edge_matrix_Z(g, mats, sigma=sigma))
         den = eval_poly(den_poly, z)
         rel = residual / (1.0 + abs(den))
         max_residual = max(max_residual, rel)
@@ -470,7 +467,7 @@ class HomSSMReport:
     passed: bool
 
 
-def hom_ssm_experiment(g, v, i, sigma, tau, A, eta, samples=64, max_summands=DEFAULT_MAX_SUMMANDS):
+def hom_ssm_experiment(g, v, i, sigma, tau, A, eta, samples=64):
     """Compare the conditional color probabilities under two boundary
     conditions against the decay bound 2M / ((r - 1) r^d) with r = 1/(1- eta),
     where d is the distance from v to the nearest disagreement and M bounds
@@ -490,10 +487,10 @@ def hom_ssm_experiment(g, v, i, sigma, tau, A, eta, samples=64, max_summands=DEF
 
     d = dist_to_disagreement(g, v, sigma, tau)
     polys = {
-        "den_s": hom_Z_poly(g, A, sigma=sigma, max_summands=max_summands),
-        "num_s": hom_Z_poly(g, A, sigma=sigma.extended(v, i), max_summands=max_summands),
-        "den_t": hom_Z_poly(g, A, sigma=tau, max_summands=max_summands),
-        "num_t": hom_Z_poly(g, A, sigma=tau.extended(v, i), max_summands=max_summands),
+        "den_s": hom_Z_poly(g, A, sigma=sigma),
+        "num_s": hom_Z_poly(g, A, sigma=sigma.extended(v, i)),
+        "den_t": hom_Z_poly(g, A, sigma=tau),
+        "num_t": hom_Z_poly(g, A, sigma=tau.extended(v, i)),
     }
 
     def ratio_at(num_key, den_key, z):

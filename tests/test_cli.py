@@ -363,3 +363,115 @@ def test_zero_scan_rejects_three_part_resolution(files, capsys):
     code = main(["zero-scan", "--graph", g, "--rect=-1.37,-0.61,-0.41,0.39", "--resolution", "2,3,4"])
     assert code == 1
     assert "--resolution" in capsys.readouterr().err
+
+
+def test_out_of_range_vertex_is_usage_error(files, capsys):
+    g = files("g.txt", P3)
+    b = files("b.txt", "0 1\n")
+    m = files("m.json", "[[2, 1], [1, 1]]")
+    for argv in (
+        ["approx-prob", "--graph", g, "--vertex", "99", "--boundary", b,
+         "--activity", "1.0", "--eps-target", "1e-4"],
+        ["hom-series", "--graph", g, "--vertex", "99", "--color", "0", "--matrix", m],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: vertex 99 not in graph with n=3\n"
+
+
+# (argv, exit code, CSV header, JSON top-level keys) for every command; a
+# (name, text) pair in argv stands for a file holding the text
+SCHEMAS = [
+    (
+        ["exact-z", "--graph", ("g", K2), "--activity", "1"],
+        0,
+        "activity_re,activity_im,Z_re,Z_im",
+        ["vertices", "activity", "Z"],
+    ),
+    (
+        ["ratio-series", "--graph", ("g", P3), "--vertex", "1", "--order", "3"],
+        0,
+        "k,re,im",
+        ["vertex", "order", "method", "coefficients"],
+    ),
+    (
+        ["approx-prob", "--graph", ("g", P3), "--vertex", "2", "--boundary", ("b", "0 1\n"),
+         "--activity", "1.0", "--eps-target", "1e-4"],
+        0,
+        "value,error_bound,depth_used,bound_M,rate_r",
+        ["value", "errorBound", "depthUsed", "boundM", "rateR"],
+    ),
+    (
+        ["ssm-scan", "--family", "path", "--params", '{"n": 8}', "--activity", "1.0",
+         "--trials", "12", "--max-distance", "3"],
+        0,
+        "graph_id,vertex,distance,gap",
+        ["records", "fit"],
+    ),
+    (
+        ["zero-scan", "--graph", ("g", K1), "--rect=-1.37,-0.61,-0.41,0.39", "--resolution", "2"],
+        0,
+        "i,j,count",
+        ["rect", "resolution", "counts", "total", "inconclusive", "min_abs_Z"],
+    ),
+    (
+        ["roots", "--graph", ("g", C5)],
+        0,
+        "re,im",
+        ["roots", "all_real_negative", "max_imag_residual"],
+    ),
+    (
+        ["ratio-scan", "--family", "path", "--params", '{"n": 1}', "--activities", "-1"],
+        2,
+        "kind,graph_id,vertex,activity_re,activity_im",
+        ["max_abs_ratio", "witness", "n_evaluations", "violations"],
+    ),
+    (
+        ["hom-prob", "--graph", ("g", K2), "--vertex", "0", "--color", "0",
+         "--matrix", ("m", "[[2, 1], [1, 1]]")],
+        0,
+        "ratio_re,ratio_im",
+        ["vertex", "color", "z", "ratio"],
+    ),
+    (
+        ["hom-series", "--graph", ("g", K2), "--vertex", "0", "--color", "1",
+         "--matrix", ("m", "[[1, 1], [1, 2]]"), "--order", "3"],
+        0,
+        "k,re,im",
+        ["vertex", "order", "method", "coefficients"],
+    ),
+    (
+        ["hom-check", "--mode", "zero", "--graph", ("g", P3),
+         "--matrix", ("m", "[[1.05, 1], [1, 1.05]]")],
+        0,
+        "mode,delta,max_deviation,hypothesis_ok,abs_Z,zero_free,edge_samples,min_edge_abs_Z",
+        ["mode", "delta", "max_deviation", "hypothesis_ok", "abs_Z", "zero_free",
+         "edge_samples", "min_edge_abs_Z"],
+    ),
+    (
+        ["hom-check", "--mode", "bounded", "--graph", ("g", "4\n0 1\n1 2\n2 3\n"),
+         "--matrix", ("m", "[[1.005, 1], [1, 1.005]]"), "--boundary", ("b", "3 1\n"),
+         "--vertex", "0", "--color", "0", "--eps", "0.5", "--samples", "8"],
+        0,
+        "mode,delta,box_limit,max_deviation,hypothesis_ok,ratio_cap,max_abs_ratio,"
+        "n_violations,max_identity_residual",
+        ["mode", "delta", "box_limit", "max_deviation", "hypothesis_ok", "ratio_cap",
+         "max_abs_ratio", "n_violations", "max_identity_residual"],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, header, keys",
+    SCHEMAS,
+    ids=[argv[0] + (f"-{argv[2]}" if argv[0] == "hom-check" else "") for argv, *_ in SCHEMAS],
+)
+def test_output_schema(files, capsys, argv, code, header, keys):
+    argv = [files(*a) if isinstance(a, tuple) else a for a in argv]
+    got_code, out = run(capsys, argv)
+    assert got_code == code
+    assert out.splitlines()[0] == header
+    got_code, out = run(capsys, argv + ["--output", "json"])
+    assert got_code == code
+    assert list(json.loads(out)) == keys

@@ -20,6 +20,7 @@ from zeromix import (
     weitz_lambda_c,
 )
 from zeromix.cluster import _pattern_bits, _ursell_blowup
+from zeromix.exact import _neighbor_masks
 from helpers import brute_connected, random_graph
 
 
@@ -82,17 +83,17 @@ def test_ursell_blowup_dp_matches_subset_scan():
     for _ in range(40):
         k = int(rng.integers(1, 7))
         h = random_graph(rng, k, p=float(rng.uniform(0.3, 0.9)))
-        bits = _pattern_bits(h, tuple(range(k)))
+        bits = _pattern_bits(_neighbor_masks(h), tuple(range(k)))
         assert _ursell_blowup(k, bits, (1,) * k) == ursell(h)
 
 
 def test_ursell_blowup_with_multiplicities():
     # blowing K_2 up with multiplicities (2, 1) gives the triangle
     k2 = from_edges(2, [(0, 1)])
-    bits = _pattern_bits(k2, (0, 1))
+    bits = _pattern_bits(_neighbor_masks(k2), (0, 1))
     assert _ursell_blowup(3, bits, (2, 1)) == 2
     # K_1 with multiplicity m is the complete graph K_m
-    one = _pattern_bits(from_edges(1, []), (0,))
+    one = _pattern_bits(_neighbor_masks(from_edges(1, [])), (0,))
     for m in range(1, 7):
         assert _ursell_blowup(m, one, (m,)) == (-1) ** (m - 1) * math.factorial(m - 1)
 

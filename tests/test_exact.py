@@ -9,9 +9,12 @@ from zeromix import (
     NearZeroDenominatorError,
     SizeLimitError,
     SpinBoundary,
+    StripSpec,
+    approx_cond_prob,
     cond_prob_hardcore,
     cycle_graph,
     edge_matrix_Z,
+    estimate_M,
     eval_Z,
     eval_poly,
     from_edges,
@@ -19,12 +22,15 @@ from zeromix import (
     hom_Z,
     hom_Z_poly,
     hom_ratio,
+    hom_ratio_series,
     ind_poly,
     iter_independent_sets,
     multivariate_Z,
     path_graph,
     ratio_P,
     ratio_R,
+    ratio_series_cluster,
+    ratio_series_division,
 )
 from helpers import (
     brute_hom_Z,
@@ -237,7 +243,7 @@ def test_hom_Z_matches_brute():
 def test_hom_Z_summand_limit():
     g = from_edges(16, [(i, i + 1) for i in range(15)])
     with pytest.raises(SizeLimitError):
-        hom_Z(g, [[1, 1, 1], [1, 1, 1], [1, 1, 2]], max_summands=10**6)
+        hom_Z(g, [[1, 1, 1], [1, 1, 1], [1, 1, 2]])
 
 
 def test_edge_matrix_Z_all_J():
@@ -310,3 +316,33 @@ def test_hom_Z_poly_matches_pointwise():
 def test_eval_poly_horner():
     assert eval_poly([1, 2, 3], 2.0) == 1 + 4 + 12
     assert eval_poly([5], 100.0) == 5
+
+
+@pytest.mark.parametrize("v", [99, -1])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, v: approx_cond_prob(g, v, HardcoreBoundary({}), 0.1, 1e-6),
+        lambda g, v: estimate_M(g, v, 0.1, StripSpec(0.5)),
+        lambda g, v: cond_prob_hardcore(g, v, HardcoreBoundary({}), 0.5),
+        lambda g, v: ratio_P(g, v, 0.5),
+        lambda g, v: ratio_R(g, v, 0.5),
+        lambda g, v: ratio_series_cluster(g, v, 3),
+        lambda g, v: ratio_series_division(g, v, 3),
+        lambda g, v: hom_ratio_series(g, v, 0, SpinBoundary({}, 2), [[2, 1], [1, 1]], order=2),
+    ],
+    ids=[
+        "approx_cond_prob",
+        "estimate_M",
+        "cond_prob_hardcore",
+        "ratio_P",
+        "ratio_R",
+        "ratio_series_cluster",
+        "ratio_series_division",
+        "hom_ratio_series",
+    ],
+)
+def test_out_of_range_vertex_is_rejected(call, v):
+    # -1 would index from the end and 99 read as a blocked vertex
+    with pytest.raises(ValueError, match=f"vertex {v} not in graph with n=4"):
+        call(path_graph(4), v)

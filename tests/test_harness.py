@@ -5,7 +5,6 @@ import pytest
 
 from zeromix import (
     HypothesisViolationError,
-    SizeLimitError,
     clawfree_root_check,
     cond_prob_hardcore,
     cycle_graph,
@@ -164,6 +163,14 @@ def test_clawfree_roots_k2():
     assert rep.all_real_negative
 
 
+def test_clawfree_verdict_is_exact():
+    # np.roots leaves imaginary parts above 1e-7 on these real-rooted paths
+    for n in (42, 45, 60):
+        assert clawfree_root_check(path_graph(n)).all_real_negative is True
+    # (1 + 2x)^2 has one distinct root of multiplicity two
+    assert clawfree_root_check(from_edges(4, [(0, 1), (2, 3)])).all_real_negative is True
+
+
 def test_clawfree_rejects_star():
     with pytest.raises(HypothesisViolationError) as e:
         clawfree_root_check(STAR)
@@ -202,7 +209,7 @@ def test_ratio_bound_scan_checks_graph_ids():
 
 def test_scans_apply_no_vertex_cap():
     # the exact oracles refuse graphs above 40 vertices by default; the scans
-    # other than the root check follow approx_cond_prob and take any size
+    # follow approx_cond_prob and take any size
     records, fit = ssm_scan([grid_graph(7, 7)], 0.5, 50, 3, seed=1)
     assert len(records) == 50
     assert fit is not None
@@ -210,7 +217,4 @@ def test_scans_apply_no_vertex_cap():
     rep = zero_scan(big, (0.1, 1.0, 0.1, 1.0), 1)
     assert rep.total == 0 and rep.inconclusive == ()
     assert ratio_bound_scan([big], [0.5]).n_evaluations == 45
-    # the root check keeps the cap: in double precision np.roots leaves
-    # imaginary parts past its gate on real-rooted polynomials of this degree
-    with pytest.raises(SizeLimitError):
-        clawfree_root_check(big)
+    assert clawfree_root_check(big).all_real_negative is True
