@@ -175,6 +175,8 @@ def _ratio_series(args, g):
 def _approx_prob(args, g, sigma):
     spec = None
     if args.eps_region is not None:
+        if not args.eps_region > 0:
+            raise ValueError(f"--eps-region must be positive, got {args.eps_region}")
         spec = interpolate.StripSpec(args.eps_region / (2.0 * args.activity))
     res = interpolate.approx_cond_prob(
         g,

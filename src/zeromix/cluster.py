@@ -258,7 +258,7 @@ def ratio_series_cluster(g, v, order=DEFAULT_CLUSTER_ORDER):
     return PowerSeries(tuple(coeffs))
 
 
-def ratio_series_division(g, v, order=DEFAULT_CLUSTER_ORDER, ball_radius=None, max_vertices=None):
+def ratio_series_division(g, v, order=DEFAULT_CLUSTER_ORDER, ball_radius=None):
     """The same ratio series computed by polynomial division:
     lam * Z_{H - N[v]} / Z_H on the ball H around v.
 
@@ -269,9 +269,9 @@ def ratio_series_division(g, v, order=DEFAULT_CLUSTER_ORDER, ball_radius=None, m
     radius = order if ball_radius is None else ball_radius
     h, mapping = induced_subgraph(g, ball(g, v, radius))
     vv = mapping[v]
-    den = ind_poly(h, max_vertices=max_vertices)
+    den = ind_poly(h)
     hh, _ = remove_vertices(h, set(h.adj[vv]) | {vv})
-    num = ind_poly(hh, max_vertices=max_vertices)
+    num = ind_poly(hh)
     den_s = PowerSeries.from_coeffs(den.coeffs, order)
     num_s = PowerSeries.from_coeffs((0,) + num.coeffs, order)
     return num_s.mul(den_s.reciprocal())

@@ -6,9 +6,9 @@ sub-states and component factorization, homomorphism sums by direct
 enumeration of colorings.  Integer coefficients are exact (Python ints);
 complex evaluations are plain double-precision arithmetic.
 
-The vertex limit of the independence-polynomial oracles is an argument with
-a default, so callers can pin or extend it; every coloring sum is capped at
-DEFAULT_MAX_SUMMANDS colorings.
+The independence-polynomial oracles apply no vertex cap: the recurrence is
+exponential in the worst case, and the caller decides what it can afford.
+Every coloring sum is capped at DEFAULT_MAX_SUMMANDS colorings.
 """
 
 import functools
@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryError, NearZeroDenominatorError, SizeLimitError
-from .graphs import _check_vertex, apply_hardcore_boundary
+from .graphs import _check_vertex, apply_hardcore_boundary, remove_vertices
 
-DEFAULT_MAX_VERTICES = 40
 DEFAULT_MAX_SUMMANDS = 1 << 24
 
 NEAR_ZERO_REL = 1e-12
@@ -31,9 +30,6 @@ def _near_zero(num, den):
     """Whether den counts as a zero denominator next to num:
     |den| <= NEAR_ZERO_REL * (1 + |num|)."""
     return abs(den) <= NEAR_ZERO_REL * (1.0 + abs(num))
-
-
-ComplexValue = complex
 
 
 @dataclass(frozen=True)
@@ -161,10 +157,8 @@ def _ind_poly_cached(g):
     return _deletion_recurrence(_neighbor_masks(g), (1,), _poly_mul, _poly_add_shift)
 
 
-def ind_poly(g, max_vertices=DEFAULT_MAX_VERTICES):
+def ind_poly(g):
     """Independence polynomial of g with exact integer coefficients."""
-    if max_vertices is not None and g.n > max_vertices:
-        raise SizeLimitError(f"graph has {g.n} vertices, limit is {max_vertices}")
     return IndPoly(_ind_poly_cached(g))
 
 
@@ -185,21 +179,19 @@ def iter_independent_sets(g):
     yield from rec(0, 0, 0)
 
 
-def eval_Z(g, lam, max_vertices=DEFAULT_MAX_VERTICES):
+def eval_Z(g, lam):
     """Partition function Z_g(lam) = sum over independent sets of lam^|I|."""
-    p = ind_poly(g, max_vertices=max_vertices)
+    p = ind_poly(g)
     if isinstance(lam, complex):
         return p(lam)
     return complex(p(complex(lam)))
 
 
-def multivariate_Z(g, weights, max_vertices=DEFAULT_MAX_VERTICES):
+def multivariate_Z(g, weights):
     """Z_g(w) = sum over independent sets of prod_{v in I} w_v.
 
     weights is a sequence of per-vertex complex numbers (length g.n).
     """
-    if max_vertices is not None and g.n > max_vertices:
-        raise SizeLimitError(f"graph has {g.n} vertices, limit is {max_vertices}")
     if len(weights) != g.n:
         raise ValueError(f"need {g.n} weights, got {len(weights)}")
     w = [complex(x) for x in weights]
@@ -218,35 +210,31 @@ def _checked_ratio(num, den, point):
     return num / den
 
 
-def ratio_P(g, v, lam, max_vertices=DEFAULT_MAX_VERTICES):
+def ratio_P(g, v, lam):
     """Occupation ratio lam * Z_{g - N[v]}(lam) / Z_g(lam).
 
     For real lam > 0 this is the probability that v is occupied.
     """
-    from .graphs import remove_vertices
-
     _check_vertex(g, v)
     closed = set(g.adj[v]) | {v}
     h, _ = remove_vertices(g, closed)
-    num = lam * eval_Z(h, lam, max_vertices=max_vertices)
-    den = eval_Z(g, lam, max_vertices=max_vertices)
+    num = lam * eval_Z(h, lam)
+    den = eval_Z(g, lam)
     return _checked_ratio(num, den, lam)
 
 
-def ratio_R(g, v, lam, max_vertices=DEFAULT_MAX_VERTICES):
+def ratio_R(g, v, lam):
     """Odds ratio lam * Z_{g - N[v]}(lam) / Z_{g - v}(lam); P = R / (1 + R)."""
-    from .graphs import remove_vertices
-
     _check_vertex(g, v)
     closed = set(g.adj[v]) | {v}
     h, _ = remove_vertices(g, closed)
     gv, _ = remove_vertices(g, {v})
-    num = lam * eval_Z(h, lam, max_vertices=max_vertices)
-    den = eval_Z(gv, lam, max_vertices=max_vertices)
+    num = lam * eval_Z(h, lam)
+    den = eval_Z(gv, lam)
     return _checked_ratio(num, den, lam)
 
 
-def cond_prob_hardcore(g, v, sigma, lam, method="ratio", max_vertices=DEFAULT_MAX_VERTICES):
+def cond_prob_hardcore(g, v, sigma, lam, method="ratio"):
     """Probability that v is occupied under the hard-core measure at
     activity lam, conditioned on the boundary condition sigma.
 
@@ -266,7 +254,7 @@ def cond_prob_hardcore(g, v, sigma, lam, method="ratio", max_vertices=DEFAULT_MA
 
     if method == "ratio":
         h, mapping = apply_hardcore_boundary(g, sigma)
-        p = ratio_P(h, mapping[v], complex(lam), max_vertices=max_vertices)
+        p = ratio_P(h, mapping[v], complex(lam))
         return p.real
     if method == "enumerate":
         if g.n > 25:

@@ -44,7 +44,38 @@ def line_graph_of_random_regular(degree, n, seed=0):
     return _from_networkx(nx.line_graph(base))
 
 
-FAMILY_KINDS = ("path", "cycle", "grid", "random_regular", "line_graph_of_random_regular")
+# the integer parameters each kind reads: required, then optional; for path
+# and cycle a list of sizes stands in for n
+_FAMILY_PARAMS = {
+    "path": (("n",), ("sizes",)),
+    "cycle": (("n",), ("sizes",)),
+    "grid": (("rows", "cols"), ()),
+    "random_regular": (("degree", "n"), ("count",)),
+    "line_graph_of_random_regular": (("degree", "n"), ("count",)),
+}
+FAMILY_KINDS = tuple(_FAMILY_PARAMS)
+
+
+def _check_params(kind, params):
+    if kind not in _FAMILY_PARAMS:
+        raise ValueError(f"unknown family kind {kind!r}; expected one of {FAMILY_KINDS}")
+    required, optional = _FAMILY_PARAMS[kind]
+    accepted = f"accepted keys: {', '.join(required + optional)}"
+    if not isinstance(params, dict):
+        problem = f"params must be a JSON object, got {params!r}"
+        raise ValueError(f"{kind} family: {problem}; {accepted}")
+    if "sizes" in params and "sizes" in optional:
+        required = ()
+    for key in required + optional:
+        if key not in params:
+            if key in required:
+                raise ValueError(f"{kind} family: missing {key!r}; {accepted}")
+            continue
+        value = params[key]
+        values = value if key == "sizes" and isinstance(value, (list, tuple)) else [value]
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in values):
+            what = "a list of integers" if key == "sizes" else "an integer"
+            raise ValueError(f"{kind} family: {key!r} must be {what}, got {value!r}; {accepted}")
 
 
 def generate_family(kind, params, seed=0):
@@ -57,24 +88,16 @@ def generate_family(kind, params, seed=0):
                     {"degree": int, "n": int, "count": int (default 1)}
 
     Randomized kinds derive instance j from (seed + j), so a fixed seed
-    reproduces the family.
+    reproduces the family.  Raises ValueError for an unknown kind, or for
+    params that are not an object holding the kind's integer keys.
     """
+    _check_params(kind, params)
     if kind in ("path", "cycle"):
         sizes = params["sizes"] if "sizes" in params else [params["n"]]
         builder = path_graph if kind == "path" else cycle_graph
         return [builder(n) for n in sizes]
     if kind == "grid":
         return [grid_graph(params["rows"], params["cols"])]
-    if kind == "random_regular":
-        count = params.get("count", 1)
-        return [
-            random_regular_graph(params["degree"], params["n"], seed=seed + j)
-            for j in range(count)
-        ]
-    if kind == "line_graph_of_random_regular":
-        count = params.get("count", 1)
-        return [
-            line_graph_of_random_regular(params["degree"], params["n"], seed=seed + j)
-            for j in range(count)
-        ]
-    raise ValueError(f"unknown family kind {kind!r}; expected one of {FAMILY_KINDS}")
+    builder = random_regular_graph if kind == "random_regular" else line_graph_of_random_regular
+    count = params.get("count", 1)
+    return [builder(params["degree"], params["n"], seed=seed + j) for j in range(count)]

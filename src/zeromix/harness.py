@@ -50,14 +50,17 @@ class SSMFit:
 
 GAP_FLOOR = 1e-14
 MIN_RECORDS_PER_DISTANCE = 3
+SPHERE_IN_PROB = 0.5
+MAX_BOUNDARY_ATTEMPTS = 200
+AVOID_TOL = 1e-12
 
 
-def _sample_boundary(rng, sphere, adj, in_prob, max_attempts=200):
+def _sample_boundary(rng, sphere, adj):
     """Rejection-sample an occupancy assignment on the sphere whose in-set is
-    independent; the inclusion probability is halved after every 50 failed
-    attempts so dense spheres stay feasible."""
-    p = in_prob
-    for attempt in range(max_attempts):
+    independent; the inclusion probability starts at SPHERE_IN_PROB and is
+    halved after every 50 failed attempts so dense spheres stay feasible."""
+    p = SPHERE_IN_PROB
+    for attempt in range(MAX_BOUNDARY_ATTEMPTS):
         if attempt and attempt % 50 == 0:
             p /= 2.0
         values = {u: int(rng.random() < p) for u in sphere}
@@ -79,8 +82,6 @@ def ssm_scan(
     max_distance,
     seed=0,
     graph_ids=None,
-    in_prob=0.5,
-    max_attempts=200,
     collect_boundaries=False,
 ):
     """Sample boundary-condition pairs on distance spheres and record the
@@ -110,13 +111,13 @@ def ssm_scan(
         if not sphere:
             skipped += 1
             continue
-        first = _sample_boundary(rng, sphere, g.adj, in_prob, max_attempts)
+        first = _sample_boundary(rng, sphere, g.adj)
         if first is None:
             skipped += 1
             continue
         second = None
-        for _ in range(max_attempts):
-            cand = _sample_boundary(rng, sphere, g.adj, in_prob, max_attempts)
+        for _ in range(MAX_BOUNDARY_ATTEMPTS):
+            cand = _sample_boundary(rng, sphere, g.adj)
             if cand is not None and cand != first:
                 second = cand
                 break
@@ -126,8 +127,8 @@ def ssm_scan(
         sigma = HardcoreBoundary(first)
         tau = HardcoreBoundary(second)
         gap = abs(
-            cond_prob_hardcore(g, v, sigma, lam, max_vertices=None)
-            - cond_prob_hardcore(g, v, tau, lam, max_vertices=None)
+            cond_prob_hardcore(g, v, sigma, lam)
+            - cond_prob_hardcore(g, v, tau, lam)
         )
         if collect_boundaries:
             records.append(SSMRecord(graph_ids[k], v, d, gap, sigma=sigma, tau=tau))
@@ -207,7 +208,7 @@ def zero_scan(g, rect, resolution, pts_per_side=64, max_doublings=4, tol=1e-9):
         n_re, n_im = resolution
     if n_re < 1 or n_im < 1:
         raise ValueError(f"resolution must be positive, got {resolution}")
-    poly = ind_poly(g, max_vertices=None)
+    poly = ind_poly(g)
     dx = (re_max - re_min) / n_re
     dy = (im_max - im_min) / n_im
     counts = [[0] * n_im for _ in range(n_re)]
@@ -275,7 +276,7 @@ def clawfree_root_check(g):
         )
     import sympy  # here, so that importing zeromix does not load it
 
-    poly = ind_poly(g, max_vertices=None)
+    poly = ind_poly(g)
     roots = sorted((complex(r) for r in poly.roots()), key=lambda z: z.real)
     resid = max((abs(z.imag) / (1.0 + abs(z)) for z in roots), default=0.0)
     exact = sympy.Poly(list(reversed(poly.coeffs)), sympy.Symbol("x"))
@@ -291,7 +292,7 @@ class RatioScanReport:
     violations: tuple  # (kind, graph_id, vertex, activity) tuples
 
 
-def ratio_bound_scan(graphs, activities, graph_ids=None, avoid_tol=1e-12):
+def ratio_bound_scan(graphs, activities, graph_ids=None):
     """Sweep |P_{g,v}(lam)| over graphs, vertices, and activities.
 
     Tracks the maximum and its witness, and flags avoidance failures:
@@ -312,19 +313,19 @@ def ratio_bound_scan(graphs, activities, graph_ids=None, avoid_tol=1e-12):
                 lam = complex(lam)
                 n_eval += 1
                 try:
-                    p = ratio_P(g, v, lam, max_vertices=None)
+                    p = ratio_P(g, v, lam)
                 except NearZeroDenominatorError:
                     violations.append(("zero_Z", gid, v, lam))
                     continue
                 try:
-                    ratio_R(g, v, lam, max_vertices=None)
+                    ratio_R(g, v, lam)
                 except NearZeroDenominatorError:
                     violations.append(("zero_Z_minus_v", gid, v, lam))
                 if abs(p) > best:
                     best = abs(p)
                     witness = (gid, v, lam)
-                if lam != 0 and abs(p) <= avoid_tol:
+                if lam != 0 and abs(p) <= AVOID_TOL:
                     violations.append(("ratio_zero", gid, v, lam))
-                if abs(p - 1.0) <= avoid_tol:
+                if abs(p - 1.0) <= AVOID_TOL:
                     violations.append(("ratio_one", gid, v, lam))
     return RatioScanReport(best, witness, n_eval, tuple(violations))

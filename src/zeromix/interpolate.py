@@ -166,10 +166,10 @@ def estimate_M(g, v, lam, spec, samples=DEFAULT_SAMPLES):
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     _check_vertex(g, v)
-    den_poly = ind_poly(g, max_vertices=None)
+    den_poly = ind_poly(g)
     closed = set(g.adj[v]) | {v}
     h, _ = remove_vertices(g, closed)
-    num_poly = ind_poly(h, max_vertices=None)
+    num_poly = ind_poly(h)
     r = spec.r
     best = 0.0
     for j in range(samples):
@@ -192,7 +192,7 @@ def _zeros_in_strip_disk(g, spec, lam, margin=0.0):
     radius r * (1 + margin) under the strip map scaled by lam."""
     hits = []
     r = spec.r * (1.0 + margin)
-    for rho in ind_poly(g, max_vertices=None).roots():
+    for rho in ind_poly(g).roots():
         rho = complex(rho)
         try:
             z = g_inverse(spec, rho / lam)
@@ -227,19 +227,18 @@ def choose_strip_spec(
     eps_target,
     max_depth=DEFAULT_MAX_DEPTH,
     samples=DEFAULT_SAMPLES,
-    ladder=EPS_LADDER,
 ):
     """Pick a strip width whose disk clears the zeros of Z_g with margin and
     whose certified depth fits under max_depth.  Wider strips give faster
-    rates, so the ladder is walked widest-first."""
-    return _strip_and_M(g, v, lam, eps_target, max_depth, samples, ladder)[0]
+    rates, so EPS_LADDER is walked widest-first."""
+    return _strip_and_M(g, v, lam, eps_target, max_depth, samples)[0]
 
 
-def _strip_and_M(g, v, lam, eps_target, max_depth, samples, ladder):
+def _strip_and_M(g, v, lam, eps_target, max_depth, samples):
     """choose_strip_spec's strip together with its estimate_M bound."""
     best_required = None
     nearest = None
-    for eps in ladder:
+    for eps in EPS_LADDER:
         spec = StripSpec(eps)
         hits = _zeros_in_strip_disk(g, spec, lam, margin=0.05)
         if hits:
@@ -304,7 +303,7 @@ def approx_cond_prob(
     vv = mapping[v]
 
     if spec is None:
-        spec, M = _strip_and_M(h, vv, lam, eps_target, max_depth, samples, EPS_LADDER)
+        spec, M = _strip_and_M(h, vv, lam, eps_target, max_depth, samples)
     else:
         hits = _zeros_in_strip_disk(h, spec, lam)
         if hits:
@@ -322,7 +321,7 @@ def approx_cond_prob(
 
     from .cluster import ratio_series_division
 
-    p = ratio_series_division(h, vv, order=n - 1, max_vertices=None)
+    p = ratio_series_division(h, vv, order=n - 1)
     scaled = PowerSeries(tuple(c * lam**k for k, c in enumerate(p.coeffs)))
     comp = scaled.compose(g_series(spec, n - 1))
     value = comp.partial_sum()

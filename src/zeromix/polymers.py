@@ -48,6 +48,7 @@ from .series import PowerSeries
 DEFAULT_POLYMER_EDGES = 8
 DEFAULT_POLYMER_CAP = 10**6
 DEFAULT_SERIES_ORDER = 6
+IDENTITY_POINTS = 4
 
 
 @dataclass(frozen=True)
@@ -76,10 +77,10 @@ class PolymerGraph:
     graph: Graph
 
 
-def enumerate_polymers(g, max_edges=DEFAULT_POLYMER_EDGES, within=None, max_count=DEFAULT_POLYMER_CAP):
+def enumerate_polymers(g, max_edges=DEFAULT_POLYMER_EDGES, within=None):
     """All polymers of g with at most max_edges edges, optionally restricted
     to the vertex set `within`.  Deterministic order; SizeLimitError past
-    max_count polymers."""
+    DEFAULT_POLYMER_CAP polymers."""
     edges = g.edges()
     if within is not None:
         within = set(within)
@@ -90,9 +91,9 @@ def enumerate_polymers(g, max_edges=DEFAULT_POLYMER_EDGES, within=None, max_coun
             incident.setdefault(u, []).append(a)
     line = from_edges(len(edges), [(a, b) for es in incident.values() for a, b in combinations(es, 2)])
     try:
-        found = _connected_sets(line, max_edges, max_count=max_count)
+        found = _connected_sets(line, max_edges, max_count=DEFAULT_POLYMER_CAP)
     except SizeLimitError:
-        raise SizeLimitError(f"more than {max_count} polymers") from None
+        raise SizeLimitError(f"more than {DEFAULT_POLYMER_CAP} polymers") from None
     polys = [Polymer.from_edge_set(edges[a] for a in S) for S in found]
     polys.sort(key=lambda p: (p.size, p.edges))
     return polys
@@ -147,7 +148,7 @@ def polymer_weight(polymer, A, z, sigma=None, xi=None):
     return z ** polymer.size * num / norm
 
 
-def hom_Z_via_polymers(g, A, z=1.0, sigma=None, xi=None, max_count=DEFAULT_POLYMER_CAP):
+def hom_Z_via_polymers(g, A, z=1.0, sigma=None, xi=None):
     """Z^sigma_g(J + z(A - J), xi) assembled from the polymer identity.
 
     Exponential in |E(g)|; a consistency route for small graphs, checked
@@ -157,12 +158,12 @@ def hom_Z_via_polymers(g, A, z=1.0, sigma=None, xi=None, max_count=DEFAULT_POLYM
     q = A.shape[0]
     pinned = _pins(sigma, q, g)
     xi = _as_xi(xi, g.n, q)
-    polys = enumerate_polymers(g, max_edges=g.num_edges(), max_count=max_count)
+    polys = enumerate_polymers(g, max_edges=g.num_edges())
     pg = polymer_graph(polys)
     weights = [
         polymer_weight(p, A, z, sigma=sigma, xi=xi) for p in polys
     ]
-    zg = multivariate_Z(pg.graph, weights, max_vertices=None)
+    zg = multivariate_Z(pg.graph, weights)
     mass = 1.0 + 0j
     for v in range(g.n):
         if v in pinned:
@@ -179,7 +180,6 @@ def hom_ratio_series(
     sigma,
     A,
     order=DEFAULT_SERIES_ORDER,
-    max_count=DEFAULT_POLYMER_CAP,
 ):
     """Taylor series in z of the conditional color ratio
     Z^{sigma, v->i}(J + z(A - J)) / Z^sigma(J + z(A - J)).
@@ -202,7 +202,7 @@ def hom_ratio_series(
         raise ValueError(f"color {i} not in 0..{q - 1}")
 
     region = ball(g, v, order)
-    polys = enumerate_polymers(g, max_edges=order, within=region, max_count=max_count)
+    polys = enumerate_polymers(g, max_edges=order, within=region)
 
     # per-polymer weight at xi = 1 and its xi_{v,i} derivative, which is
     # nonzero only on polymers through v
@@ -371,15 +371,15 @@ def bounded_ratio_check(
     eta,
     eps,
     samples=64,
-    identity_points=4,
     seed=0,
 ):
     """Check |ratio(z)| <= 1/eps over the disk |z| <= 1 + eta, given A inside
     the shrunken box delta / ((1 + eps)^Delta (1 + eta)).
 
-    Also verifies the vanishing identity behind the bound: with
-    xi_{v, i} = 1 - 1/ratio(z) and all other entries 1, the edge-matrix sum
-    of the matrices from build_edge_matrices is zero.
+    Also verifies the vanishing identity behind the bound at up to
+    IDENTITY_POINTS sampled z: with xi_{v, i} = 1 - 1/ratio(z) and all other
+    entries 1, the edge-matrix sum of the matrices from build_edge_matrices
+    is zero.
     """
     from .exact import edge_matrix_Z
 
@@ -429,7 +429,7 @@ def bounded_ratio_check(
     max_residual = 0.0
     checked = 0
     for z, ratio in zip(points, ratios):
-        if checked >= identity_points:
+        if checked >= IDENTITY_POINTS:
             break
         if ratio is None or abs(ratio) < 1e-9:
             continue

@@ -3,10 +3,13 @@
 A PowerSeries of order K stores coefficients 0..K and all arithmetic
 truncates back to order K.  Composition requires the inner series to have
 zero constant term, so that every retained coefficient of the composite is
-a finite exact combination of the inputs.
+a finite exact combination of the inputs.  Products are numpy convolutions;
+coeffs stays a tuple of Python complex numbers.
 """
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .exact import eval_poly
 
@@ -38,10 +41,7 @@ class PowerSeries:
     @classmethod
     def identity(cls, order):
         """The series x, truncated at `order`."""
-        cs = [0j] * (order + 1)
-        if order >= 1:
-            cs[1] = 1.0 + 0j
-        return cls(tuple(cs))
+        return cls.from_coeffs([0, 1], order)
 
     def truncate(self, order):
         return PowerSeries.from_coeffs(self.coeffs, order)
@@ -52,12 +52,10 @@ class PowerSeries:
         return other
 
     def add(self, other):
-        other = self._matched(other)
-        return PowerSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return PowerSeries(np.add(self.coeffs, self._matched(other).coeffs))
 
     def sub(self, other):
-        other = self._matched(other)
-        return PowerSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return PowerSeries(np.subtract(self.coeffs, self._matched(other).coeffs))
 
     def scale(self, c):
         c = complex(c)
@@ -65,14 +63,7 @@ class PowerSeries:
 
     def mul(self, other):
         other = self._matched(other)
-        K = self.order
-        out = [0j] * (K + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(K + 1 - i):
-                out[i + j] += a * other.coeffs[j]
-        return PowerSeries(tuple(out))
+        return PowerSeries(np.convolve(self.coeffs, other.coeffs)[: self.order + 1])
 
     def compose(self, inner):
         """self(inner(x)), truncated; inner must have zero constant term."""
@@ -82,47 +73,40 @@ class PowerSeries:
                 f"composition needs inner constant term 0, got {inner.coeffs[0]}"
             )
         K = self.order
-        acc = PowerSeries.zero(K)
+        b = np.array(inner.coeffs)
+        acc = np.zeros(K + 1, dtype=complex)
         for c in reversed(self.coeffs):
-            acc = acc.mul(inner)
-            acc = PowerSeries(tuple(a + (c if i == 0 else 0) for i, a in enumerate(acc.coeffs)))
-        return acc
+            acc = np.convolve(acc, b)[: K + 1]
+            acc[0] += c
+        return PowerSeries(acc)
 
     def reciprocal(self):
         """1/self, truncated; needs a nonzero constant term."""
         a0 = self.coeffs[0]
         if a0 == 0:
             raise ValueError("reciprocal needs a nonzero constant term")
-        K = self.order
-        out = [0j] * (K + 1)
+        a = np.array(self.coeffs)
+        out = np.zeros(self.order + 1, dtype=complex)
         out[0] = 1 / a0
-        for n in range(1, K + 1):
-            s = 0j
-            for k in range(1, n + 1):
-                s += self.coeffs[k] * out[n - k]
-            out[n] = -s / a0
-        return PowerSeries(tuple(out))
+        for n in range(1, self.order + 1):
+            out[n] = -np.dot(a[1 : n + 1], out[n - 1 :: -1]) / a0
+        return PowerSeries(out)
 
     def exp(self):
         """exp of self; requires zero constant term so coefficients stay
         polynomial in the inputs."""
         if self.coeffs[0] != 0:
             raise ValueError("exp needs zero constant term")
-        K = self.order
-        out = [0j] * (K + 1)
-        out[0] = 1.0 + 0j
-        for n in range(1, K + 1):
-            s = 0j
-            for k in range(1, n + 1):
-                s += k * self.coeffs[k] * out[n - k]
-            out[n] = s / n
-        return PowerSeries(tuple(out))
+        ka = np.arange(self.order + 1) * np.array(self.coeffs)
+        out = np.zeros(self.order + 1, dtype=complex)
+        out[0] = 1.0
+        for n in range(1, self.order + 1):
+            out[n] = np.dot(ka[1 : n + 1], out[n - 1 :: -1]) / n
+        return PowerSeries(out)
 
-    def partial_sum(self, n_terms=None):
-        """Sum of the first n_terms coefficients (all of them by default);
-        equals the value of the truncated series at 1."""
-        cs = self.coeffs if n_terms is None else self.coeffs[:n_terms]
-        return sum(cs, start=0j)
+    def partial_sum(self):
+        """Sum of the coefficients: the value of the truncated series at 1."""
+        return sum(self.coeffs, start=0j)
 
     def __call__(self, z):
         return eval_poly(self.coeffs, z)

@@ -207,8 +207,8 @@ def test_criterion_3_locality():
         assert dist_to_disagreement(g, v, sigma, tau) == d
         h1, m1 = apply_hardcore_boundary(g, sigma)
         h2, m2 = apply_hardcore_boundary(g, tau)
-        s1 = ratio_series_division(h1, m1[v], order=d - 1, ball_radius=d - 2, max_vertices=None)
-        s2 = ratio_series_division(h2, m2[v], order=d - 1, ball_radius=d - 2, max_vertices=None)
+        s1 = ratio_series_division(h1, m1[v], order=d - 1, ball_radius=d - 2)
+        s2 = ratio_series_division(h2, m2[v], order=d - 1, ball_radius=d - 2)
         if s1.coeffs != s2.coeffs:  # exact: the two are identical computations
             mismatches += 1
         seen_distances.add(d)

@@ -380,6 +380,45 @@ def test_out_of_range_vertex_is_usage_error(files, capsys):
         assert captured.err == "error: vertex 99 not in graph with n=3\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["ssm-scan", "--activity", "1.0", "--trials", "4", "--max-distance", "2"],
+    ["ratio-scan", "--activities", "0.5"],
+])
+@pytest.mark.parametrize("family,params", [
+    ("path", '{"m": 3}'),
+    ("grid", '{"rows": 3}'),
+    ("path", "[3]"),
+    ("path", '{"n": "3"}'),
+    ("grid", '{"rows": 2, "cols": 2.5}'),
+])
+def test_bad_family_params_is_usage_error(capsys, command, family, params):
+    assert main(command + ["--family", family, "--params", params]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {family} family: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("eps_region", ["-1", "0"])
+def test_bad_eps_region_names_the_flag(files, capsys, eps_region):
+    g = files("g.txt", P3)
+    b = files("b.txt", "0 1\n")
+    argv = ["approx-prob", "--graph", g, "--vertex", "2", "--boundary", b, "--activity", "1.0",
+            "--eps-target", "1e-4", "--eps-region", eps_region]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --eps-region must be positive, got {float(eps_region)}\n"
+
+
+def test_exact_z_has_no_vertex_cap(files, capsys):
+    # Z(P_n, 1) is the Fibonacci number F(n + 2), and F(47) = 2971215073
+    g = files("g.txt", "45\n" + "".join(f"{k} {k + 1}\n" for k in range(44)))
+    code, out = run(capsys, ["exact-z", "--graph", g, "--activity", "1", "--output", "json"])
+    assert code == 0
+    assert json.loads(out)["Z"] == [2971215073.0, 0.0]
+
+
 # (argv, exit code, CSV header, JSON top-level keys) for every command; a
 # (name, text) pair in argv stands for a file holding the text
 SCHEMAS = [

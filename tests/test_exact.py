@@ -65,14 +65,6 @@ def test_ind_poly_coefficients_are_ints():
     assert all(isinstance(c, int) for c in ind_poly(g).coeffs)
 
 
-def test_ind_poly_size_limit():
-    g = path_graph(41)
-    with pytest.raises(SizeLimitError):
-        ind_poly(g)
-    # explicit override lifts the cap
-    assert ind_poly(g, max_vertices=None).coeffs[1] == 41
-
-
 def test_iter_independent_sets_on_c4():
     got = sorted(iter_independent_sets(cycle_graph(4)))
     # bitmasks: {}, {0}, {1}, {2}, {3}, {0,2}, {1,3}

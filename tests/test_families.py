@@ -91,3 +91,24 @@ def test_generate_family_kinds():
 def test_generate_family_unknown_kind():
     with pytest.raises(ValueError):
         generate_family("torus", {"n": 4})
+
+
+# (kind, params, the key the error names)
+BAD_PARAMS = [
+    ("path", {"m": 3}, "'n'"),
+    ("grid", {"rows": 3}, "'cols'"),
+    ("path", [3], "JSON object"),
+    ("path", {"n": "3"}, "'n'"),
+    ("grid", {"rows": 2, "cols": 2.5}, "'cols'"),
+    ("grid", {"rows": 2, "sizes": [3]}, "'cols'"),
+]
+
+
+@pytest.mark.parametrize("kind,params,key", BAD_PARAMS)
+def test_generate_family_rejects_bad_params(kind, params, key):
+    with pytest.raises(ValueError) as exc:
+        generate_family(kind, params)
+    msg = str(exc.value)
+    assert msg.startswith(f"{kind} family: ")
+    assert key in msg
+    assert msg.endswith("accepted keys: n, sizes" if kind == "path" else "accepted keys: rows, cols")

@@ -208,8 +208,7 @@ def test_ratio_bound_scan_checks_graph_ids():
 
 
 def test_scans_apply_no_vertex_cap():
-    # the exact oracles refuse graphs above 40 vertices by default; the scans
-    # follow approx_cond_prob and take any size
+    # graphs of 49 and 45 vertices: no scan applies a vertex cap
     records, fit = ssm_scan([grid_graph(7, 7)], 0.5, 50, 3, seed=1)
     assert len(records) == 50
     assert fit is not None

@@ -233,11 +233,11 @@ def test_approx_cond_prob_grid_interior():
 
 
 def test_approx_cond_prob_has_no_exact_oracle_size_cap():
-    # 48 vertices after the boundary reduction, past ind_poly's default cap
+    # 48 vertices after the boundary reduction
     g = grid_graph(7, 7)
     sigma = HardcoreBoundary({0: 0})
     res = approx_cond_prob(g, 24, sigma, 0.1, 1e-8)
-    exact = cond_prob_hardcore(g, 24, sigma, 0.1, max_vertices=None)
+    exact = cond_prob_hardcore(g, 24, sigma, 0.1)
     assert abs(res.value - exact) <= res.error_bound <= 1e-8
 
 

@@ -1,13 +1,17 @@
 """Property tests for the exact kernels against the brute-force oracles in
 helpers.py: the deletion recurrence over both of its coefficient rings, the
-z-polynomial of the homomorphism sum with and without pinned colors, and the
-polymer series of the color ratio against division of those polynomials."""
+z-polynomial of the homomorphism sum with and without pinned colors, the
+polymer series of the color ratio against division of those polynomials, and
+PowerSeries arithmetic against exact integer and Fraction references."""
+
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zeromix import (
+    PowerSeries,
     SpinBoundary,
     eval_poly,
     from_edges,
@@ -87,3 +91,57 @@ def test_hom_ratio_series_matches_division(data):
         hom_Z_poly(g, A, sigma=sigma.extended(v, i)), hom_Z_poly(g, A, sigma=sigma), order
     )
     assert np.allclose(hom_ratio_series(g, v, i, sigma, A, order=order).coeffs, want, rtol=0, atol=1e-9)
+
+
+SMALL_INT = st.integers(-3, 3)
+
+
+def _int_series(data, order, a0=SMALL_INT):
+    return [data.draw(a0)] + data.draw(st.lists(SMALL_INT, min_size=order, max_size=order))
+
+
+def _ref_mul(a, b):
+    return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(len(a))]
+
+
+def _ref_exp(a):
+    out = [Fraction(1)]
+    for n in range(1, len(a)):
+        out.append(sum(k * a[k] * out[n - k] for k in range(1, n + 1)) / n)
+    return out
+
+
+@PROPERTY
+@given(st.data())
+def test_power_series_matches_exact_reference(data):
+    # integer coefficients in [-3, 3] up to order 8 keep every value far below
+    # 2^53, so mul, compose and reciprocal are exact in any summation order
+    order = data.draw(st.integers(0, 8))
+    a = _int_series(data, order)
+    b = _int_series(data, order)
+    inner = _int_series(data, order, a0=st.just(0))
+    unit = _int_series(data, order, a0=st.sampled_from([1, -1]))
+
+    assert PowerSeries(a).mul(PowerSeries(b)).coeffs == tuple(_ref_mul(a, b))
+
+    composite = [0] * (order + 1)
+    power = [1] + [0] * order
+    for c in a:
+        composite = [x + c * y for x, y in zip(composite, power)]
+        power = _ref_mul(power, inner)
+    assert PowerSeries(a).compose(PowerSeries(inner)).coeffs == tuple(composite)
+
+    # 1/a0 = a0 for a0 = +-1
+    recip = [unit[0]]
+    for n in range(1, order + 1):
+        recip.append(-unit[0] * sum(unit[k] * recip[n - k] for k in range(1, n + 1)))
+    assert PowerSeries(unit).reciprocal().coeffs == tuple(recip)
+
+    # exp is exact up to rounding of its divisions: compare relative to the
+    # same series of |coefficients|, which bounds any cancellation
+    tail = [0] + a[1:]
+    want = _ref_exp(tail)
+    scale = _ref_exp([abs(x) for x in tail])
+    got = PowerSeries(tail).exp().coeffs
+    for g, w, s in zip(got, want, scale):
+        assert abs(g - float(w)) <= 1e-12 * float(s)
