@@ -173,6 +173,8 @@ def _ratio_series(args, g):
 
 
 def _approx_prob(args, g, sigma):
+    if not args.activity > 0:
+        raise ValueError(f"activity must be a positive real, got {args.activity!r}")
     spec = None
     if args.eps_region is not None:
         if not args.eps_region > 0:

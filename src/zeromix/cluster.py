@@ -22,7 +22,7 @@ import math
 from .errors import SizeLimitError
 from .graphs import _check_vertex, ball, induced_subgraph, remove_vertices
 from .exact import _neighbor_masks, ind_poly
-from .series import PowerSeries
+from .series import PowerSeries, _long_division
 
 DEFAULT_CLUSTER_ORDER = 8
 URSELL_SCAN_EDGE_LIMIT = 20
@@ -272,9 +272,9 @@ def ratio_series_division(g, v, order=DEFAULT_CLUSTER_ORDER, ball_radius=None):
     den = ind_poly(h)
     hh, _ = remove_vertices(h, set(h.adj[vv]) | {vv})
     num = ind_poly(hh)
-    den_s = PowerSeries.from_coeffs(den.coeffs, order)
-    num_s = PowerSeries.from_coeffs((0,) + num.coeffs, order)
-    return num_s.mul(den_s.reciprocal())
+    # long division, not num * (1 / den): the coefficients of 1 / den grow
+    # like 1 / |nearest root|^k, and the product then cancels them
+    return PowerSeries(_long_division((0,) + num.coeffs, den.coeffs, order))
 
 
 def shearer_radius(max_degree):

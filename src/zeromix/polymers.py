@@ -122,25 +122,18 @@ def polymer_weight(polymer, A, z, sigma=None, xi=None):
     q = A.shape[0]
     C = A - np.ones((q, q), dtype=complex)
     pins = _pins(sigma, q)
-    pinned = {u: pins[u] for u in polymer.vertices if u in pins}
+    k = len(polymer.vertices)
+    local = {u: a for a, u in enumerate(polymer.vertices)}
+    fixed = {local[u]: pins[u] for u in polymer.vertices if u in pins}
     if xi is None:
         rows = None
-        norm = complex(q ** (len(polymer.vertices) - len(pinned)))
+        norm = complex(q ** (k - len(fixed)))
     else:
-        xi = np.asarray(xi, dtype=complex)
-        rows = np.array([xi[u] for u in polymer.vertices])
-        norm = 1.0 + 0j
-        for u in polymer.vertices:
-            norm *= xi[u, pinned[u]] if u in pinned else xi[u].sum()
-    local = {u: k for k, u in enumerate(polymer.vertices)}
-    num = _hom_sum(
-        len(polymer.vertices),
-        [(local[u], local[w]) for u, w in polymer.edges],
-        q,
-        lambda e, cu, cw: C[cu, cw],
-        rows,
-        {local[u]: c for u, c in pinned.items()},
-    )
+        rows = np.asarray(xi, dtype=complex)[list(polymer.vertices)]
+        # the free-vertex mass is the sum over colorings with no edges
+        norm = _hom_sum(k, [], q, [], rows, fixed)
+    edges = [(local[u], local[w]) for u, w in polymer.edges]
+    num = _hom_sum(k, edges, q, [C] * polymer.size, rows, fixed)
     if _near_zero(num, norm):
         raise NearZeroDenominatorError(
             "free-vertex mass vanishes", abs_denominator=abs(norm), point=z
@@ -152,7 +145,7 @@ def hom_Z_via_polymers(g, A, z=1.0, sigma=None, xi=None):
     """Z^sigma_g(J + z(A - J), xi) assembled from the polymer identity.
 
     Exponential in |E(g)|; a consistency route for small graphs, checked
-    against the direct coloring sum.
+    against hom_Z.
     """
     A = _as_matrix(A)
     q = A.shape[0]
@@ -164,13 +157,8 @@ def hom_Z_via_polymers(g, A, z=1.0, sigma=None, xi=None):
         polymer_weight(p, A, z, sigma=sigma, xi=xi) for p in polys
     ]
     zg = multivariate_Z(pg.graph, weights)
-    mass = 1.0 + 0j
-    for v in range(g.n):
-        if v in pinned:
-            mass *= xi[v, pinned[v]] if xi is not None else 1.0
-        else:
-            mass *= xi[v].sum() if xi is not None else q
-    return mass * zg
+    # times the boundary-weighted vertex mass
+    return _hom_sum(g.n, [], q, [], xi, pinned) * zg
 
 
 def hom_ratio_series(

@@ -82,15 +82,9 @@ class PowerSeries:
 
     def reciprocal(self):
         """1/self, truncated; needs a nonzero constant term."""
-        a0 = self.coeffs[0]
-        if a0 == 0:
+        if self.coeffs[0] == 0:
             raise ValueError("reciprocal needs a nonzero constant term")
-        a = np.array(self.coeffs)
-        out = np.zeros(self.order + 1, dtype=complex)
-        out[0] = 1 / a0
-        for n in range(1, self.order + 1):
-            out[n] = -np.dot(a[1 : n + 1], out[n - 1 :: -1]) / a0
-        return PowerSeries(out)
+        return PowerSeries(_long_division((1,), self.coeffs, self.order))
 
     def exp(self):
         """exp of self; requires zero constant term so coefficients stay
@@ -110,3 +104,13 @@ class PowerSeries:
 
     def __call__(self, z):
         return eval_poly(self.coeffs, z)
+
+
+def _long_division(num, den, order):
+    """Coefficients 0..order of num / den, den[0] != 0, by long division:
+    q_k = (num_k - sum_{j=1..k} den_j q_{k-j}) / den_0."""
+    num, den = (np.array(PowerSeries.from_coeffs(c, order).coeffs) for c in (num, den))
+    out = np.zeros(order + 1, dtype=complex)
+    for k in range(order + 1):
+        out[k] = (num[k] - np.dot(den[1 : k + 1], out[:k][::-1])) / den[0]
+    return out

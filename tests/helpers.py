@@ -65,7 +65,12 @@ def brute_multivariate_Z(g, weights):
 def brute_hom_Z(g, A, xi=None, sigma=None):
     """Direct sum over all colorings via itertools.product."""
     A = np.asarray(A, dtype=complex)
-    q = A.shape[0]
+    return brute_edge_matrix_Z(g, A.shape[0], {e: A for e in g.edges()}, xi=xi, sigma=sigma)
+
+
+def brute_edge_matrix_Z(g, q, matrices, xi=None, sigma=None):
+    """Direct sum over all q-colorings with one matrix per edge: edge
+    (u, w), u < w, contributes matrices[(u, w)][c(u), c(w)]."""
     fixed = dict(sigma.assignment) if sigma is not None else {}
     free = [v for v in range(g.n) if v not in fixed]
     total = 0.0 + 0.0j
@@ -73,13 +78,27 @@ def brute_hom_Z(g, A, xi=None, sigma=None):
         col = dict(fixed)
         col.update(zip(free, combo))
         term = 1.0 + 0.0j
-        for u, w in g.edges():
-            term *= A[col[u], col[w]]
+        for (u, w), M in matrices.items():
+            term *= M[col[u], col[w]]
         if xi is not None:
             for v in range(g.n):
                 term *= xi[v][col[v]]
         total += term
     return total
+
+
+def grid_transfer_hom_Z(rows, cols, A):
+    """Homomorphism sum of the rows x cols grid (vertex i*cols + j) by the
+    row transfer matrix: a state is the coloring of one row, weighted by its
+    horizontal edges, and consecutive rows meet through their vertical ones."""
+    A = np.asarray(A, dtype=complex)
+    states = list(itertools.product(range(A.shape[0]), repeat=cols))
+    inside = np.array([np.prod([A[s[j], s[j + 1]] for j in range(cols - 1)]) for s in states])
+    across = np.array([[np.prod([A[s[j], t[j]] for j in range(cols)]) for t in states] for s in states])
+    vec = inside
+    for _ in range(rows - 1):
+        vec = (vec @ across) * inside
+    return complex(vec.sum())
 
 
 def brute_connected(g, subset):

@@ -411,6 +411,18 @@ def test_bad_eps_region_names_the_flag(files, capsys, eps_region):
     assert captured.err == f"error: --eps-region must be positive, got {float(eps_region)}\n"
 
 
+@pytest.mark.parametrize("activity", ["0", "-1"])
+def test_nonpositive_activity_is_usage_error(files, capsys, activity):
+    g = files("g.txt", P3)
+    b = files("b.txt", "0 1\n")
+    argv = ["approx-prob", "--graph", g, "--vertex", "2", "--boundary", b, "--activity", activity,
+            "--eps-target", "1e-4", "--eps-region", "1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: activity must be a positive real, got {float(activity)}\n"
+
+
 def test_exact_z_has_no_vertex_cap(files, capsys):
     # Z(P_n, 1) is the Fibonacci number F(n + 2), and F(47) = 2971215073
     g = files("g.txt", "45\n" + "".join(f"{k} {k + 1}\n" for k in range(44)))

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -194,6 +195,27 @@ def test_ratio_series_division_hand_values():
     assert np.allclose(
         ratio_series_division(p3, 1, order=4).coeffs, [0, 1, -3, 8, -21], atol=1e-12
     )
+
+
+def test_ratio_series_division_keeps_digits_on_long_path():
+    # 1 / Z of the path has coefficients growing like 4^k; num * (1 / den)
+    # cancelled them and lost about four digits at order 30
+    g = path_graph(45)
+    order = 30
+    # the radius-30 ball around vertex 22 is the whole path
+    pad = (0,) * order
+    den = ind_poly(g).coeffs + pad
+    num = (0,) + ind_poly(from_edges(42, [(i, i + 1) for i in range(41) if i != 20])).coeffs + pad
+    exact = []
+    for k in range(order + 1):
+        acc = Fraction(num[k])
+        for j in range(1, k + 1):
+            acc -= den[j] * exact[k - j]
+        exact.append(acc / den[0])
+    got = ratio_series_division(g, 22, order=order).coeffs
+    assert got[0] == 0
+    err = max(abs(got[k] - float(exact[k])) / abs(float(exact[k])) for k in range(1, order + 1))
+    assert err <= 1e-8
 
 
 def test_ratio_series_methods_agree_small():

@@ -7,7 +7,6 @@ import pytest
 from zeromix import (
     HardcoreBoundary,
     NearZeroDenominatorError,
-    SizeLimitError,
     SpinBoundary,
     StripSpec,
     approx_cond_prob,
@@ -37,6 +36,7 @@ from helpers import (
     brute_ind_poly,
     brute_multivariate_Z,
     brute_Z,
+    grid_transfer_hom_Z,
     random_graph,
 )
 
@@ -232,10 +232,24 @@ def test_hom_Z_matches_brute():
         assert abs(got - want) <= 1e-9 * (1 + abs(want))
 
 
-def test_hom_Z_summand_limit():
+def test_hom_Z_path_of_3_to_the_16_colorings():
+    # 3^16 colorings, past the 2^24 cap that the coloring enumeration had
+    A = [[1, 1, 1], [1, 1, 1], [1, 1, 2]]
     g = from_edges(16, [(i, i + 1) for i in range(15)])
-    with pytest.raises(SizeLimitError):
-        hom_Z(g, [[1, 1, 1], [1, 1, 1], [1, 1, 2]])
+    power = [[int(i == j) for j in range(3)] for i in range(3)]
+    for _ in range(15):
+        power = [[sum(power[i][k] * A[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+    want = sum(map(sum, power))
+    assert abs(hom_Z(g, A) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("rows, cols, q", [(8, 8, 2), (5, 5, 3)])
+def test_hom_Z_large_grid_matches_transfer_matrix(rows, cols, q):
+    rng = np.random.default_rng(rows * 10 + q)
+    A = rng.uniform(0.5, 1.5, (q, q)) + 0.2j * rng.standard_normal((q, q))
+    A = (A + A.T) / 2
+    want = grid_transfer_hom_Z(rows, cols, A)
+    assert abs(hom_Z(grid_graph(rows, cols), A) - want) <= 1e-12 * abs(want)
 
 
 def test_edge_matrix_Z_all_J():

@@ -1,18 +1,21 @@
 """Property tests for the exact kernels against the brute-force oracles in
 helpers.py: the deletion recurrence over both of its coefficient rings, the
-z-polynomial of the homomorphism sum with and without pinned colors, the
-polymer series of the color ratio against division of those polynomials, and
-PowerSeries arithmetic against exact integer and Fraction references."""
+frontier sweep of the homomorphism sums (per-edge matrices, vertex weights
+and pins against brute force; its z-polynomial against brute force and
+against a relabelled copy of the graph), the polymer series of the color
+ratio against division of those polynomials, and PowerSeries arithmetic
+against exact integer and Fraction references."""
 
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zeromix import (
     PowerSeries,
     SpinBoundary,
+    edge_matrix_Z,
     eval_poly,
     from_edges,
     hom_ratio_series,
@@ -20,7 +23,13 @@ from zeromix import (
     ind_poly,
     multivariate_Z,
 )
-from helpers import brute_hom_Z, brute_ind_poly, brute_multivariate_Z, series_quotient
+from helpers import (
+    brute_edge_matrix_Z,
+    brute_hom_Z,
+    brute_ind_poly,
+    brute_multivariate_Z,
+    series_quotient,
+)
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -68,6 +77,51 @@ def test_hom_Z_poly_matches_brute_hom_Z(data):
         want = brute_hom_Z(g, J + z * (A - J), sigma=sigma)
         scale = brute_hom_Z(g, J + abs(z) * np.abs(A - J), sigma=sigma).real
         assert abs(eval_poly(coeffs, z) - want) <= 1e-9 * (1 + scale)
+
+
+@PROPERTY
+@given(st.data())
+def test_edge_matrix_Z_matches_brute_sum(data):
+    g = data.draw(graphs(max_n=9))
+    # edge_matrix_Z reads q off the matrices
+    assume(g.num_edges())
+    # keep the brute-force sum to a few thousand colorings
+    q = data.draw(st.integers(2, 3 if g.n <= 6 else 2))
+    mats = {
+        e: np.array(data.draw(st.lists(ENTRIES, min_size=q * q, max_size=q * q))).reshape(q, q)
+        for e in g.edges()
+    }
+    xi = None
+    if data.draw(st.booleans()):
+        xi = np.array(data.draw(st.lists(ENTRIES, min_size=g.n * q, max_size=g.n * q))).reshape(g.n, q)
+    pins = data.draw(st.dictionaries(st.integers(0, g.n - 1), st.integers(0, q - 1))) if g.n else {}
+    sigma = SpinBoundary(pins, q) if pins else None
+    want = brute_edge_matrix_Z(g, q, mats, xi=xi, sigma=sigma)
+    abs_xi = None if xi is None else np.abs(xi)
+    scale = brute_edge_matrix_Z(g, q, {e: np.abs(M) for e, M in mats.items()}, xi=abs_xi, sigma=sigma).real
+    assert abs(edge_matrix_Z(g, mats, xi=xi, sigma=sigma) - want) <= 1e-12 * (1 + scale)
+
+
+@PROPERTY
+@given(st.data())
+def test_hom_Z_poly_ignores_vertex_labels(data):
+    # the sweep adds vertices in label order, so a relabelling changes every
+    # frontier it passes through but not the sum
+    g = data.draw(graphs(max_n=9))
+    q = data.draw(st.integers(2, 3))
+    A = np.array(data.draw(st.lists(ENTRIES, min_size=q * q, max_size=q * q))).reshape(q, q)
+    # symmetric, since a relabelling may reverse an edge
+    A = (A + A.T) / 2
+    pins = data.draw(st.dictionaries(st.integers(0, g.n - 1), st.integers(0, q - 1))) if g.n else {}
+    perm = data.draw(st.permutations(range(g.n)))
+    h = from_edges(g.n, [(perm[u], perm[w]) for u, w in g.edges()])
+    sigma = SpinBoundary(pins, q) if pins else None
+    tau = SpinBoundary({perm[u]: c for u, c in pins.items()}, q) if pins else None
+    # coefficients of the same sum over |A - J| bound every cancellation
+    J = np.ones((q, q))
+    scale = hom_Z_poly(g, J + np.abs(A - J), sigma=sigma).real
+    diff = np.abs(hom_Z_poly(h, A, sigma=tau) - hom_Z_poly(g, A, sigma=sigma))
+    assert np.all(diff <= 1e-12 * scale)
 
 
 @PROPERTY
