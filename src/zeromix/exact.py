@@ -1,18 +1,18 @@
 """Exact partition-function oracles.
 
-Independence polynomials come from the deletion recurrence
-Z(G) = Z(G - v) + w_v Z(G - N[v]) with memoized sub-states and component
-factorization; homomorphism sums from a frontier sweep along the vertex
-labels, which costs n q^(w+1) coefficient operations for frontier width w.
-Integer coefficients are exact (Python ints); complex evaluations are plain
-double-precision arithmetic.  Neither applies a size cap: both are
-exponential in the worst case (in n, and in w), and the caller decides
-what it can afford.
+Independence polynomials and the multivariate hard-core Z come from a
+frontier sweep along a breadth-first vertex order whose states are the
+independent subsets of the frontier: it costs n times their number on the
+widest frontier.  Homomorphism sums come from a frontier sweep along the
+vertex labels, which costs n q^(w+1) coefficient operations for frontier
+width w.  Integer coefficients are exact (Python ints); complex evaluations
+are plain double-precision arithmetic.  Neither applies a size cap: both
+are exponential in the frontier width, and the caller decides what it can
+afford.
 """
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,101 +57,84 @@ def _neighbor_masks(g):
     return [sum(1 << w for w in g.adj[v]) for v in range(g.n)]
 
 
-def _components_of_mask(nbr, mask):
-    comps = []
-    rem = mask
-    while rem:
-        seed = rem & -rem
-        comp = seed
-        frontier = seed
-        while frontier:
-            grown = 0
-            f = frontier
-            while f:
-                b = f & -f
-                f ^= b
-                grown |= nbr[b.bit_length() - 1]
-            grown &= mask & ~comp
-            comp |= grown
-            frontier = grown
-        comps.append(comp)
-        rem &= ~comp
-    return comps
-
-
-def _poly_add_shift(out_part, in_part, pivot):
-    # out_part + lam * in_part; the pivot does not matter for a uniform lam
-    n = max(len(out_part), len(in_part) + 1)
-    res = [0] * n
-    for i, c in enumerate(out_part):
-        res[i] += c
-    for i, c in enumerate(in_part):
-        res[i + 1] += c
-    return tuple(res)
-
-
-def _poly_mul(a, b):
-    res = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                res[i + j] += x * y
-    return tuple(res)
-
-
-def _pivot(nbr, mask):
-    best, best_deg = -1, -1
-    m = mask
-    while m:
-        b = m & -m
-        m ^= b
-        v = b.bit_length() - 1
-        d = (nbr[v] & mask).bit_count()
-        if d > best_deg:
-            best, best_deg = v, d
-    return best
-
-
-def _deletion_recurrence(nbr, one, mul, add_at_pivot):
-    """Z of the graph with neighbor masks nbr over a coefficient ring given
-    by its unit, its product and add_at_pivot(Z(G - v), Z(G - N[v]), v),
-    with component factorization and a memo keyed on vertex masks."""
-    # explicit work stack: the deletion recurrence removes one pivot per
-    # level, so plain recursion would be as deep as the vertex count
-    memo = {0: one}
-    root = (1 << len(nbr)) - 1
-    stack = [root]
-    while stack:
-        mask = stack[-1]
-        if mask in memo:
-            stack.pop()
+def _bfs_order(adj):
+    """Vertex order for the hard-core sweep: breadth first from a
+    least-degree vertex of each component, taking neighbors in increasing
+    degree (Cuthill-McKee)."""
+    deg = [len(a) for a in adj]
+    order = []
+    seen = [False] * len(adj)
+    for root in sorted(range(len(adj)), key=deg.__getitem__):
+        if seen[root]:
             continue
-        comps = _components_of_mask(nbr, mask)
-        if len(comps) > 1:
-            deps = comps
-            pivot = None
-        else:
-            pivot = _pivot(nbr, mask)
-            bit = 1 << pivot
-            deps = (mask & ~bit, mask & ~(nbr[pivot] | bit))
-        missing = [d for d in deps if d not in memo]
-        if missing:
-            stack.extend(missing)
-            continue
-        if pivot is None:
-            res = one
-            for comp in deps:
-                res = mul(res, memo[comp])
-        else:
-            res = add_at_pivot(memo[deps[0]], memo[deps[1]], pivot)
-        memo[mask] = res
-        stack.pop()
-    return memo[root]
+        seen[root] = True
+        head = len(order)
+        order.append(root)
+        while head < len(order):
+            for w in sorted(adj[order[head]], key=deg.__getitem__):
+                if not seen[w]:
+                    seen[w] = True
+                    order.append(w)
+            head += 1
+    return order
+
+
+def _hardcore_sweep(g, one, occupy):
+    """Sum over the independent sets I of g of the product of the weights of
+    the vertices in I, over a ring given by its unit and occupy(p, v) = p
+    times the weight of v.
+
+    Vertices join in _bfs_order.  The frontier is the placed vertices that
+    still have a neighbor to come; each holds one bit, freed when it leaves.
+    A state is the set of occupied frontier vertices, so only independent
+    subsets of the frontier occur: the cost is n times their number on the
+    widest frontier.
+    """
+    order = _bfs_order(g.adj)
+    pos = {v: i for i, v in enumerate(order)}
+    last = [max((pos[w] for w in g.adj[v]), default=-1) for v in range(g.n)]
+    bits = [0] * g.n
+    used = 0
+    states = {0: one}
+    for i, v in enumerate(order):
+        blocked = gone = 0
+        for u in g.adj[v]:
+            if pos[u] < i:
+                blocked |= bits[u]
+                if last[u] == i:
+                    gone |= bits[u]
+        bit = 0
+        if last[v] > i:
+            bit = bits[v] = ~used & (used + 1)
+            used |= bit
+        keep = ~gone
+        used &= keep
+        new = {}
+        get = new.get
+        for S, p in states.items():
+            T = S & keep
+            q = get(T)
+            new[T] = p if q is None else q + p
+            if not S & blocked:
+                T = (S | bit) & keep
+                p = occupy(p, v)
+                q = get(T)
+                new[T] = p if q is None else q + p
+        states = new
+    return states[0]
 
 
 @functools.lru_cache(maxsize=512)
 def _ind_poly_cached(g):
-    return _deletion_recurrence(_neighbor_masks(g), (1,), _poly_mul, _poly_add_shift)
+    # the coefficients sit B = n + 1 bits apart in one int; each counts
+    # independent sets of the placed vertices, so it stays below 2^n
+    B = g.n + 1
+    packed = _hardcore_sweep(g, 1, lambda p, v: p << B)
+    coeffs = []
+    while packed:
+        coeffs.append(packed & ((1 << B) - 1))
+        packed >>= B
+    return tuple(coeffs)
 
 
 def ind_poly(g):
@@ -192,9 +175,7 @@ def multivariate_Z(g, weights):
     if len(weights) != g.n:
         raise ValueError(f"need {g.n} weights, got {len(weights)}")
     w = [complex(x) for x in weights]
-    return _deletion_recurrence(
-        _neighbor_masks(g), 1.0 + 0j, operator.mul, lambda out, inn, v: out + w[v] * inn
-    )
+    return _hardcore_sweep(g, 1.0 + 0j, lambda p, v: p * w[v])
 
 
 def _checked_ratio(num, den, point):
@@ -275,10 +256,20 @@ def cond_prob_hardcore(g, v, sigma, lam, method="ratio"):
 # --- homomorphism sums ---------------------------------------------------
 
 
-def _as_matrix(A):
+def _as_square(A):
     M = np.asarray(A, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"symbol matrix must be square, got shape {M.shape}")
+    return M
+
+
+def _as_matrix(A):
+    """A as a complex symbol matrix.  It must be symmetric: a graph's edges
+    have no direction, so with A != A^T the sum would change with the vertex
+    labels."""
+    M = _as_square(A)
+    if not np.array_equal(M, M.T):
+        raise ValueError("symbol matrix must be symmetric")
     return M
 
 
@@ -360,8 +351,9 @@ def hom_Z(g, A, xi=None, sigma=None):
     Z^sigma_g(A, xi) = sum_{colorings extending sigma} prod_v xi_{v,c(v)}
     prod_{(u,w) in E} A_{c(u),c(w)}.
 
-    A is a q x q matrix; xi an optional n x q vertex-weight array (all ones
-    when omitted); sigma an optional SpinBoundary pinning some colors.
+    A is a symmetric q x q matrix; xi an optional n x q vertex-weight array
+    (all ones when omitted); sigma an optional SpinBoundary pinning some
+    colors.
     """
     A = _as_matrix(A)
     q = A.shape[0]
@@ -381,7 +373,7 @@ def edge_matrix_Z(g, matrices, xi=None, sigma=None):
     for e in edges:
         if e not in matrices:
             raise ValueError(f"missing matrix for edge {e}")
-        mats[e] = _as_matrix(matrices[e])
+        mats[e] = _as_square(matrices[e])
     if len(matrices) != len(edges):
         extra = set(matrices) - set(edges)
         raise ValueError(f"matrices given for non-edges: {sorted(extra)}")

@@ -101,6 +101,34 @@ def grid_transfer_hom_Z(rows, cols, A):
     return complex(vec.sum())
 
 
+def grid_transfer_ind_poly(rows, cols):
+    """Independence polynomial of the rows x cols grid (vertex i*cols + j)
+    by the row transfer matrix: a state is an independent row pattern, a
+    bitmask with no two adjacent bits, and consecutive rows share no bit.
+    Coefficients are Python ints."""
+    patterns = [s for s in range(1 << cols) if not s & (s >> 1)]
+    # poly[s]: polynomial of the rows so far whose last row is s
+    poly = {s: [0] * s.bit_count() + [1] for s in patterns}
+    for _ in range(rows - 1):
+        width = max(len(p) for p in poly.values())
+        new = {}
+        for t in patterns:
+            acc = [0] * width
+            for s, p in poly.items():
+                if not s & t:
+                    for k, c in enumerate(p):
+                        acc[k] += c
+            new[t] = [0] * t.bit_count() + acc
+        poly = new
+    total = [0] * max(len(p) for p in poly.values())
+    for p in poly.values():
+        for k, c in enumerate(p):
+            total[k] += c
+    while len(total) > 1 and total[-1] == 0:
+        total.pop()
+    return tuple(total)
+
+
 def brute_connected(g, subset):
     """Union-find connectivity of the induced subgraph on `subset`."""
     subset = list(subset)

@@ -330,6 +330,24 @@ def test_bad_matrix_entry_is_usage_error(files, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hom-prob", "--vertex", "0", "--color", "0"],
+        ["hom-series", "--vertex", "0", "--color", "0"],
+        ["hom-check", "--mode", "zero"],
+    ],
+    ids=["hom-prob", "hom-series", "hom-check"],
+)
+def test_non_symmetric_matrix_is_usage_error(files, capsys, argv):
+    g = files("g.txt", P3)
+    m = files("m.json", "[[1, 0], [1, 1]]")
+    assert main(argv + ["--graph", g, "--matrix", m]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: symbol matrix must be symmetric\n"
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert main(["no-such-command"]) == 1
     capsys.readouterr()

@@ -37,6 +37,7 @@ from helpers import (
     brute_multivariate_Z,
     brute_Z,
     grid_transfer_hom_Z,
+    grid_transfer_ind_poly,
     random_graph,
 )
 
@@ -63,6 +64,11 @@ def test_ind_poly_matches_brute_force():
 def test_ind_poly_coefficients_are_ints():
     g = grid_graph(3, 3)
     assert all(isinstance(c, int) for c in ind_poly(g).coeffs)
+
+
+@pytest.mark.parametrize("side", [8, 10])
+def test_ind_poly_large_grid_matches_transfer_matrix(side):
+    assert ind_poly(grid_graph(side, side)).coeffs == grid_transfer_ind_poly(side, side)
 
 
 def test_iter_independent_sets_on_c4():
@@ -107,7 +113,7 @@ def test_multivariate_specializes_to_uniform():
         assert abs(multivariate_Z(g, [lam] * 8) - eval_Z(g, lam)) <= 1e-9
 
 
-def test_deletion_recurrence():
+def test_multivariate_Z_splits_at_a_vertex():
     # Z_G = Z_{G-v} + w_v * Z_{G minus N[v]} with per-vertex weights
     from zeromix import remove_vertices
 
@@ -317,6 +323,36 @@ def test_hom_Z_poly_matches_pointwise():
             want = brute_hom_Z(g, M, sigma=sigma)
             got = eval_poly(coeffs, z)
             assert abs(got - want) <= 1e-9 * (1 + abs(want))
+
+
+# with A != A^T the sum over colorings would depend on the vertex labels:
+# these two labellings of the path on three vertices (plus an isolated
+# vertex) give 2 and 0 when each edge is read from its lower label
+SKEW = [[0, 0], [1, 0]]
+P3_CENTER_LAST = from_edges(4, [(0, 2), (1, 2)])
+P3_CENTER_MIDDLE = from_edges(4, [(0, 1), (1, 2)])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: hom_Z(g, SKEW),
+        lambda g: hom_Z_poly(g, SKEW),
+        lambda g: hom_ratio(g, 0, 0, SpinBoundary({}, 2), SKEW, 1.0),
+    ],
+    ids=["hom_Z", "hom_Z_poly", "hom_ratio"],
+)
+def test_non_symmetric_matrix_is_rejected(call):
+    for g in (P3_CENTER_LAST, P3_CENTER_MIDDLE):
+        with pytest.raises(ValueError, match="symbol matrix must be symmetric"):
+            call(g)
+
+
+def test_edge_matrix_Z_keeps_edge_orientation():
+    # per-edge matrices are read from the lower to the higher label, as documented
+    skew = np.array(SKEW)
+    assert edge_matrix_Z(P3_CENTER_LAST, {e: skew for e in P3_CENTER_LAST.edges()}) == 2
+    assert edge_matrix_Z(P3_CENTER_MIDDLE, {e: skew for e in P3_CENTER_MIDDLE.edges()}) == 0
 
 
 def test_eval_poly_horner():

@@ -50,6 +50,16 @@ def test_ssm_records_recompute_exactly():
         assert rec.distance == dist_to_disagreement(g, rec.vertex, rec.sigma, rec.tau)
 
 
+def test_scans_run_on_the_10x10_grid():
+    g = grid_graph(10, 10)
+    records, fit = ssm_scan([g], 1.0, 20, 4, seed=1)
+    assert len(records) == 20
+    assert fit is not None
+    rep = zero_scan(g, (0.1, 1.0, -0.5, 0.5), 4)
+    assert rep.total == 0
+    assert rep.inconclusive == ()
+
+
 def test_ssm_scan_skips_unreachable_distances():
     records, fit = ssm_scan([K2], 0.5, trials=20, max_distance=5, seed=0)
     # only distance 1 exists on K2, so no fit is possible

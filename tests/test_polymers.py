@@ -348,3 +348,33 @@ def test_hom_ssm_at_J_gap_zero():
     rep = hom_ssm_experiment(g, 0, 0, sigma, tau, np.ones((2, 2)), 0.5)
     assert rep.gap == 0.0
     assert rep.passed
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, A: polymer_weight(enumerate_polymers(g, 1)[0], A, 1.0),
+        lambda g, A: hom_Z_via_polymers(g, A),
+        lambda g, A: hom_ratio_series(g, 0, 0, SpinBoundary({}, 2), A, order=2),
+        lambda g, A: barvinok_zero_check(g, A),
+        lambda g, A: build_edge_matrices(g, A, 1.0, np.ones((g.n, 2))),
+        lambda g, A: bounded_ratio_check(g, 0, 0, SpinBoundary({2: 1}, 2), A, eta=0.5, eps=0.5),
+        lambda g, A: hom_ssm_experiment(
+            g, 0, 0, SpinBoundary({2: 0}, 2), SpinBoundary({2: 1}, 2), A, 0.5
+        ),
+    ],
+    ids=[
+        "polymer_weight",
+        "hom_Z_via_polymers",
+        "hom_ratio_series",
+        "barvinok_zero_check",
+        "build_edge_matrices",
+        "bounded_ratio_check",
+        "hom_ssm_experiment",
+    ],
+)
+def test_non_symmetric_matrix_is_rejected(call):
+    # an undirected graph gives no orientation to read A_{c(u), c(w)} by
+    A = [[1.01, 1.0], [0.99, 1.0]]
+    with pytest.raises(ValueError, match="symbol matrix must be symmetric"):
+        call(path_graph(3), A)

@@ -1,6 +1,7 @@
 """Property tests for the exact kernels against the brute-force oracles in
-helpers.py: the deletion recurrence over both of its coefficient rings, the
-frontier sweep of the homomorphism sums (per-edge matrices, vertex weights
+helpers.py: the hard-core frontier sweep over both of its coefficient rings
+(against brute force, a relabelled copy of the graph and a disjoint union),
+the frontier sweep of the homomorphism sums (per-edge matrices, vertex weights
 and pins against brute force; its z-polynomial against brute force and
 against a relabelled copy of the graph), the polymer series of the color
 ratio against division of those polynomials, and PowerSeries arithmetic
@@ -45,15 +46,19 @@ def graphs(draw, max_n=10):
     return from_edges(n, [e for e, k in zip(pairs, keep) if k])
 
 
+def relabel(g, perm):
+    return from_edges(g.n, [(perm[u], perm[w]) for u, w in g.edges()])
+
+
 @PROPERTY
 @given(graphs())
-def test_deletion_recurrence_integer_ring(g):
+def test_hardcore_sweep_integer_ring(g):
     assert ind_poly(g).coeffs == brute_ind_poly(g)
 
 
 @PROPERTY
 @given(st.data())
-def test_deletion_recurrence_complex_ring(data):
+def test_hardcore_sweep_complex_ring(data):
     g = data.draw(graphs())
     w = data.draw(st.lists(ENTRIES, min_size=g.n, max_size=g.n))
     want = brute_multivariate_Z(g, w)
@@ -64,10 +69,51 @@ def test_deletion_recurrence_complex_ring(data):
 
 @PROPERTY
 @given(st.data())
+def test_ind_poly_ignores_vertex_labels(data):
+    # the sweep's order follows degrees and labels, so a relabelling
+    # changes the frontiers but not one coefficient
+    g = data.draw(graphs(max_n=14))
+    perm = data.draw(st.permutations(range(g.n)))
+    assert ind_poly(relabel(g, perm)).coeffs == ind_poly(g).coeffs
+
+
+@PROPERTY
+@given(st.data())
+def test_ind_poly_of_disjoint_union_is_product(data):
+    g = data.draw(graphs(max_n=8))
+    h = data.draw(graphs(max_n=8))
+    # interleave the two parts' labels
+    perm = data.draw(st.permutations(range(g.n + h.n)))
+    union = from_edges(g.n + h.n, g.edges() + [(u + g.n, w + g.n) for u, w in h.edges()])
+    a, b = ind_poly(g).coeffs, ind_poly(h).coeffs
+    product = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            product[i + j] += x * y
+    assert ind_poly(relabel(union, perm)).coeffs == tuple(product)
+
+
+@PROPERTY
+@given(st.data())
+def test_multivariate_Z_ignores_vertex_labels(data):
+    g = data.draw(graphs(max_n=12))
+    w = data.draw(st.lists(ENTRIES, min_size=g.n, max_size=g.n))
+    perm = data.draw(st.permutations(range(g.n)))
+    moved = [0j] * g.n
+    for v, x in enumerate(w):
+        moved[perm[v]] = x
+    scale = multivariate_Z(g, [abs(x) for x in w]).real
+    assert abs(multivariate_Z(relabel(g, perm), moved) - multivariate_Z(g, w)) <= 1e-12 * scale
+
+
+@PROPERTY
+@given(st.data())
 def test_hom_Z_poly_matches_brute_hom_Z(data):
     g = data.draw(graphs(max_n=6))
     q = data.draw(st.integers(2, 3))
     A = np.array(data.draw(st.lists(ENTRIES, min_size=q * q, max_size=q * q))).reshape(q, q)
+    # a symbol matrix must be symmetric
+    A = (A + A.T) / 2
     pins = data.draw(st.dictionaries(st.integers(0, g.n - 1), st.integers(0, q - 1))) if g.n else {}
     sigma = SpinBoundary(pins, q) if pins else None
     coeffs = hom_Z_poly(g, A, sigma=sigma)
@@ -114,7 +160,7 @@ def test_hom_Z_poly_ignores_vertex_labels(data):
     A = (A + A.T) / 2
     pins = data.draw(st.dictionaries(st.integers(0, g.n - 1), st.integers(0, q - 1))) if g.n else {}
     perm = data.draw(st.permutations(range(g.n)))
-    h = from_edges(g.n, [(perm[u], perm[w]) for u, w in g.edges()])
+    h = relabel(g, perm)
     sigma = SpinBoundary(pins, q) if pins else None
     tau = SpinBoundary({perm[u]: c for u, c in pins.items()}, q) if pins else None
     # coefficients of the same sum over |A - J| bound every cancellation
@@ -135,6 +181,7 @@ def test_hom_ratio_series_matches_division(data):
     g = from_edges(n, edges)
     q = data.draw(st.integers(2, 3))
     A = 1.0 + np.array(data.draw(st.lists(NEAR_ZERO, min_size=q * q, max_size=q * q))).reshape(q, q)
+    A = (A + A.T) / 2
     v = data.draw(st.integers(0, n - 1))
     i = data.draw(st.integers(0, q - 1))
     others = [u for u in range(n) if u != v]
