@@ -1,9 +1,10 @@
 """Exact partition-function oracles.
 
 Independence polynomials and the multivariate hard-core Z come from a
-frontier sweep along a breadth-first vertex order whose states are the
-independent subsets of the frontier: it costs n times their number on the
-widest frontier.  Homomorphism sums come from a frontier sweep along the
+frontier sweep whose states are the independent subsets of the frontier:
+it costs n times their number on the widest frontier.  Each component is
+swept breadth first, or depth first where that makes the widest frontier
+narrower.  Homomorphism sums come from a frontier sweep along the
 vertex labels, which costs n q^(w+1) coefficient operations for frontier
 width w.  Integer coefficients are exact (Python ints); complex evaluations
 are plain double-precision arithmetic.  Neither applies a size cap: both
@@ -12,6 +13,7 @@ afford.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -57,25 +59,58 @@ def _neighbor_masks(g):
     return [sum(1 << w for w in g.adj[v]) for v in range(g.n)]
 
 
-def _bfs_order(adj):
-    """Vertex order for the hard-core sweep: breadth first from a
-    least-degree vertex of each component, taking neighbors in increasing
-    degree (Cuthill-McKee)."""
+def _frontier_width(adj, order):
+    """Largest number of placed vertices that still have a neighbor to come,
+    sweeping one connected component in order."""
+    pos = dict(zip(order, range(len(order))))
+    delta = [0] * len(order)
+    for i, v in enumerate(order):
+        last = max(map(pos.__getitem__, adj[v]), default=i)
+        if last > i:
+            delta[i] += 1
+            delta[last] -= 1
+    return max(itertools.accumulate(delta))
+
+
+_NARROW = 3
+
+
+def _sweep_order(adj):
+    """Vertex order for the hard-core sweep.  Each component is walked
+    breadth first from a least-degree vertex, taking neighbors in increasing
+    degree (Cuthill-McKee), which keeps grids and lattices narrow.  Breadth
+    first puts every neighbor of a hub on the frontier at once, so when its
+    widest frontier holds more than _NARROW vertices the component is also
+    walked depth first, which keeps trees and hubs narrow, and the narrower
+    walk is kept.  (A frontier of at most _NARROW vertices holds at most
+    2^_NARROW states; a second walk would cost more than it could save.)
+    """
     deg = [len(a) for a in adj]
-    order = []
+    nbrs = [sorted(a, key=deg.__getitem__) for a in adj]
     seen = [False] * len(adj)
+    order = []
     for root in sorted(range(len(adj)), key=deg.__getitem__):
         if seen[root]:
             continue
         seen[root] = True
-        head = len(order)
-        order.append(root)
-        while head < len(order):
-            for w in sorted(adj[order[head]], key=deg.__getitem__):
+        walk = [root]
+        for v in walk:  # walk grows while it is read: breadth first
+            for w in nbrs[v]:
                 if not seen[w]:
                     seen[w] = True
-                    order.append(w)
-            head += 1
+                    walk.append(w)
+        # a frontier of c vertices is never wider than c - 1
+        width = _frontier_width(adj, walk) if len(walk) > _NARROW + 1 else 0
+        if width > _NARROW:
+            dfs, todo = {}, [root]  # keys in depth-first placement order
+            while todo:
+                v = todo.pop()
+                if v not in dfs:
+                    dfs[v] = None
+                    todo.extend(reversed(nbrs[v]))
+            if _frontier_width(adj, dfs) < width:
+                walk = list(dfs)
+        order += walk
     return order
 
 
@@ -84,13 +119,13 @@ def _hardcore_sweep(g, one, occupy):
     the vertices in I, over a ring given by its unit and occupy(p, v) = p
     times the weight of v.
 
-    Vertices join in _bfs_order.  The frontier is the placed vertices that
+    Vertices join in _sweep_order.  The frontier is the placed vertices that
     still have a neighbor to come; each holds one bit, freed when it leaves.
     A state is the set of occupied frontier vertices, so only independent
     subsets of the frontier occur: the cost is n times their number on the
     widest frontier.
     """
-    order = _bfs_order(g.adj)
+    order = _sweep_order(g.adj)
     pos = {v: i for i, v in enumerate(order)}
     last = [max((pos[w] for w in g.adj[v]), default=-1) for v in range(g.n)]
     bits = [0] * g.n

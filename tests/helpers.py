@@ -129,6 +129,31 @@ def grid_transfer_ind_poly(rows, cols):
     return tuple(total)
 
 
+def tree_ind_poly(parents):
+    """Independence polynomial of the tree in which vertex v > 0 hangs from
+    parents[v - 1] < v, by the rooted recursion: with v empty its child
+    subtrees are free, with v occupied its children are empty.  Coefficients
+    are Python ints."""
+
+    def mul(p, q):
+        out = [0] * (len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+        return out
+
+    def add(p, q):
+        return [a + b for a, b in itertools.zip_longest(p, q, fillvalue=0)]
+
+    empty = [[1] for _ in range(len(parents) + 1)]
+    occupied = [[0, 1] for _ in range(len(parents) + 1)]
+    for v in range(len(parents), 0, -1):
+        u = parents[v - 1]
+        empty[u] = mul(empty[u], add(empty[v], occupied[v]))
+        occupied[u] = mul(occupied[u], empty[v])
+    return tuple(add(empty[0], occupied[0]))
+
+
 def brute_connected(g, subset):
     """Union-find connectivity of the induced subgraph on `subset`."""
     subset = list(subset)

@@ -39,7 +39,9 @@ from helpers import (
     grid_transfer_hom_Z,
     grid_transfer_ind_poly,
     random_graph,
+    tree_ind_poly,
 )
+from zeromix.exact import _frontier_width, _sweep_order
 
 J2 = [[1, 1], [1, 1]]
 
@@ -69,6 +71,36 @@ def test_ind_poly_coefficients_are_ints():
 @pytest.mark.parametrize("side", [8, 10])
 def test_ind_poly_large_grid_matches_transfer_matrix(side):
     assert ind_poly(grid_graph(side, side)).coeffs == grid_transfer_ind_poly(side, side)
+
+
+def _spider(k):
+    # root 0, middles 1..k, leaves k+1..2k
+    return [0] * k + list(range(1, k + 1))
+
+
+@pytest.mark.parametrize(
+    "parents",
+    [_spider(30), [(v - 1) // 2 for v in range(1, 127)], [v // 3 for v in range(150)]],
+    ids=["spider-30", "binary-127", "ternary-151"],
+)
+def test_ind_poly_trees_match_rooted_recursion(parents):
+    # breadth first puts every neighbor of a hub on the frontier at once;
+    # the sweep must walk these trees in a narrow order
+    g = from_edges(len(parents) + 1, [(u, v + 1) for v, u in enumerate(parents)])
+    assert _frontier_width(g.adj, _sweep_order(g.adj)) <= 12
+    assert ind_poly(g).coeffs == tree_ind_poly(parents)
+    lam = 0.3 + 0.1j
+    assert multivariate_Z(g, [lam] * g.n) == pytest.approx(ind_poly(g)(lam), rel=1e-12)
+
+
+def test_tree_ind_poly_spider_closed_form():
+    # with the root empty each leg is a free edge, 1 + 2x; with it occupied
+    # the middles are empty and the leaves free: (1 + 2x)^k + x (1 + x)^k
+    k = 30
+    want = [math.comb(k, i) * 2**i for i in range(k + 1)] + [0]
+    for i in range(k + 1):
+        want[i + 1] += math.comb(k, i)
+    assert tree_ind_poly(_spider(k)) == tuple(want)
 
 
 def test_iter_independent_sets_on_c4():
