@@ -32,7 +32,6 @@ from .exact import (
     hom_Z_poly,
     hom_ratio,
     ind_poly,
-    iter_independent_sets,
     multivariate_Z,
     ratio_P,
     ratio_R,

@@ -187,7 +187,6 @@ def _approx_prob(args, g, sigma):
         args.activity,
         args.eps_target,
         spec=spec,
-        samples=args.samples,
         max_depth=args.max_depth,
     )
     # CSV columns are the result's field names, JSON keys their camelCase
@@ -217,14 +216,7 @@ def _zero_scan(args, g):
     if len(parts) > 2:
         raise ValueError("--resolution needs n or n_re,n_im")
     resolution = parts[0] if len(parts) == 1 else tuple(parts)
-    rep = zero_scan(
-        g,
-        rect,
-        resolution,
-        pts_per_side=args.pts_per_side,
-        max_doublings=args.max_doublings,
-        tol=args.tol,
-    )
+    rep = zero_scan(g, rect, resolution)
     rows = [
         {"i": i, "j": j, "count": rep.counts[i][j]}
         for i in range(rep.resolution[0])
@@ -320,7 +312,6 @@ _COMMANDS = (
             default=None,
             help="width of the zero-free neighborhood of [0, activity]; auto-tuned if omitted",
         ),
-        _arg("--samples", type=int, default=interpolate.DEFAULT_SAMPLES),
         _arg("--max-depth", type=int, default=interpolate.DEFAULT_MAX_DEPTH),
     ),
     (
@@ -336,9 +327,6 @@ _COMMANDS = (
         _GRAPH,
         _arg("--rect", required=True, help="re_min,re_max,im_min,im_max"),
         _arg("--resolution", default="4", help="cells per axis: n or n_re,n_im"),
-        _arg("--pts-per-side", type=int, default=64),
-        _arg("--max-doublings", type=int, default=4),
-        _arg("--tol", type=float, default=1e-9),
     ),
     (("roots", "independence-polynomial roots (claw-free)", _roots), _GRAPH),
     (

@@ -20,8 +20,8 @@ import functools
 import math
 
 from .errors import SizeLimitError
-from .graphs import _check_vertex, ball, induced_subgraph, remove_vertices
-from .exact import _neighbor_masks, ind_poly
+from .graphs import _check_vertex, ball, induced_subgraph
+from .exact import _neighbor_masks, _ratio_polys
 from .series import PowerSeries, _long_division
 
 DEFAULT_CLUSTER_ORDER = 8
@@ -268,13 +268,9 @@ def ratio_series_division(g, v, order=DEFAULT_CLUSTER_ORDER, ball_radius=None):
     _check_vertex(g, v)
     radius = order if ball_radius is None else ball_radius
     h, mapping = induced_subgraph(g, ball(g, v, radius))
-    vv = mapping[v]
-    den = ind_poly(h)
-    hh, _ = remove_vertices(h, set(h.adj[vv]) | {vv})
-    num = ind_poly(hh)
     # long division, not num * (1 / den): the coefficients of 1 / den grow
     # like 1 / |nearest root|^k, and the product then cancels them
-    return PowerSeries(_long_division((0,) + num.coeffs, den.coeffs, order))
+    return PowerSeries(_long_division(*_ratio_polys(h, mapping[v]), order))
 
 
 def shearer_radius(max_degree):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryError, NearZeroDenominatorError, SizeLimitError
+from .errors import BoundaryError, NearZeroDenominatorError
 from .graphs import _check_vertex, apply_hardcore_boundary, remove_vertices
 
 NEAR_ZERO_REL = 1e-12
@@ -177,23 +177,6 @@ def ind_poly(g):
     return IndPoly(_ind_poly_cached(g))
 
 
-def iter_independent_sets(g):
-    """Yield every independent set of g as a vertex bitmask, by plain
-    in/out branching with no caching.  Exponential; for cross-checks."""
-
-    nbr = _neighbor_masks(g)
-
-    def rec(v, blocked, acc):
-        if v == g.n:
-            yield acc
-            return
-        yield from rec(v + 1, blocked, acc)
-        if not (blocked >> v) & 1:
-            yield from rec(v + 1, blocked | nbr[v], acc | (1 << v))
-
-    yield from rec(0, 0, 0)
-
-
 def eval_Z(g, lam):
     """Partition function Z_g(lam) = sum over independent sets of lam^|I|."""
     p = ind_poly(g)
@@ -223,38 +206,44 @@ def _checked_ratio(num, den, point):
     return num / den
 
 
+def _ratio_polys(g, v):
+    """Coefficients (constant first) of x * I(g - N[v]) and of I(g), the
+    numerator and denominator of the occupation ratio of v."""
+    _check_vertex(g, v)
+    h, _ = remove_vertices(g, set(g.adj[v]) | {v})
+    return (0,) + ind_poly(h).coeffs, ind_poly(g).coeffs
+
+
+def _ratios(num, den, points):
+    """num(z) / den(z) at each point, or None where den vanishes there to
+    working precision."""
+    out = []
+    for z in points:
+        a, b = eval_poly(num, z), eval_poly(den, z)
+        out.append(None if _near_zero(a, b) else a / b)
+    return out
+
+
 def ratio_P(g, v, lam):
     """Occupation ratio lam * Z_{g - N[v]}(lam) / Z_g(lam).
 
     For real lam > 0 this is the probability that v is occupied.
     """
-    _check_vertex(g, v)
-    closed = set(g.adj[v]) | {v}
-    h, _ = remove_vertices(g, closed)
-    num = lam * eval_Z(h, lam)
-    den = eval_Z(g, lam)
-    return _checked_ratio(num, den, lam)
+    num, den = _ratio_polys(g, v)
+    return _checked_ratio(eval_poly(num, lam), eval_poly(den, lam), lam)
 
 
 def ratio_R(g, v, lam):
     """Odds ratio lam * Z_{g - N[v]}(lam) / Z_{g - v}(lam); P = R / (1 + R)."""
-    _check_vertex(g, v)
-    closed = set(g.adj[v]) | {v}
-    h, _ = remove_vertices(g, closed)
+    num, _ = _ratio_polys(g, v)
     gv, _ = remove_vertices(g, {v})
-    num = lam * eval_Z(h, lam)
-    den = eval_Z(gv, lam)
-    return _checked_ratio(num, den, lam)
+    return _checked_ratio(eval_poly(num, lam), eval_Z(gv, lam), lam)
 
 
-def cond_prob_hardcore(g, v, sigma, lam, method="ratio"):
+def cond_prob_hardcore(g, v, sigma, lam):
     """Probability that v is occupied under the hard-core measure at
-    activity lam, conditioned on the boundary condition sigma.
-
-    method="ratio" reduces by the boundary and evaluates the occupation
-    ratio of the reduced graph; method="enumerate" sums over all
-    independent sets of g consistent with sigma.  Both are exact and agree.
-    """
+    activity lam, conditioned on the boundary condition sigma: the
+    occupation ratio of the boundary-reduced graph."""
     if not (isinstance(lam, (int, float)) and lam > 0):
         raise ValueError(f"activity must be a positive real, got {lam!r}")
     _check_vertex(g, v)
@@ -264,28 +253,8 @@ def cond_prob_hardcore(g, v, sigma, lam, method="ratio"):
     ins = sigma.in_vertices()
     if any(w in ins for w in g.adj[v]):
         return 0.0
-
-    if method == "ratio":
-        h, mapping = apply_hardcore_boundary(g, sigma)
-        p = ratio_P(h, mapping[v], complex(lam))
-        return p.real
-    if method == "enumerate":
-        if g.n > 25:
-            raise SizeLimitError(f"enumeration route capped at 25 vertices, got {g.n}")
-        in_mask = sum(1 << u for u in ins)
-        out_mask = sum(1 << u for u in sigma.region if sigma.assignment[u] == 0)
-        vbit = 1 << v
-        total = 0.0
-        occupied = 0.0
-        for mask in iter_independent_sets(g):
-            if mask & in_mask != in_mask or mask & out_mask:
-                continue
-            weight = lam ** mask.bit_count()
-            total += weight
-            if mask & vbit:
-                occupied += weight
-        return _checked_ratio(occupied, total, lam).real
-    raise ValueError(f"unknown method {method!r}")
+    h, mapping = apply_hardcore_boundary(g, sigma)
+    return ratio_P(h, mapping[v], complex(lam)).real
 
 
 # --- homomorphism sums ---------------------------------------------------

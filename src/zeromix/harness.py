@@ -53,6 +53,9 @@ MIN_RECORDS_PER_DISTANCE = 3
 SPHERE_IN_PROB = 0.5
 MAX_BOUNDARY_ATTEMPTS = 200
 AVOID_TOL = 1e-12
+PTS_PER_SIDE = 64
+MAX_DOUBLINGS = 4
+CONTOUR_TOL = 1e-9
 
 
 def _sample_boundary(rng, sphere, adj):
@@ -189,15 +192,16 @@ def _cell_winding(poly, corners, pts_per_side):
     return total / (2j * math.pi), min_abs
 
 
-def zero_scan(g, rect, resolution, pts_per_side=64, max_doublings=4, tol=1e-9):
+def zero_scan(g, rect, resolution):
     """Count zeros of the independence polynomial of g per cell of a
     rectangle in the complex activity plane.
 
     Each cell's count is the winding number of Z around its boundary,
-    integrated by the composite midpoint rule.  When |Z| dips below tol on a
-    contour or the integral is not close to an integer, the point count is
-    doubled up to max_doublings times; cells that never settle are flagged
-    inconclusive (count -1) rather than guessed.
+    integrated by the composite midpoint rule over PTS_PER_SIDE points per
+    side.  When |Z| dips below CONTOUR_TOL on a contour or the integral is
+    not close to an integer, the point count is doubled up to MAX_DOUBLINGS
+    times; cells that never settle are flagged inconclusive (count -1)
+    rather than guessed.
     """
     re_min, re_max, im_min, im_max = rect
     if not (re_min < re_max and im_min < im_max):
@@ -224,12 +228,12 @@ def zero_scan(g, rect, resolution, pts_per_side=64, max_doublings=4, tol=1e-9):
                 complex(x1, y1),
                 complex(x0, y1),
             ]
-            pts = pts_per_side
+            pts = PTS_PER_SIDE
             settled = False
-            for _ in range(max_doublings + 1):
+            for _ in range(MAX_DOUBLINGS + 1):
                 winding, min_abs = _cell_winding(poly, corners, pts)
                 overall_min = min(overall_min, min_abs)
-                if winding is not None and min_abs > tol:
+                if winding is not None and min_abs > CONTOUR_TOL:
                     rounded = round(winding.real)
                     if abs(winding - rounded) <= 0.2 and rounded >= 0:
                         counts[i][j] = int(rounded)

@@ -22,13 +22,14 @@ import cmath
 import math
 from dataclasses import dataclass
 
+from .cluster import ratio_series_division
 from .errors import (
     BoundaryError,
     TruncationDepthError,
     ZeroRegionViolationError,
 )
-from .exact import _near_zero, ind_poly
-from .graphs import _check_vertex, apply_hardcore_boundary, remove_vertices
+from .exact import IndPoly, _ratio_polys, _ratios
+from .graphs import _check_vertex, apply_hardcore_boundary
 from .series import PowerSeries
 
 DEFAULT_MAX_DEPTH = 64
@@ -156,6 +157,27 @@ def _map_point(spec, z):
     raise TypeError(f"unsupported map spec {spec!r}")
 
 
+def _sampled_M(num, den, points):
+    """1.5 times the largest |num(z) / den(z)| over the sampled points.
+
+    Raises ZeroRegionViolationError at the first point where den vanishes
+    to working precision, and ValueError when there are no points.
+    """
+    if not points:
+        raise ValueError("need at least one sample, got 0")
+    best = 0.0
+    for z, ratio in zip(points, _ratios(num, den, points)):
+        if ratio is None:
+            raise ZeroRegionViolationError(f"denominator vanishes at sampled point {z}", point=z)
+        best = max(best, abs(ratio))
+    return 1.5 * best
+
+
+def _circle(r, samples):
+    """`samples` equally spaced points on |z| = r, starting at r."""
+    return [r * cmath.exp(2j * math.pi * j / samples) for j in range(samples)]
+
+
 def estimate_M(g, v, lam, spec, samples=DEFAULT_SAMPLES):
     """Empirical bound on |P_{g,v}(lam * map(z))| over |z| = r.
 
@@ -163,36 +185,17 @@ def estimate_M(g, v, lam, spec, samples=DEFAULT_SAMPLES):
     Raises ZeroRegionViolationError if Z vanishes to working precision at a
     sampled point.
     """
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
-    _check_vertex(g, v)
-    den_poly = ind_poly(g)
-    closed = set(g.adj[v]) | {v}
-    h, _ = remove_vertices(g, closed)
-    num_poly = ind_poly(h)
-    r = spec.r
-    best = 0.0
-    for j in range(samples):
-        z = r * cmath.exp(2j * math.pi * j / samples)
-        w = lam * _map_point(spec, z)
-        num = w * num_poly(w)
-        den = den_poly(w)
-        if _near_zero(num, den):
-            raise ZeroRegionViolationError(
-                f"partition function vanishes at sampled activity {w}", point=w
-            )
-        mag = abs(num / den)
-        if mag > best:
-            best = mag
-    return 1.5 * best
+    num, den = _ratio_polys(g, v)
+    points = [lam * _map_point(spec, z) for z in _circle(spec.r, samples)]
+    return _sampled_M(num, den, points)
 
 
-def _zeros_in_strip_disk(g, spec, lam, margin=0.0):
-    """Activity-space zeros of Z_g that pull back into the closed disk of
-    radius r * (1 + margin) under the strip map scaled by lam."""
-    hits = []
+def _zero_in_strip_disk(roots, spec, lam, margin):
+    """The first of the activity-space zeros `roots` that pulls back into
+    the closed disk of radius r * (1 + margin) under the strip map scaled
+    by lam, or None."""
     r = spec.r * (1.0 + margin)
-    for rho in ind_poly(g).roots():
+    for rho in roots:
         rho = complex(rho)
         try:
             z = g_inverse(spec, rho / lam)
@@ -203,8 +206,8 @@ def _zeros_in_strip_disk(g, spec, lam, margin=0.0):
         if abs(z) <= r:
             # guard against branch wrap of the closed-form inverse
             if abs(lam * g_point(spec, z) - rho) <= 1e-9 * (1.0 + abs(rho)):
-                hits.append(rho)
-    return hits
+                return rho
+    return None
 
 
 def _depth_for(M, r, eps_target):
@@ -218,40 +221,40 @@ def _depth_for(M, r, eps_target):
 
 
 EPS_LADDER = (2.5, 2.0, 1.6, 1.25, 1.0, 0.8, 0.6, 0.45, 0.35, 0.25, 0.18, 0.12, 0.08, 0.05)
+# the ladder's disks must clear every zero by this fraction of r
+LADDER_MARGIN = 0.05
 
 
-def choose_strip_spec(
-    g,
-    v,
-    lam,
-    eps_target,
-    max_depth=DEFAULT_MAX_DEPTH,
-    samples=DEFAULT_SAMPLES,
-):
+def choose_strip_spec(g, v, lam, eps_target, max_depth=DEFAULT_MAX_DEPTH):
     """Pick a strip width whose disk clears the zeros of Z_g with margin and
     whose certified depth fits under max_depth.  Wider strips give faster
     rates, so EPS_LADDER is walked widest-first."""
-    return _strip_and_M(g, v, lam, eps_target, max_depth, samples)[0]
+    num, den = _ratio_polys(g, v)
+    return _strip_and_M(num, den, lam, eps_target, max_depth, EPS_LADDER, LADDER_MARGIN)[0]
 
 
-def _strip_and_M(g, v, lam, eps_target, max_depth, samples):
-    """choose_strip_spec's strip together with its estimate_M bound."""
+def _strip_and_M(num, den, lam, eps_target, max_depth, ladder, margin):
+    """The first strip width of the ladder whose scaled disk, widened by
+    margin, holds no zero of den and whose certified depth fits under
+    max_depth, with its sampled bound M on num / den and that depth."""
+    roots = IndPoly(den).roots()
     best_required = None
     nearest = None
-    for eps in EPS_LADDER:
+    for eps in ladder:
         spec = StripSpec(eps)
-        hits = _zeros_in_strip_disk(g, spec, lam, margin=0.05)
-        if hits:
-            nearest = hits[0]
+        hit = _zero_in_strip_disk(roots, spec, lam, margin)
+        if hit is not None:
+            nearest = hit
             continue
+        points = [lam * g_point(spec, z) for z in _circle(spec.r, DEFAULT_SAMPLES)]
         try:
-            M = estimate_M(g, v, lam, spec, samples=samples)
+            M = _sampled_M(num, den, points)
         except ZeroRegionViolationError as exc:
             nearest = exc.point
             continue
         n = _depth_for(M, spec.r, eps_target)
         if n <= max_depth:
-            return spec, M
+            return spec, M, n
         if best_required is None or n < best_required:
             best_required = n
     if best_required is not None:
@@ -273,7 +276,6 @@ def approx_cond_prob(
     lam,
     eps_target,
     spec=None,
-    samples=DEFAULT_SAMPLES,
     max_depth=DEFAULT_MAX_DEPTH,
 ):
     """Conditional occupation probability with a certified error bound.
@@ -282,7 +284,8 @@ def approx_cond_prob(
     (exactly, by pulling the zeros of Z back through the map), bounds
     P(lam * g(z)) on |z| = r by sampling, truncates the composed Taylor
     series at the smallest depth whose tail bound meets eps_target, and
-    returns the partial sum at z = 1 with that bound.
+    returns the partial sum at z = 1 with that bound.  A given spec is the
+    one-rung ladder (spec.eps,) with no margin.
     """
     if not (isinstance(lam, (int, float)) and lam > 0):
         raise ValueError(f"activity must be a positive real, got {lam!r}")
@@ -302,27 +305,10 @@ def approx_cond_prob(
         return ApproxResult(0.0, 0.0, 0, 0.0, r)
     vv = mapping[v]
 
-    if spec is None:
-        spec, M = _strip_and_M(h, vv, lam, eps_target, max_depth, samples)
-    else:
-        hits = _zeros_in_strip_disk(h, spec, lam)
-        if hits:
-            raise ZeroRegionViolationError(
-                f"partition-function zero {hits[0]} lies in the scaled strip image",
-                point=hits[0],
-            )
-        M = estimate_M(h, vv, lam, spec, samples=samples)
-    r = spec.r
-    n = _depth_for(M, r, eps_target)
-    if n > max_depth:
-        raise TruncationDepthError(
-            f"certified depth {n} exceeds the cap {max_depth}", required=n, cap=max_depth
-        )
-
-    from .cluster import ratio_series_division
-
+    ladder, margin = (EPS_LADDER, LADDER_MARGIN) if spec is None else ((spec.eps,), 0.0)
+    spec, M, n = _strip_and_M(*_ratio_polys(h, vv), lam, eps_target, max_depth, ladder, margin)
     p = ratio_series_division(h, vv, order=n - 1)
     scaled = PowerSeries(tuple(c * lam**k for k, c in enumerate(p.coeffs)))
     comp = scaled.compose(g_series(spec, n - 1))
     value = comp.partial_sum()
-    return ApproxResult(value.real, tail_bound(M, r, n), n, M, r)
+    return ApproxResult(value.real, tail_bound(M, spec.r, n), n, M, spec.r)

@@ -38,11 +38,15 @@ from .exact import (
     _hom_sum,
     _near_zero,
     _pins,
+    _ratios,
+    edge_matrix_Z,
     eval_poly,
+    hom_Z,
     hom_Z_poly,
     multivariate_Z,
 )
 from .graphs import Graph, _check_vertex, ball, dist_to_disagreement, from_edges
+from .interpolate import _circle, _sampled_M, gap_bound_hom
 from .series import PowerSeries
 
 DEFAULT_POLYMER_EDGES = 8
@@ -259,8 +263,11 @@ def delta_Delta(degree):
     return DeltaSpec(degree, a, f(a))
 
 
-def _box_deviation(A):
-    return float(np.max(np.abs(np.asarray(A, dtype=complex) - 1.0)))
+def _box(g, A):
+    """The zero-free box for g and the symbol matrix A: (delta(Delta),
+    Delta, max |A_ij - 1|), with Delta = max(3, max degree of g)."""
+    deg = max(3, g.max_degree())
+    return delta_Delta(deg).delta, deg, float(np.max(np.abs(A - 1.0)))
 
 
 @dataclass(frozen=True)
@@ -281,12 +288,8 @@ def barvinok_zero_check(g, A, sigma=None, samples=0, seed=0):
     With samples > 0, also draws per-edge matrices uniformly in the same box
     and exercises the edge-matrix sum; the hypothesis covers that case too.
     """
-    from .exact import edge_matrix_Z, hom_Z
-
     A = _as_matrix(A)
-    deg = max(3, g.max_degree())
-    delta = delta_Delta(deg).delta
-    dev = _box_deviation(A)
+    delta, _, dev = _box(g, A)
     hypothesis_ok = dev <= delta + 1e-15
     Z = hom_Z(g, A, sigma=sigma)
     q = A.shape[0]
@@ -369,16 +372,14 @@ def bounded_ratio_check(
     entries 1, the edge-matrix sum of the matrices from build_edge_matrices
     is zero.
     """
-    from .exact import edge_matrix_Z
-
     if eta <= 0 or eps <= 0:
         raise ValueError("eta and eps must be positive")
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
     A = _as_matrix(A)
     q = A.shape[0]
-    deg = max(3, g.max_degree())
-    delta = delta_Delta(deg).delta
+    delta, deg, dev = _box(g, A)
     box_limit = delta / ((1.0 + eps) ** deg * (1.0 + eta))
-    dev = _box_deviation(A)
     hypothesis_ok = dev <= box_limit + 1e-15
 
     den_poly = hom_Z_poly(g, A, sigma=sigma)
@@ -386,7 +387,7 @@ def bounded_ratio_check(
 
     rng = np.random.default_rng(seed)
     radius = 1.0 + eta
-    points = [radius * cmath.exp(2j * math.pi * j / max(1, samples // 2)) for j in range(samples // 2)]
+    points = _circle(radius, samples // 2)
     while len(points) < samples:
         points.append(
             radius
@@ -397,18 +398,12 @@ def bounded_ratio_check(
     cap = 1.0 / eps
     max_ratio = 0.0
     violations = []
-    ratios = []
-    for z in points:
-        num = eval_poly(num_poly, z)
-        den = eval_poly(den_poly, z)
-        if _near_zero(num, den):
+    ratios = _ratios(num_poly, den_poly, points)
+    for z, ratio in zip(points, ratios):
+        if ratio is None:
             violations.append((z, math.inf))
-            ratios.append(None)
             continue
-        ratio = num / den
-        ratios.append(ratio)
-        if abs(ratio) > max_ratio:
-            max_ratio = abs(ratio)
+        max_ratio = max(max_ratio, abs(ratio))
         if abs(ratio) > cap * (1.0 + 1e-12):
             violations.append((z, abs(ratio)))
 
@@ -467,43 +462,21 @@ def hom_ssm_experiment(g, v, i, sigma, tau, A, eta, samples=64):
     if not 0 < eta < 1:
         raise ValueError(f"need 0 < eta < 1, got {eta}")
     A = _as_matrix(A)
-    q = A.shape[0]
-    deg = max(3, g.max_degree())
-    delta = delta_Delta(deg).delta
-    dev = _box_deviation(A)
+    delta, _, dev = _box(g, A)
     hypothesis_ok = dev <= (1.0 - eta) * delta + 1e-15
 
     d = dist_to_disagreement(g, v, sigma, tau)
-    polys = {
-        "den_s": hom_Z_poly(g, A, sigma=sigma),
-        "num_s": hom_Z_poly(g, A, sigma=sigma.extended(v, i)),
-        "den_t": hom_Z_poly(g, A, sigma=tau),
-        "num_t": hom_Z_poly(g, A, sigma=tau.extended(v, i)),
-    }
-
-    def ratio_at(num_key, den_key, z):
-        num = eval_poly(polys[num_key], z)
-        den = eval_poly(polys[den_key], z)
-        if _near_zero(num, den):
-            raise ZeroRegionViolationError(
-                f"homomorphism sum vanishes at z = {z}", point=z
-            )
-        return num / den
-
+    # (numerator, denominator) coefficients of the ratio under sigma and tau
+    pairs = [
+        (hom_Z_poly(g, A, sigma=b.extended(v, i)), hom_Z_poly(g, A, sigma=b)) for b in (sigma, tau)
+    ]
     r = 1.0 / (1.0 - eta)
-    best = 0.0
-    for j in range(samples):
-        z = r * cmath.exp(2j * math.pi * j / samples)
-        best = max(best, abs(ratio_at("num_s", "den_s", z)), abs(ratio_at("num_t", "den_t", z)))
-    M = 1.5 * best
-
-    gap = abs(ratio_at("num_s", "den_s", 1.0) - ratio_at("num_t", "den_t", 1.0))
-    if math.isinf(d):
-        bound = 0.0
-    else:
-        from .interpolate import gap_bound_hom
-
-        bound = gap_bound_hom(M, r, int(d))
+    M = max(_sampled_M(num, den, _circle(r, samples)) for num, den in pairs)
+    at_one = [_ratios(num, den, [1.0])[0] for num, den in pairs]
+    if None in at_one:
+        raise ZeroRegionViolationError("homomorphism sum vanishes at z = 1.0", point=1.0)
+    gap = abs(at_one[0] - at_one[1])
+    bound = 0.0 if math.isinf(d) else gap_bound_hom(M, r, int(d))
     return HomSSMReport(
         distance=d,
         gap=gap,

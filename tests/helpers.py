@@ -52,6 +52,20 @@ def brute_Z(g, lam):
     return sum(lam ** len(s) for s in brute_independent_sets(g))
 
 
+def brute_cond_prob(g, v, sigma, lam):
+    """Probability that v is occupied at activity lam given the hard-core
+    boundary sigma, summed over the independent sets that agree with it."""
+    total = occupied = 0.0
+    for s in brute_independent_sets(g):
+        if any((u in s) != bool(x) for u, x in sigma.assignment.items()):
+            continue
+        weight = lam ** len(s)
+        total += weight
+        if v in s:
+            occupied += weight
+    return occupied / total
+
+
 def brute_multivariate_Z(g, weights):
     total = 0.0 + 0.0j
     for s in brute_independent_sets(g):

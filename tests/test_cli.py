@@ -271,6 +271,19 @@ def test_hom_check_zero_mode_without_samples_is_valid_json(files, capsys):
     assert payload["min_edge_abs_Z"] is None
 
 
+def test_hom_check_bounded_mode_without_samples_is_usage_error(files, capsys):
+    g = files("g.txt", "4\n0 1\n1 2\n2 3\n")
+    m = files("m.json", "[[1.005, 1], [1, 1.005]]")
+    code = main(
+        ["hom-check", "--mode", "bounded", "--graph", g, "--matrix", m,
+         "--vertex", "0", "--color", "0", "--samples", "0"]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: need at least one sample, got 0\n"
+
+
 def test_hom_check_zero_mode_rejects_far_matrix(files, capsys):
     g = files("g.txt", C5)
     m = files("m.json", "[[1, -1], [-1, 1]]")

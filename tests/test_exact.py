@@ -23,7 +23,6 @@ from zeromix import (
     hom_ratio,
     hom_ratio_series,
     ind_poly,
-    iter_independent_sets,
     multivariate_Z,
     path_graph,
     ratio_P,
@@ -32,6 +31,7 @@ from zeromix import (
     ratio_series_division,
 )
 from helpers import (
+    brute_cond_prob,
     brute_hom_Z,
     brute_ind_poly,
     brute_multivariate_Z,
@@ -101,12 +101,6 @@ def test_tree_ind_poly_spider_closed_form():
     for i in range(k + 1):
         want[i + 1] += math.comb(k, i)
     assert tree_ind_poly(_spider(k)) == tuple(want)
-
-
-def test_iter_independent_sets_on_c4():
-    got = sorted(iter_independent_sets(cycle_graph(4)))
-    # bitmasks: {}, {0}, {1}, {2}, {3}, {0,2}, {1,3}
-    assert got == [0b0000, 0b0001, 0b0010, 0b0100, 0b0101, 0b1000, 0b1010]
 
 
 def test_eval_Z_values():
@@ -221,8 +215,8 @@ def test_cond_prob_methods_agree():
                 continue
         if sigma is None:
             sigma = HardcoreBoundary({})
-        a = cond_prob_hardcore(g, v, sigma, lam, method="ratio")
-        b = cond_prob_hardcore(g, v, sigma, lam, method="enumerate")
+        a = cond_prob_hardcore(g, v, sigma, lam)
+        b = brute_cond_prob(g, v, sigma, lam)
         assert abs(a - b) <= 1e-12
 
 

@@ -17,6 +17,7 @@ from zeromix import (
     ssm_scan,
     zero_scan,
 )
+from zeromix import harness
 from zeromix.harness import GAP_FLOOR, MIN_RECORDS_PER_DISTANCE
 
 K2 = from_edges(2, [(0, 1)])
@@ -126,9 +127,11 @@ def test_zero_scan_partition_additivity():
     assert fine.counts[0][0] == 1 and fine.counts[2][0] == 1
 
 
-def test_zero_scan_flags_inconclusive_cells():
+def test_zero_scan_flags_inconclusive_cells(monkeypatch):
     # an absurd tolerance forces every contour below it
-    rep = zero_scan(K1, (-1.5, -0.5, -0.5, 0.5), 2, tol=1e9, max_doublings=0)
+    monkeypatch.setattr(harness, "CONTOUR_TOL", 1e9)
+    monkeypatch.setattr(harness, "MAX_DOUBLINGS", 0)
+    rep = zero_scan(K1, (-1.5, -0.5, -0.5, 0.5), 2)
     assert rep.total == 0
     assert len(rep.inconclusive) == 4
     assert all(c == -1 for row in rep.counts for c in row)

@@ -14,6 +14,7 @@ from zeromix import (
     approx_cond_prob,
     choose_strip_spec,
     cond_prob_hardcore,
+    cycle_graph,
     estimate_M,
     from_edges,
     g_inverse,
@@ -29,7 +30,7 @@ from zeromix import (
     shearer_radius,
     tail_bound,
 )
-from zeromix.interpolate import EPS_LADDER
+from zeromix.interpolate import EPS_LADDER, _sampled_M
 
 
 def seg_dist(w):
@@ -202,6 +203,41 @@ def test_estimate_M_shearer_disk_bound():
 def test_estimate_M_rejects_zero_samples():
     with pytest.raises(ValueError):
         estimate_M(path_graph(3), 0, 0.1, StripSpec(0.5), samples=0)
+
+
+def test_sampled_M_bounds_the_points_and_stops_at_a_zero():
+    num, den = (0, 1), (1, 2)  # z / (1 + 2z); the denominator vanishes at -0.5
+    points = [0.1, 1j, -1.0, 0.4 - 0.3j]
+    want = max(abs(complex(z) / (2 * complex(z) + 1)) for z in points)
+    assert _sampled_M(num, den, points) == 1.5 * want
+    # the first vanishing point is reported, not the exact zero after it
+    near = -0.5 + 1e-14j
+    with pytest.raises(ZeroRegionViolationError) as e:
+        _sampled_M(num, den, [0.3, near, -0.5, 2.0])
+    assert e.value.point == near
+    with pytest.raises(ValueError, match="need at least one sample, got 0"):
+        _sampled_M(num, den, [])
+
+
+@pytest.mark.parametrize(
+    "g,lam",
+    [(path_graph(5), 0.1), (path_graph(5), 0.5), (cycle_graph(6), 0.1), (cycle_graph(6), 0.5),
+     (grid_graph(3, 3), 0.1)],
+    ids=["P5-0.1", "P5-0.5", "C6-0.1", "C6-0.5", "grid3x3-0.1"],
+)
+def test_given_strip_matches_the_ladder(g, lam):
+    v, sigma = g.n // 2, HardcoreBoundary({})
+    res = approx_cond_prob(g, v, sigma, lam, 1e-4)
+    eps = choose_strip_spec(g, v, lam, 1e-4).eps
+    assert approx_cond_prob(g, v, sigma, lam, 1e-4, spec=StripSpec(eps)) == res
+    assert abs(res.value - cond_prob_hardcore(g, v, sigma, lam)) <= res.error_bound
+
+
+def test_no_strip_certifies_the_3x3_grid_at_half_within_default_depth():
+    # a zero at -0.196 leaves only narrow strips with slow rates
+    with pytest.raises(TruncationDepthError) as e:
+        approx_cond_prob(grid_graph(3, 3), 4, HardcoreBoundary({}), 0.5, 1e-4)
+    assert e.value.required > e.value.cap == 64
 
 
 def test_approx_cond_prob_certifies_examples():

@@ -302,6 +302,16 @@ def test_bounded_ratio_check_validates_inputs():
         )
 
 
+def test_sampled_checks_reject_zero_samples():
+    g = path_graph(4)
+    sigma, tau = SpinBoundary({3: 0}, q=2), SpinBoundary({3: 1}, q=2)
+    A = [[1.005, 1], [1, 1.005]]
+    with pytest.raises(ValueError, match="need at least one sample, got 0"):
+        hom_ssm_experiment(g, 0, 0, sigma, tau, A, 0.5, samples=0)
+    with pytest.raises(ValueError, match="need at least one sample, got 0"):
+        bounded_ratio_check(g, 0, 0, sigma, A, eta=0.5, eps=0.5, samples=0)
+
+
 def test_hom_ssm_experiment_path():
     g = path_graph(6)
     eta = 0.5
