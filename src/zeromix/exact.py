@@ -27,7 +27,7 @@ NEAR_ZERO_REL = 1e-12
 
 def _near_zero(num, den):
     """Whether den counts as a zero denominator next to num:
-    |den| <= NEAR_ZERO_REL * (1 + |num|)."""
+    |den| <= NEAR_ZERO_REL * (1 + |num|), elementwise on arrays."""
     return abs(den) <= NEAR_ZERO_REL * (1.0 + abs(num))
 
 
@@ -215,13 +215,11 @@ def _ratio_polys(g, v):
 
 
 def _ratios(num, den, points):
-    """num(z) / den(z) at each point, or None where den vanishes there to
-    working precision."""
-    out = []
-    for z in points:
-        a, b = eval_poly(num, z), eval_poly(den, z)
-        out.append(None if _near_zero(a, b) else a / b)
-    return out
+    """num(z) / den(z) at each of the points (a complex scalar or array),
+    NaN where den vanishes there to working precision."""
+    a, b = eval_poly(num, points), eval_poly(den, points)
+    zero = _near_zero(a, b)
+    return np.where(zero, np.nan, a / np.where(zero, 1.0, b))
 
 
 def ratio_P(g, v, lam):
@@ -419,7 +417,8 @@ def hom_Z_poly(g, A, sigma=None):
 
 
 def eval_poly(coeffs, z):
-    """Horner evaluation of a coefficient sequence (constant first)."""
+    """Horner evaluation of a coefficient sequence (constant first), at one
+    point or elementwise at an array of points."""
     acc = 0j
     for c in reversed(coeffs):
         acc = acc * z + c

@@ -9,7 +9,6 @@ Z'/Z.  The scans are exact per record; only the sampling is random, and it
 is fully determined by the seed.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -180,15 +179,15 @@ def _cell_winding(poly, corners, pts_per_side):
     (counterclockwise), with the minimum sampled |Z|."""
     total = 0j
     min_abs = math.inf
+    mid = np.arange(pts_per_side) + 0.5
     for a, b in zip(corners, corners[1:] + corners[:1]):
         step = (b - a) / pts_per_side
-        for k in range(pts_per_side):
-            z = a + (k + 0.5) * step
-            val = poly(z)
-            min_abs = min(min_abs, abs(val))
-            if val == 0:
-                return None, 0.0
-            total += poly.derivative_at(z) / val * step
+        z = a + mid * step
+        val = poly(z)
+        if (val == 0).any():
+            return None, 0.0
+        min_abs = min(min_abs, float(np.abs(val).min()))
+        total += complex((poly.derivative_at(z) / val).sum()) * step
     return total / (2j * math.pi), min_abs
 
 

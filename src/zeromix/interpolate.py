@@ -22,6 +22,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cluster import ratio_series_division
 from .errors import (
     BoundaryError,
@@ -97,7 +99,8 @@ def g_series(spec, order):
 def g_point(spec, z):
     # 1 - alpha*z written as (1 - z) + z*e^{-1/eps}: forming alpha first
     # cancels catastrophically near z = 1 for narrow strips
-    return -spec.eps * cmath.log((1.0 - z) + z * math.exp(-1.0 / spec.eps))
+    w = (1.0 - z) + z * math.exp(-1.0 / spec.eps)
+    return -spec.eps * np.log(np.asarray(w, dtype=complex))
 
 
 def g_inverse(spec, w):
@@ -163,19 +166,20 @@ def _sampled_M(num, den, points):
     Raises ZeroRegionViolationError at the first point where den vanishes
     to working precision, and ValueError when there are no points.
     """
-    if not points:
+    points = np.asarray(points, dtype=complex)
+    if not points.size:
         raise ValueError("need at least one sample, got 0")
-    best = 0.0
-    for z, ratio in zip(points, _ratios(num, den, points)):
-        if ratio is None:
-            raise ZeroRegionViolationError(f"denominator vanishes at sampled point {z}", point=z)
-        best = max(best, abs(ratio))
-    return 1.5 * best
+    mags = np.abs(_ratios(num, den, points))
+    zero = np.isnan(mags)
+    if zero.any():
+        z = complex(points[zero.argmax()])
+        raise ZeroRegionViolationError(f"denominator vanishes at sampled point {z}", point=z)
+    return 1.5 * float(mags.max())
 
 
 def _circle(r, samples):
     """`samples` equally spaced points on |z| = r, starting at r."""
-    return [r * cmath.exp(2j * math.pi * j / samples) for j in range(samples)]
+    return r * np.exp(2j * np.pi * np.arange(samples) / samples)
 
 
 def estimate_M(g, v, lam, spec, samples=DEFAULT_SAMPLES):
@@ -186,8 +190,7 @@ def estimate_M(g, v, lam, spec, samples=DEFAULT_SAMPLES):
     sampled point.
     """
     num, den = _ratio_polys(g, v)
-    points = [lam * _map_point(spec, z) for z in _circle(spec.r, samples)]
-    return _sampled_M(num, den, points)
+    return _sampled_M(num, den, lam * _map_point(spec, _circle(spec.r, samples)))
 
 
 def _zero_in_strip_disk(roots, spec, lam, margin):
@@ -246,9 +249,8 @@ def _strip_and_M(num, den, lam, eps_target, max_depth, ladder, margin):
         if hit is not None:
             nearest = hit
             continue
-        points = [lam * g_point(spec, z) for z in _circle(spec.r, DEFAULT_SAMPLES)]
         try:
-            M = _sampled_M(num, den, points)
+            M = _sampled_M(num, den, lam * g_point(spec, _circle(spec.r, DEFAULT_SAMPLES)))
         except ZeroRegionViolationError as exc:
             nearest = exc.point
             continue

@@ -387,20 +387,17 @@ def bounded_ratio_check(
 
     rng = np.random.default_rng(seed)
     radius = 1.0 + eta
-    points = _circle(radius, samples // 2)
-    while len(points) < samples:
-        points.append(
-            radius
-            * math.sqrt(rng.uniform())
-            * cmath.exp(2j * math.pi * rng.uniform())
-        )
+    # interior points uniform on the disk: a radius and an angle each
+    u = rng.uniform(size=(samples - samples // 2, 2))
+    interior = radius * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
+    points = np.concatenate([_circle(radius, samples // 2), interior])
 
     cap = 1.0 / eps
     max_ratio = 0.0
     violations = []
     ratios = _ratios(num_poly, den_poly, points)
-    for z, ratio in zip(points, ratios):
-        if ratio is None:
+    for z, ratio in zip(points.tolist(), ratios.tolist()):
+        if cmath.isnan(ratio):
             violations.append((z, math.inf))
             continue
         max_ratio = max(max_ratio, abs(ratio))
@@ -411,10 +408,10 @@ def bounded_ratio_check(
         raise ValueError(f"identity check needs deg({v}) >= 1")
     max_residual = 0.0
     checked = 0
-    for z, ratio in zip(points, ratios):
+    for z, ratio in zip(points.tolist(), ratios.tolist()):
         if checked >= IDENTITY_POINTS:
             break
-        if ratio is None or abs(ratio) < 1e-9:
+        if cmath.isnan(ratio) or abs(ratio) < 1e-9:
             continue
         xi = np.ones((g.n, q), dtype=complex)
         xi[v, i] = 1.0 - 1.0 / ratio
@@ -472,8 +469,8 @@ def hom_ssm_experiment(g, v, i, sigma, tau, A, eta, samples=64):
     ]
     r = 1.0 / (1.0 - eta)
     M = max(_sampled_M(num, den, _circle(r, samples)) for num, den in pairs)
-    at_one = [_ratios(num, den, [1.0])[0] for num, den in pairs]
-    if None in at_one:
+    at_one = [_ratios(num, den, 1.0).item() for num, den in pairs]
+    if any(map(cmath.isnan, at_one)):
         raise ZeroRegionViolationError("homomorphism sum vanishes at z = 1.0", point=1.0)
     gap = abs(at_one[0] - at_one[1])
     bound = 0.0 if math.isinf(d) else gap_bound_hom(M, r, int(d))

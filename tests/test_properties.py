@@ -4,26 +4,38 @@ helpers.py: the hard-core frontier sweep over both of its coefficient rings
 the frontier sweep of the homomorphism sums (per-edge matrices, vertex weights
 and pins against brute force; its z-polynomial against brute force and
 against a relabelled copy of the graph), the polymer series of the color
-ratio against division of those polynomials, and PowerSeries arithmetic
-against exact integer and Fraction references."""
+ratio against division of those polynomials, PowerSeries arithmetic
+against exact integer and Fraction references, and the array route that
+samples the tail bound M against per-point scalar evaluation."""
 
+import cmath
+import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zeromix import (
     PowerSeries,
+    SectorSpec,
     SpinBoundary,
+    ZeroRegionViolationError,
+    cycle_graph,
     edge_matrix_Z,
+    estimate_M,
     eval_poly,
     from_edges,
+    h_point,
     hom_ratio_series,
     hom_Z_poly,
     ind_poly,
     multivariate_Z,
+    path_graph,
 )
+from zeromix.exact import NEAR_ZERO_REL, _near_zero, _ratio_polys, _ratios
+from zeromix.interpolate import _sampled_M
 from helpers import (
     brute_edge_matrix_Z,
     brute_hom_Z,
@@ -246,3 +258,106 @@ def test_power_series_matches_exact_reference(data):
     got = PowerSeries(tail).exp().coeffs
     for g, w, s in zip(got, want, scale):
         assert abs(g - float(w)) <= 1e-12 * float(s)
+
+
+# --- the array route of the sampled bound M ---------------------------------
+
+POINTS = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
+INT_COEFFS = st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=12)
+COMPLEX_COEFFS = st.lists(ENTRIES, min_size=1, max_size=12)
+
+
+def _scale(coeffs, z):
+    """sum_k |c_k| |z|^k, the size Horner's rounding error is measured in."""
+    return sum(abs(c) * abs(z) ** k for k, c in enumerate(coeffs))
+
+
+@PROPERTY
+@given(st.one_of(INT_COEFFS, COMPLEX_COEFFS), st.lists(POINTS, min_size=1, max_size=20))
+def test_eval_poly_on_an_array_matches_each_point(coeffs, points):
+    got = eval_poly(coeffs, np.array(points, dtype=complex))
+    for z, val in zip(points, got):
+        assert abs(val - eval_poly(coeffs, complex(z))) <= 1e-12 * _scale(coeffs, z)
+
+
+UNIT_DISK = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+
+
+@PROPERTY
+@given(st.data())
+def test_ratios_mark_the_points_the_scalar_route_finds_vanishing(data):
+    num = data.draw(st.lists(ENTRIES, min_size=1, max_size=6))
+    roots = data.draw(st.lists(UNIT_DISK, min_size=1, max_size=3))
+    den = [complex(c) for c in np.poly(roots)[::-1]]
+    points = data.draw(st.lists(UNIT_DISK, max_size=8))
+    # points around a root of den at distances that put |den| on either
+    # side of the near-zero threshold
+    for _ in range(data.draw(st.integers(1, 8))):
+        rho = data.draw(st.sampled_from(roots))
+        t = 10.0 ** data.draw(st.floats(-16, -8)) * cmath.exp(1j * data.draw(st.floats(0, 6.3)))
+        points.insert(data.draw(st.integers(0, len(points))), rho + t)
+    zero = np.isnan(_ratios(num, den, np.array(points, dtype=complex)))
+    compared = 0
+    for z, got in zip(points, zero):
+        a, b = eval_poly(num, z), eval_poly(den, z)
+        threshold = NEAR_ZERO_REL * (1.0 + abs(a))
+        # each route's Horner error is below 4 deg 2^-53 sum_k |c_k| |z|^k
+        # at degree <= 3, so the two round |den| apart by less than this
+        slack = 1e-9 * threshold + 1e-14 * _scale(den, z)
+        if abs(abs(b) - threshold) > slack:
+            assert got == _near_zero(a, b)
+            compared += 1
+    assert compared >= len(points) // 2
+
+
+@PROPERTY
+@given(st.data())
+def test_sampled_M_on_an_array_stops_at_the_first_vanishing_point(data):
+    # den = (z - c1)(z - c2) with dyadic roots, so it is exactly 0 at each
+    c1, c2 = (data.draw(st.integers(-16, 16)) / 8 for _ in range(2))
+    num = data.draw(st.lists(ENTRIES, min_size=1, max_size=5))
+    den = (c1 * c2, -(c1 + c2), 1.0)
+    points = [z for z in data.draw(st.lists(POINTS, min_size=1, max_size=12))
+              if abs(eval_poly(den, z)) > 0.1]
+    assume(points)
+    for c in data.draw(st.lists(st.sampled_from([c1, c2]), max_size=3)):
+        points.insert(data.draw(st.integers(0, len(points))), complex(c))
+    first = next((z for z in points if _near_zero(eval_poly(num, z), eval_poly(den, z))), None)
+    array = np.array(points, dtype=complex)
+    if first is None:
+        sizes = [abs(eval_poly(num, z) / eval_poly(den, z)) for z in points]
+        want = 1.5 * max(sizes)
+        # first-order bound on how far the quotients' rounding can move M
+        tol = 1.5e-12 * max(
+            (_scale(num, z) + m * _scale(den, z)) / abs(eval_poly(den, z))
+            for z, m in zip(points, sizes)
+        )
+        assert abs(_sampled_M(num, den, array) - want) <= tol
+    else:
+        with pytest.raises(ZeroRegionViolationError) as e:
+            _sampled_M(num, den, array)
+        assert e.value.point == first
+    with pytest.raises(ValueError, match="need at least one sample, got 0"):
+        _sampled_M(num, den, array[:0])
+
+
+@PROPERTY
+@given(
+    st.sampled_from([path_graph, cycle_graph]),
+    st.integers(3, 10),
+    st.floats(0.05, 2.0),
+    st.floats(0.1, 0.9),
+    st.sampled_from([16, 64, 256]),
+)
+def test_estimate_M_on_the_sector_map_matches_each_point(family, n, lam, frac, samples):
+    # paths and cycles are line graphs: the zeros of Z are real and negative,
+    # and the sector image scaled by lam misses reals <= -3 lam delta / 4
+    g = family(n)
+    v = n // 2
+    nearest = min(abs(rho) for rho in ind_poly(g).roots())
+    spec = SectorSpec(frac * 4.0 * nearest / (3.0 * lam))
+    num, den = _ratio_polys(g, v)
+    circle = [spec.r * cmath.exp(2j * math.pi * j / samples) for j in range(samples)]
+    ws = [lam * h_point(spec, z) for z in circle]
+    want = 1.5 * max(abs(eval_poly(num, w) / eval_poly(den, w)) for w in ws)
+    assert abs(estimate_M(g, v, lam, spec, samples=samples) - want) <= 1e-12 * want
