@@ -10,6 +10,7 @@ passed to roots, or an unreachable truncation target).
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import re
@@ -368,6 +369,9 @@ _COMMANDS = (
 )
 
 
+# building the tree of every command's flags takes milliseconds, and parsing
+# leaves it unchanged, so one tree serves every call
+@functools.lru_cache(maxsize=1)
 def build_parser():
     parser = _Parser(prog="zeromix", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

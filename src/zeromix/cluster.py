@@ -20,7 +20,7 @@ import functools
 import math
 
 from .errors import SizeLimitError
-from .graphs import _check_vertex, ball, induced_subgraph
+from .graphs import _all_vertices, _ball_in, _check_vertex
 from .exact import _neighbor_masks, _ratio_polys
 from .series import PowerSeries, _long_division
 
@@ -267,10 +267,16 @@ def ratio_series_division(g, v, order=DEFAULT_CLUSTER_ORDER, ball_radius=None):
     """
     _check_vertex(g, v)
     radius = order if ball_radius is None else ball_radius
-    h, mapping = induced_subgraph(g, ball(g, v, radius))
+    return _ball_division(g, v, _all_vertices(g), radius, order)
+
+
+def _ball_division(g, v, keep, radius, order):
+    """The division series of v through `order` on the ball of the given
+    radius around v in the subgraph of g induced by the bit mask keep."""
+    ball = sum(1 << u for u in _ball_in(g, v, radius, keep))
     # long division, not num * (1 / den): the coefficients of 1 / den grow
     # like 1 / |nearest root|^k, and the product then cancels them
-    return PowerSeries(_long_division(*_ratio_polys(h, mapping[v]), order))
+    return PowerSeries(_long_division(*_ratio_polys(g, v, ball), order))
 
 
 def shearer_radius(max_degree):

@@ -2,13 +2,17 @@
 
 Independence polynomials and the multivariate hard-core Z come from a
 frontier sweep whose states are the independent subsets of the frontier:
-it costs n times their number on the widest frontier.  Each component is
-swept breadth first, or depth first where that makes the widest frontier
-narrower.  Homomorphism sums come from a frontier sweep along the
-vertex labels, which costs n q^(w+1) coefficient operations for frontier
-width w.  Integer coefficients are exact (Python ints); complex evaluations
-are plain double-precision arithmetic.  Neither applies a size cap: both
-are exponential in the frontier width, and the caller decides what it can
+it costs n times their number on the widest frontier.  The sweep runs on a
+graph under a bit mask of kept vertices, so a boundary condition, the
+closed neighborhood a ratio removes and a ball are masks on the graph
+given, and no reduced graph is built.  Each graph gets one vertex order,
+cached, and a mask only filters it: each component is swept breadth first,
+or depth first where that makes the widest frontier narrower.  Homomorphism
+sums come from a frontier sweep along the vertex labels, which costs
+n q^(w+1) coefficient operations for frontier width w.  Integer
+coefficients are exact (Python ints); complex evaluations are plain
+double-precision arithmetic.  Neither applies a size cap: both are
+exponential in the frontier width, and the caller decides what it can
 afford.
 """
 
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryError, NearZeroDenominatorError
-from .graphs import _check_vertex, apply_hardcore_boundary, remove_vertices
+from .graphs import _all_vertices, _check_vertex, _hardcore_keep
 
 NEAR_ZERO_REL = 1e-12
 
@@ -75,6 +79,7 @@ def _frontier_width(adj, order):
 _NARROW = 3
 
 
+@functools.lru_cache(maxsize=256)
 def _sweep_order(adj):
     """Vertex order for the hard-core sweep.  Each component is walked
     breadth first from a least-degree vertex, taking neighbors in increasing
@@ -84,6 +89,7 @@ def _sweep_order(adj):
     walked depth first, which keeps trees and hubs narrow, and the narrower
     walk is kept.  (A frontier of at most _NARROW vertices holds at most
     2^_NARROW states; a second walk would cost more than it could save.)
+    Returns a tuple, cached per adjacency: one order serves every mask.
     """
     deg = [len(a) for a in adj]
     nbrs = [sorted(a, key=deg.__getitem__) for a in adj]
@@ -111,23 +117,31 @@ def _sweep_order(adj):
             if _frontier_width(adj, dfs) < width:
                 walk = list(dfs)
         order += walk
-    return order
+    return tuple(order)
 
 
-def _hardcore_sweep(g, one, occupy):
-    """Sum over the independent sets I of g of the product of the weights of
-    the vertices in I, over a ring given by its unit and occupy(p, v) = p
-    times the weight of v.
+def _hardcore_sweep(g, keep, one, occupy):
+    """Sum over the independent sets I of the subgraph of g induced by the
+    bit mask keep of the product of the weights of the vertices in I, over a
+    ring given by its unit and occupy(p, v) = p times the weight of v.
 
-    Vertices join in _sweep_order.  The frontier is the placed vertices that
-    still have a neighbor to come; each holds one bit, freed when it leaves.
-    A state is the set of occupied frontier vertices, so only independent
-    subsets of the frontier occur: the cost is n times their number on the
-    widest frontier.
+    The kept vertices join in g's _sweep_order.  The frontier is the placed
+    vertices that still have a kept neighbor to come; each holds one bit,
+    freed when it leaves.  A state is the set of occupied frontier vertices,
+    so only independent subsets of the frontier occur: the cost is the
+    number of kept vertices times the number of states on the widest
+    frontier.  Dropping vertices only shrinks frontiers: a placed vertex has
+    a kept neighbor to come only if it has one in g.
     """
-    order = _sweep_order(g.adj)
-    pos = {v: i for i, v in enumerate(order)}
-    last = [max((pos[w] for w in g.adj[v]), default=-1) for v in range(g.n)]
+    order = [v for v in _sweep_order(g.adj) if keep >> v & 1]
+    pos = [len(order)] * g.n  # a dropped vertex is never placed
+    for i, v in enumerate(order):
+        pos[v] = i
+    last = [-1] * g.n  # where the last kept neighbor to come is placed
+    for i, v in enumerate(order):
+        for w in g.adj[v]:
+            if pos[w] < i:
+                last[w] = i
     bits = [0] * g.n
     used = 0
     states = {0: one}
@@ -142,16 +156,16 @@ def _hardcore_sweep(g, one, occupy):
         if last[v] > i:
             bit = bits[v] = ~used & (used + 1)
             used |= bit
-        keep = ~gone
-        used &= keep
+        stay = ~gone
+        used &= stay
         new = {}
         get = new.get
         for S, p in states.items():
-            T = S & keep
+            T = S & stay
             q = get(T)
             new[T] = p if q is None else q + p
             if not S & blocked:
-                T = (S | bit) & keep
+                T = (S | bit) & stay
                 p = occupy(p, v)
                 q = get(T)
                 new[T] = p if q is None else q + p
@@ -160,11 +174,14 @@ def _hardcore_sweep(g, one, occupy):
 
 
 @functools.lru_cache(maxsize=512)
-def _ind_poly_cached(g):
-    # the coefficients sit B = n + 1 bits apart in one int; each counts
-    # independent sets of the placed vertices, so it stays below 2^n
-    B = g.n + 1
-    packed = _hardcore_sweep(g, 1, lambda p, v: p << B)
+def _ind_poly_cached(g, keep):
+    """Coefficients of the independence polynomial of the subgraph of g
+    induced by the bit mask keep."""
+    # the coefficients sit B = k + 1 bits apart in one int, for k kept
+    # vertices; each counts independent sets of the placed vertices, so it
+    # stays below 2^k
+    B = keep.bit_count() + 1
+    packed = _hardcore_sweep(g, keep, 1, lambda p, v: p << B)
     coeffs = []
     while packed:
         coeffs.append(packed & ((1 << B) - 1))
@@ -174,7 +191,7 @@ def _ind_poly_cached(g):
 
 def ind_poly(g):
     """Independence polynomial of g with exact integer coefficients."""
-    return IndPoly(_ind_poly_cached(g))
+    return IndPoly(_ind_poly_cached(g, _all_vertices(g)))
 
 
 def eval_Z(g, lam):
@@ -193,7 +210,7 @@ def multivariate_Z(g, weights):
     if len(weights) != g.n:
         raise ValueError(f"need {g.n} weights, got {len(weights)}")
     w = [complex(x) for x in weights]
-    return _hardcore_sweep(g, 1.0 + 0j, lambda p, v: p * w[v])
+    return _hardcore_sweep(g, _all_vertices(g), 1.0 + 0j, lambda p, v: p * w[v])
 
 
 def _checked_ratio(num, den, point):
@@ -206,12 +223,15 @@ def _checked_ratio(num, den, point):
     return num / den
 
 
-def _ratio_polys(g, v):
-    """Coefficients (constant first) of x * I(g - N[v]) and of I(g), the
-    numerator and denominator of the occupation ratio of v."""
+def _ratio_polys(g, v, keep=None):
+    """Coefficients (constant first) of x * I(H - N[v]) and of I(H), the
+    numerator and denominator of the occupation ratio of v in the subgraph H
+    of g induced by the bit mask keep (all of g when None), which holds v."""
     _check_vertex(g, v)
-    h, _ = remove_vertices(g, set(g.adj[v]) | {v})
-    return (0,) + ind_poly(h).coeffs, ind_poly(g).coeffs
+    if keep is None:
+        keep = _all_vertices(g)
+    closed = sum(1 << w for w in g.adj[v]) | 1 << v
+    return (0,) + _ind_poly_cached(g, keep & ~closed), _ind_poly_cached(g, keep)
 
 
 def _ratios(num, den, points):
@@ -234,8 +254,8 @@ def ratio_P(g, v, lam):
 def ratio_R(g, v, lam):
     """Odds ratio lam * Z_{g - N[v]}(lam) / Z_{g - v}(lam); P = R / (1 + R)."""
     num, _ = _ratio_polys(g, v)
-    gv, _ = remove_vertices(g, {v})
-    return _checked_ratio(eval_poly(num, lam), eval_Z(gv, lam), lam)
+    den = _ind_poly_cached(g, _all_vertices(g) & ~(1 << v))
+    return _checked_ratio(eval_poly(num, lam), eval_poly(den, complex(lam)), lam)
 
 
 def cond_prob_hardcore(g, v, sigma, lam):
@@ -248,11 +268,13 @@ def cond_prob_hardcore(g, v, sigma, lam):
     sigma.validate(g)
     if v in sigma.region:
         raise BoundaryError(f"vertex {v} lies in the boundary region")
-    ins = sigma.in_vertices()
-    if any(w in ins for w in g.adj[v]):
+    keep = _hardcore_keep(g, sigma)
+    if not keep >> v & 1:
+        # v is adjacent to an occupied boundary vertex
         return 0.0
-    h, mapping = apply_hardcore_boundary(g, sigma)
-    return ratio_P(h, mapping[v], complex(lam)).real
+    num, den = _ratio_polys(g, v, keep)
+    lam = complex(lam)
+    return _checked_ratio(eval_poly(num, lam), eval_poly(den, lam), lam).real
 
 
 # --- homomorphism sums ---------------------------------------------------

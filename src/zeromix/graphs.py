@@ -2,7 +2,9 @@
 
 Vertices are always the dense range 0..n-1.  Operations that delete vertices
 return both the new graph and the old->new index mapping, so callers can
-track a distinguished vertex through the relabeling.
+track a distinguished vertex through the relabeling.  The hard-core
+routines reduce a graph without relabeling: a bit mask of kept vertices
+(bit v for vertex v) on the original graph stands for the reduced graph.
 """
 
 import math
@@ -141,12 +143,32 @@ def bfs_distances(g, source):
     return dist
 
 
-def ball(g, v, radius):
-    """Vertex set at graph distance <= radius from v."""
+def _all_vertices(g):
+    """Bit mask of every vertex of g."""
+    return (1 << g.n) - 1
+
+
+def _ball_in(g, v, radius, keep):
+    """Vertex set at distance <= radius from v in the subgraph of g induced
+    by the bit mask keep, which holds v."""
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    dist = bfs_distances(g, v)
-    return {u for u in range(g.n) if dist[u] <= radius}
+    seen = {v}
+    layer = [v]
+    for _ in range(radius):
+        nxt = []
+        for u in layer:
+            for w in g.adj[u]:
+                if w not in seen and keep >> w & 1:
+                    seen.add(w)
+                    nxt.append(w)
+        layer = nxt
+    return seen
+
+
+def ball(g, v, radius):
+    """Vertex set at graph distance <= radius from v."""
+    return _ball_in(g, v, radius, _all_vertices(g))
 
 
 def connected_components(g):
@@ -236,6 +258,19 @@ class SpinBoundary:
         return SpinBoundary(new, self.q)
 
 
+def _hardcore_keep(g, sigma):
+    """Bit mask of the vertices an occupancy boundary leaves free: the
+    boundary region is dropped, and so is every vertex adjacent (in g) to an
+    in-vertex, since those sites are blocked.  sigma must fit g."""
+    drop = 0
+    for u, s in sigma.assignment.items():
+        drop |= 1 << u
+        if s:
+            for w in g.adj[u]:
+                drop |= 1 << w
+    return _all_vertices(g) & ~drop
+
+
 def apply_hardcore_boundary(g, sigma):
     """Reduce a graph by an occupancy boundary.
 
@@ -245,10 +280,8 @@ def apply_hardcore_boundary(g, sigma):
     mapping.
     """
     sigma.validate(g)
-    drop = set(sigma.region)
-    for u in sigma.in_vertices():
-        drop.update(g.adj[u])
-    return induced_subgraph(g, (v for v in range(g.n) if v not in drop))
+    keep = _hardcore_keep(g, sigma)
+    return induced_subgraph(g, (v for v in range(g.n) if keep >> v & 1))
 
 
 def dist_to_disagreement(g, v, sigma, tau):

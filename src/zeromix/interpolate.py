@@ -24,14 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import ratio_series_division
+from .cluster import _ball_division
 from .errors import (
     BoundaryError,
     TruncationDepthError,
     ZeroRegionViolationError,
 )
 from .exact import IndPoly, _ratio_polys, _ratios
-from .graphs import _check_vertex, apply_hardcore_boundary
+from .graphs import _check_vertex, _hardcore_keep
 from .series import PowerSeries
 
 DEFAULT_MAX_DEPTH = 64
@@ -300,16 +300,15 @@ def approx_cond_prob(
     if v in sigma.region:
         raise BoundaryError(f"vertex {v} lies in the boundary region")
 
-    h, mapping = apply_hardcore_boundary(g, sigma)
-    if v not in mapping:
+    keep = _hardcore_keep(g, sigma)
+    if not keep >> v & 1:
         # v is adjacent to an occupied boundary vertex: exactly zero
         r = spec.r if spec is not None else 2.0
         return ApproxResult(0.0, 0.0, 0, 0.0, r)
-    vv = mapping[v]
 
     ladder, margin = (EPS_LADDER, LADDER_MARGIN) if spec is None else ((spec.eps,), 0.0)
-    spec, M, n = _strip_and_M(*_ratio_polys(h, vv), lam, eps_target, max_depth, ladder, margin)
-    p = ratio_series_division(h, vv, order=n - 1)
+    spec, M, n = _strip_and_M(*_ratio_polys(g, v, keep), lam, eps_target, max_depth, ladder, margin)
+    p = _ball_division(g, v, keep, n - 1, n - 1)
     scaled = PowerSeries(tuple(c * lam**k for k, c in enumerate(p.coeffs)))
     comp = scaled.compose(g_series(spec, n - 1))
     value = comp.partial_sum()

@@ -430,7 +430,7 @@ def bounded_ratio_check(
         ratio_cap=cap,
         max_abs_ratio=max_ratio,
         violations=tuple(violations),
-        max_identity_residual=max_residual,
+        max_identity_residual=float(max_residual),
         identity_points=checked,
     )
 

@@ -251,6 +251,15 @@ def test_division_ball_radius_override():
     assert np.allclose(a.coeffs, b.coeffs, atol=1e-12)
 
 
+def test_ratio_series_division_ball_of_large_grid():
+    # the order-8 ball of the 100x100 grid's centre is the whole 17x17 grid
+    # around its own centre, with other labels: the series reads the ball
+    # alone, in the order the large grid gives it
+    big = ratio_series_division(grid_graph(100, 100), 50 * 100 + 50, order=8)
+    small = ratio_series_division(grid_graph(17, 17), 8 * 17 + 8, order=8)
+    assert big.coeffs == small.coeffs
+
+
 def test_shearer_radius_values():
     assert shearer_radius(2) == 1 / 4
     assert shearer_radius(3) == 4 / 27

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -288,6 +289,21 @@ def test_bounded_ratio_check_in_box():
     assert rep.max_abs_ratio <= 2.0
     assert rep.max_identity_residual <= 1e-9
     assert rep.identity_points == 4
+
+
+def test_report_float_fields_are_python_floats():
+    g = path_graph(4)
+    sigma = SpinBoundary({3: 1}, q=2)
+    rng = np.random.default_rng(56)
+    A = box_matrix(rng, 2, 0.9 * delta_Delta(3).delta / ((1.5**3) * 1.5))
+    reports = (
+        bounded_ratio_check(g, 0, 0, sigma, A, eta=0.5, eps=0.5, samples=8, seed=3),
+        barvinok_zero_check(g, A, sigma=sigma, samples=2, seed=7),
+    )
+    for rep in reports:
+        for f in dataclasses.fields(rep):
+            if f.type is float:
+                assert type(getattr(rep, f.name)) is float, (type(rep).__name__, f.name)
 
 
 def test_bounded_ratio_check_validates_inputs():

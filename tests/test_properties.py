@@ -5,8 +5,11 @@ the frontier sweep of the homomorphism sums (per-edge matrices, vertex weights
 and pins against brute force; its z-polynomial against brute force and
 against a relabelled copy of the graph), the polymer series of the color
 ratio against division of those polynomials, PowerSeries arithmetic
-against exact integer and Fraction references, and the array route that
-samples the tail bound M against per-point scalar evaluation."""
+against exact integer and Fraction references, the array route that
+samples the tail bound M against per-point scalar evaluation, and the
+reduction of a graph by a hard-core boundary, which the sweep takes as a
+bit mask of kept vertices, against brute force and against the relabelled
+subgraph."""
 
 import cmath
 import math
@@ -18,10 +21,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zeromix import (
+    HardcoreBoundary,
     PowerSeries,
     SectorSpec,
     SpinBoundary,
     ZeroRegionViolationError,
+    apply_hardcore_boundary,
+    cond_prob_hardcore,
     cycle_graph,
     edge_matrix_Z,
     estimate_M,
@@ -31,12 +37,15 @@ from zeromix import (
     hom_ratio_series,
     hom_Z_poly,
     ind_poly,
+    induced_subgraph,
     multivariate_Z,
     path_graph,
 )
 from zeromix.exact import NEAR_ZERO_REL, _near_zero, _ratio_polys, _ratios
+from zeromix.graphs import _hardcore_keep
 from zeromix.interpolate import _sampled_M
 from helpers import (
+    brute_cond_prob,
     brute_edge_matrix_Z,
     brute_hom_Z,
     brute_ind_poly,
@@ -361,3 +370,57 @@ def test_estimate_M_on_the_sector_map_matches_each_point(family, n, lam, frac, s
     ws = [lam * h_point(spec, z) for z in circle]
     want = 1.5 * max(abs(eval_poly(num, w) / eval_poly(den, w)) for w in ws)
     assert abs(estimate_M(g, v, lam, spec, samples=samples) - want) <= 1e-12 * want
+
+
+@st.composite
+def pinned_graphs(draw, max_n=9):
+    """A graph with at least two vertices, a vertex v of it and an occupancy
+    boundary on other vertices whose in-set is independent."""
+    g = draw(graphs(max_n=max_n).filter(lambda g: g.n >= 2))
+    v = draw(st.integers(0, g.n - 1))
+    others = [u for u in range(g.n) if u != v]
+    region = draw(st.lists(st.sampled_from(others), unique=True, max_size=len(others)))
+    values = {}
+    for u in region:
+        # a neighbor already pinned in forces u out
+        free = all(values.get(w) != 1 for w in g.adj[u])
+        values[u] = draw(st.integers(0, 1)) if free else 0
+    return g, v, HardcoreBoundary(values)
+
+
+def _mask_bits(g, mask):
+    return [u for u in range(g.n) if mask >> u & 1]
+
+
+@PROPERTY
+@given(pinned_graphs(), st.floats(0.05, 4.0))
+def test_cond_prob_hardcore_matches_brute_force(case, lam):
+    g, v, sigma = case
+    assert abs(cond_prob_hardcore(g, v, sigma, lam) - brute_cond_prob(g, v, sigma, lam)) <= 1e-12
+
+
+@PROPERTY
+@given(pinned_graphs())
+def test_hardcore_boundary_keeps_the_free_vertices(case):
+    g, _, sigma = case
+    ins = sigma.in_vertices()
+    # a vertex stays unless it is pinned or next to an occupied pin
+    want = [u for u in range(g.n) if u not in sigma.region and not ins & set(g.adj[u])]
+    assert _mask_bits(g, _hardcore_keep(g, sigma)) == want
+    h, mapping = apply_hardcore_boundary(g, sigma)
+    assert sorted(mapping) == want
+    assert h.edges() == sorted((mapping[u], mapping[w]) for u, w in g.edges() if u in mapping and w in mapping)
+
+
+@PROPERTY
+@given(st.data())
+def test_ratio_polys_under_a_mask_match_the_subgraph(data):
+    g = data.draw(graphs(max_n=9).filter(lambda g: g.n >= 1))
+    v = data.draw(st.integers(0, g.n - 1))
+    keep = data.draw(st.integers(0, (1 << g.n) - 1)) | 1 << v
+    h, mapping = induced_subgraph(g, _mask_bits(g, keep))
+    vv = mapping[v]
+    rest, _ = induced_subgraph(h, [u for u in range(h.n) if u != vv and u not in h.adj[vv]])
+    got = _ratio_polys(g, v, keep)
+    assert got == _ratio_polys(h, vv)
+    assert got == ((0,) + brute_ind_poly(rest), brute_ind_poly(h))
