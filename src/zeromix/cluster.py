@@ -14,6 +14,12 @@ adjacent vertices are fully joined.
 The same terms, graded by sum m_u * size(u) in place of k, give the
 polymer series of polymers.hom_ratio_series: there the graph is the polymer
 graph and a polymer's size is its edge count.
+
+Three memos carry the work, all emptied by their cache_clear: each connected
+subset's terms are memoized on its labeled pattern (pattern bits, sizes,
+order); the canonical key of a pattern with multiplicities on its labeled
+(pattern bits, multiplicities); and phi on that canonical key, so the Ursell
+recursion runs once per isomorphism class of blowup.
 """
 
 import functools
@@ -104,10 +110,12 @@ def _ursell_from_masks(k, adj_masks):
 
 @functools.lru_cache(maxsize=1 << 16)
 def _ursell_blowup(k, pattern_bits, mults):
-    """phi of the blowup graph; memoized on the canonical labeled form.
+    """phi of the blowup graph.  _subset_terms passes the canonical key of
+    _canonical_key, so the memo holds one entry per isomorphism class of
+    (pattern, mults).
 
     pattern_bits packs the adjacency of the s distinct vertices (bit i*s+j),
-    mults is the multiplicity tuple in sorted-vertex order.
+    mults is the multiplicity tuple in the same vertex order.
     """
     s = len(mults)
     offs = [0] * s
@@ -129,6 +137,99 @@ def _ursell_blowup(k, pattern_bits, mults):
     return _ursell_from_masks(k, adj_masks)
 
 
+def _refine(adj, cells, width):
+    """Split the ordered cells of a vertex partition until it is equitable:
+    each cell splits by its vertices' neighbor counts in every cell (packed
+    `width` bits per cell), the parts in increasing order of those counts, so
+    the result does not depend on vertex labels."""
+    weight = [0] * len(adj)
+    while True:
+        for c, cell in enumerate(cells):
+            for u in cell:
+                weight[u] = 1 << width * c
+        out = []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            parts = {}
+            for u in cell:
+                parts.setdefault(sum(map(weight.__getitem__, adj[u])), []).append(u)
+            if len(parts) == 1:
+                out.append(cell)
+            else:
+                out.extend(parts[key] for key in sorted(parts))
+        if len(out) == len(cells):
+            return out
+        cells = out
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _canonical_key(bits, mults):
+    """The canonical (pattern bits, mults) of a pattern packed as in
+    _pattern_bits whose vertex u has multiplicity mults[u]: the least
+    relabeled bits over the leaves of individualization-refinement, and the
+    multiplicities in that leaf's order.
+
+    Refinement starts from the cells of equal multiplicity, by increasing
+    multiplicity, and individualizes in a smallest cell of more than one
+    vertex, so the leaves give the same set of relabeled bits for every
+    labeling.  Of twins in
+    that cell (neighbors alike apart from each other) only one is
+    individualized: swapping two twins is an automorphism that fixes the
+    partition, so their subtrees give the same leaves, and a clique or a
+    star costs one path down the tree rather than s! leaves.
+    """
+    s = len(mults)
+    row = (1 << s) - 1
+    nbr = [bits >> (u * s) & row for u in range(s)]
+    adj = [[w for w in range(s) if nbr[u] >> w & 1] for u in range(s)]
+    width = s.bit_length()
+    by_mult = {}
+    for u, m in enumerate(mults):
+        by_mult.setdefault(m, []).append(u)
+    best = best_order = None
+    stack = [_refine(adj, [by_mult[m] for m in sorted(by_mult)], width)]
+    while stack:
+        cells = stack.pop()
+        if len(cells) == s:
+            order = [cell[0] for cell in cells]
+            pos = [0] * s
+            for p, u in enumerate(order):
+                pos[u] = p
+            key = 0
+            for p, u in enumerate(order):
+                for w in adj[u]:
+                    key |= 1 << (p * s + pos[w])
+            if best is None or key < best:
+                best, best_order = key, order
+            continue
+        i = min((len(cell), i) for i, cell in enumerate(cells) if len(cell) > 1)[1]
+        reps = []
+        for u in cells[i]:
+            if all(nbr[u] & ~(1 << w) != nbr[w] & ~(1 << u) for w in reps):
+                reps.append(u)
+        for u in reps:
+            rest = [w for w in cells[i] if w != u]
+            stack.append(_refine(adj, cells[:i] + [[u], rest] + cells[i + 1 :], width))
+    return best, tuple(mults[u] for u in best_order)
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _subset_terms(bits, weights, order):
+    """The nonzero (mults, grade, phi, prod m!) of one connected subset with
+    packed pattern bits and vertex weights, for each composition of
+    _graded_compositions(weights, order) in its order, phi looked up under
+    the canonical key.
+    """
+    out = []
+    for m, k, grade, denom in _graded_compositions(weights, order):
+        phi = _ursell_blowup(k, *_canonical_key(bits, m))
+        if phi:
+            out.append((m, grade, phi, denom))
+    return tuple(out)
+
+
 @functools.lru_cache(maxsize=None)
 def _compositions(total, parts):
     """All tuples of `parts` positive ints summing to `total`."""
@@ -146,9 +247,10 @@ def _connected_sets(g, budget, sizes=None, containing=None, max_count=None):
     order, grown one neighbor at a time while their total size (sizes[u]
     each, 1 by default) stays within budget.
 
-    With `containing` (a collection of vertices) only the subsets meeting it
-    are grown, each from its least member there; otherwise each subset is
-    grown from its least vertex.  SizeLimitError past max_count subsets.
+    With `containing` (a collection of vertices of g) only the subsets
+    meeting it are grown, each from its least member there; otherwise each
+    subset is grown from its least vertex.  SizeLimitError past max_count
+    subsets.
     """
     if sizes is None:
         sizes = [1] * g.n
@@ -158,10 +260,14 @@ def _connected_sets(g, budget, sizes=None, containing=None, max_count=None):
     if containing is None:
         anchors = range(g.n)
     else:
-        anchors = sorted(set(containing)) if g.n else []
+        anchors = sorted(set(containing))
+        for u in anchors:
+            _check_vertex(g, u)
     barrier = frozenset(anchors)
     results = []
     for anchor in anchors:
+        if sizes[anchor] > budget:
+            continue
         seed = frozenset([anchor])
         visited = {seed}
         stack = [(seed, sizes[anchor])]
@@ -231,16 +337,20 @@ def _cluster_terms(g, order, sizes=None, containing=None):
         sizes = [1] * g.n
     nbr = _neighbor_masks(g)
     for subset in _connected_sets(g, order, sizes, containing):
-        bits = _pattern_bits(nbr, subset)
         weights = tuple(sizes[u] for u in subset)
-        for m, k, grade, denom in _graded_compositions(weights, order):
-            phi = _ursell_blowup(k, bits, m)
-            if phi:
-                yield subset, m, grade, phi, denom
+        for m, grade, phi, denom in _subset_terms(_pattern_bits(nbr, subset), weights, order):
+            yield subset, m, grade, phi, denom
+
+
+def _check_order(order):
+    """Raise ValueError unless order is a valid series order."""
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
 
 
 def logZ_series(g, order=DEFAULT_CLUSTER_ORDER):
     """Taylor series of log Z_g at 0, to the given order."""
+    _check_order(order)
     coeffs = [0j] * (order + 1)
     for _, _, k, phi, denom in _cluster_terms(g, order):
         coeffs[k] += phi / denom
@@ -252,6 +362,7 @@ def ratio_series_cluster(g, v, order=DEFAULT_CLUSTER_ORDER):
     expansion: the order-k coefficient sums phi(blowup) * m_v / prod m_i!
     over connected multisets through v of total multiplicity k."""
     _check_vertex(g, v)
+    _check_order(order)
     coeffs = [0j] * (order + 1)
     for subset, m, k, phi, denom in _cluster_terms(g, order, containing=(v,)):
         coeffs[k] += phi * m[subset.index(v)] / denom
@@ -266,6 +377,7 @@ def ratio_series_division(g, v, order=DEFAULT_CLUSTER_ORDER, ball_radius=None):
     ball_radius defaults to `order` (one more than needed at top order).
     """
     _check_vertex(g, v)
+    _check_order(order)
     radius = order if ball_radius is None else ball_radius
     return _ball_division(g, v, _all_vertices(g), radius, order)
 

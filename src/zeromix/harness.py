@@ -102,13 +102,17 @@ def ssm_scan(
         raise ValueError("graph_ids must match graphs")
     records = []
     skipped = 0
+    # distances from each drawn (graph, vertex), computed once per call
+    dists = {}
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
         k = t % len(graphs)
         g = graphs[k]
         v = int(rng.integers(g.n))
         d = int(rng.integers(1, max_distance + 1))
-        dist = bfs_distances(g, v)
+        dist = dists.get((k, v))
+        if dist is None:
+            dist = dists[k, v] = bfs_distances(g, v)
         sphere = [u for u in range(g.n) if dist[u] == d]
         if not sphere:
             skipped += 1

@@ -25,7 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .cluster import _cluster_terms, _connected_sets
+from .cluster import _check_order, _cluster_terms, _connected_sets
 from .errors import (
     BoundaryError,
     NearZeroDenominatorError,
@@ -192,6 +192,7 @@ def hom_ratio_series(
         raise BoundaryError(f"vertex {v} is pinned by the boundary")
     if not (0 <= i < q):
         raise ValueError(f"color {i} not in 0..{q - 1}")
+    _check_order(order)
 
     region = ball(g, v, order)
     polys = enumerate_polymers(g, max_edges=order, within=region)

@@ -430,6 +430,23 @@ def test_bad_family_params_is_usage_error(capsys, command, family, params):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["ratio-series", "--vertex", "1"],
+    ["ratio-series", "--vertex", "1", "--method", "division"],
+    ["hom-series", "--vertex", "0", "--color", "0"],
+])
+def test_negative_order_is_usage_error(files, capsys, command):
+    g = files("g.txt", P3)
+    m = files("m.json", "[[2, 1], [1, 1]]")
+    argv = command + ["--graph", g, "--order", "-1"]
+    if command[0] == "hom-series":
+        argv += ["--matrix", m]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: order must be >= 0, got -1\n"
+
+
 @pytest.mark.parametrize("eps_region", ["-1", "0"])
 def test_bad_eps_region_names_the_flag(files, capsys, eps_region):
     g = files("g.txt", P3)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -7,10 +8,12 @@ import pytest
 
 from zeromix import (
     PowerSeries,
+    SpinBoundary,
     connected_subsets,
     cycle_graph,
     from_edges,
     grid_graph,
+    hom_ratio_series,
     ind_poly,
     logZ_series,
     path_graph,
@@ -20,13 +23,20 @@ from zeromix import (
     ursell,
     weitz_lambda_c,
 )
-from zeromix.cluster import _pattern_bits, _ursell_blowup
+from zeromix.cluster import _canonical_key, _pattern_bits, _ursell_blowup, _ursell_from_masks
 from zeromix.exact import _neighbor_masks
 from helpers import brute_connected, random_graph
 
 
 def complete(k):
     return from_edges(k, list(itertools.combinations(range(k), 2)))
+
+
+def star(leaves):
+    return from_edges(leaves + 1, [(0, u) for u in range(1, leaves + 1)])
+
+
+K34_MATCHED = from_edges(7, [(u, w) for u in range(3) for w in range(3, 7)] + [(3, 6), (4, 5)])
 
 
 def seq_blowup_ursell(g, seq):
@@ -99,6 +109,83 @@ def test_ursell_blowup_with_multiplicities():
         assert _ursell_blowup(m, one, (m,)) == (-1) ** (m - 1) * math.factorial(m - 1)
 
 
+def test_canonical_key_separates_k33_from_prism():
+    # both are 3-regular on 6 vertices, so colour refinement alone cannot
+    # tell them apart
+    k33 = from_edges(6, [(u, w) for u in range(3) for w in range(3, 6)])
+    prism = from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)])
+    keys = []
+    for h, phi in ((k33, -31), (prism, -26)):
+        key = _canonical_key(_pattern_bits(_neighbor_masks(h), tuple(range(6))), (1,) * 6)
+        keys.append(key)
+        assert ursell(h) == phi
+        assert _ursell_blowup(6, *key) == phi
+    assert keys[0] != keys[1]
+
+
+@pytest.mark.parametrize(
+    "h, mults",
+    [
+        (complete(7), (2, 1, 1, 1, 3, 1, 1)),
+        (complete(8), (1,) * 8),
+        (complete(8), (1, 1, 2, 1, 1, 1, 1, 1)),
+        (star(7), (1, 2, 1, 1, 1, 2, 1, 1)),
+        (star(8), (1,) * 9),
+        (star(8), (2, 1, 1, 1, 1, 1, 1, 1, 1)),
+        # K_{3,4} with a perfect matching on the side of 4 is 4-regular, so
+        # refinement leaves one cell, which holds two orbits
+        (K34_MATCHED, (1,) * 7),
+        (K34_MATCHED, (1, 1, 2, 1, 2, 1, 1)),
+    ],
+)
+def test_canonical_key_of_symmetric_patterns(h, mults):
+    # every vertex of a clique, and every leaf of a star, is a twin of the
+    # others: the search must not try each of their orders, and must still
+    # try a vertex of each class of twins
+    k = sum(mults)
+    copies = [u for u in range(h.n) for _ in range(mults[u])]
+    masks = [
+        sum(
+            1 << b
+            for b in range(k)
+            if b != a and (copies[a] == copies[b] or h.has_edge(copies[a], copies[b]))
+        )
+        for a in range(k)
+    ]
+    every = tuple(range(h.n))
+    key = _canonical_key(_pattern_bits(_neighbor_masks(h), every), mults)
+    assert _ursell_blowup(k, *key) == _ursell_from_masks(k, masks)
+    if len(h.edges()) == h.n * (h.n - 1) // 2:
+        # the blowup of a clique is the clique K_k
+        assert _ursell_blowup(k, *key) == (-1) ** (k - 1) * math.factorial(k - 1)
+    rng = np.random.default_rng(37)
+    for _ in range(5):
+        perm = [int(u) for u in rng.permutation(h.n)]
+        moved = from_edges(h.n, [(perm[u], perm[w]) for u, w in h.edges()])
+        moved_mults = [0] * h.n
+        for u in range(h.n):
+            moved_mults[perm[u]] = mults[u]
+        assert _canonical_key(_pattern_bits(_neighbor_masks(moved), every), tuple(moved_mults)) == key
+
+
+def test_cluster_series_of_clique_and_star_at_order_9():
+    # the bound catches a canonical form that tries every order of twins
+    # (9! on K9); with one vertex per class of twins the five series take
+    # well under a second
+    start = time.perf_counter()
+    k9 = complete(9)
+    # the independent sets of K9 are the empty set and the singletons
+    want = [0] + [(-1) ** (j + 1) * 9**j / j for j in range(1, 10)]
+    assert np.allclose(logZ_series(k9, order=9).coeffs, want, rtol=1e-12, atol=0)
+    s8 = star(8)
+    z = PowerSeries.from_coeffs(ind_poly(s8).coeffs, order=9)
+    assert np.allclose(logZ_series(s8, order=9).exp().coeffs, z.coeffs, rtol=1e-12, atol=1e-9)
+    for g, v in ((k9, 4), (s8, 0), (s8, 5)):
+        got = ratio_series_cluster(g, v, order=9).coeffs
+        assert np.allclose(got, ratio_series_division(g, v, order=9).coeffs, rtol=1e-9, atol=1e-9)
+    assert time.perf_counter() - start < 10
+
+
 def test_connected_subsets_counts():
     p3 = path_graph(3)
     subs = connected_subsets(p3, 2)
@@ -129,6 +216,34 @@ def test_connected_subsets_containing():
         got = set(connected_subsets(g, 4, containing=v))
         want = {s for s in connected_subsets(g, 4) if v in s}
         assert got == want
+
+
+def test_connected_subsets_rejects_vertices_outside_the_graph():
+    p4 = path_graph(4)
+    for v in (-1, 4, 9):
+        with pytest.raises(ValueError, match=f"vertex {v} not in graph with n=4"):
+            connected_subsets(p4, 3, containing=v)
+
+
+@pytest.mark.parametrize("max_size", [0, -1])
+def test_connected_subsets_of_nonpositive_size_is_empty(max_size):
+    p4 = path_graph(4)
+    assert connected_subsets(p4, max_size) == []
+    assert connected_subsets(p4, max_size, containing=2) == []
+
+
+@pytest.mark.parametrize(
+    "series",
+    [
+        lambda g: logZ_series(g, order=-1),
+        lambda g: ratio_series_cluster(g, 0, order=-1),
+        lambda g: ratio_series_division(g, 0, order=-1),
+        lambda g: hom_ratio_series(g, 0, 0, SpinBoundary({}, q=2), [[2, 1], [1, 1]], order=-1),
+    ],
+)
+def test_negative_order_is_rejected(series):
+    with pytest.raises(ValueError, match=r"^order must be >= 0, got -1$"):
+        series(path_graph(3))
 
 
 def test_logZ_series_hand_values():

@@ -49,6 +49,8 @@ def test_enumerate_polymers_counts():
     assert len(enumerate_polymers(k3, max_edges=3)) == 7
     p4 = path_graph(4)
     assert len(enumerate_polymers(p4, max_edges=2)) == 5
+    # a polymer has at least one edge
+    assert enumerate_polymers(p4, max_edges=0) == []
 
 
 def test_enumerate_polymers_matches_brute():

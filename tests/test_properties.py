@@ -4,8 +4,10 @@ helpers.py: the hard-core frontier sweep over both of its coefficient rings
 the frontier sweep of the homomorphism sums (per-edge matrices, vertex weights
 and pins against brute force; its z-polynomial against brute force and
 against a relabelled copy of the graph), the polymer series of the color
-ratio against division of those polynomials, PowerSeries arithmetic
-against exact integer and Fraction references, the array route that
+ratio against division of those polynomials, the canonical key of the
+Ursell memo and the cluster series against a relabelled copy of the pattern
+or graph (and the key's Ursell value against the subset scan), PowerSeries
+arithmetic against exact integer and Fraction references, the array route that
 samples the tail bound M against per-point scalar evaluation, and the
 reduction of a graph by a hard-core boundary, which the sweep takes as a
 bit mask of kept vertices, against brute force and against the relabelled
@@ -38,10 +40,14 @@ from zeromix import (
     hom_Z_poly,
     ind_poly,
     induced_subgraph,
+    logZ_series,
     multivariate_Z,
     path_graph,
+    ratio_series_cluster,
+    ursell,
 )
-from zeromix.exact import NEAR_ZERO_REL, _near_zero, _ratio_polys, _ratios
+from zeromix.cluster import _canonical_key, _pattern_bits, _ursell_blowup
+from zeromix.exact import NEAR_ZERO_REL, _near_zero, _neighbor_masks, _ratio_polys, _ratios
 from zeromix.graphs import _hardcore_keep
 from zeromix.interpolate import _sampled_M
 from helpers import (
@@ -213,6 +219,55 @@ def test_hom_ratio_series_matches_division(data):
         hom_Z_poly(g, A, sigma=sigma.extended(v, i)), hom_Z_poly(g, A, sigma=sigma), order
     )
     assert np.allclose(hom_ratio_series(g, v, i, sigma, A, order=order).coeffs, want, rtol=0, atol=1e-9)
+
+
+def blowup(h, mults):
+    """m_u copies of each vertex u of h; two copies are joined when they
+    copy the same vertex or adjacent ones."""
+    copies = [u for u in range(h.n) for _ in range(mults[u])]
+    return from_edges(
+        len(copies),
+        [
+            (a, b)
+            for a in range(len(copies))
+            for b in range(a + 1, len(copies))
+            if copies[a] == copies[b] or h.has_edge(copies[a], copies[b])
+        ],
+    )
+
+
+@PROPERTY
+@given(st.data())
+def test_canonical_key_ignores_vertex_labels(data):
+    h = data.draw(graphs(max_n=6).filter(lambda h: h.n > 0))
+    mults = data.draw(st.lists(st.integers(1, 3), min_size=h.n, max_size=h.n))
+    big = blowup(h, mults)
+    assume(len(big.edges()) <= 20)
+    perm = data.draw(st.permutations(range(h.n)))
+    moved = relabel(h, perm)
+    moved_mults = [0] * h.n
+    for u in range(h.n):
+        moved_mults[perm[u]] = mults[u]
+    every = tuple(range(h.n))
+    key = _canonical_key(_pattern_bits(_neighbor_masks(h), every), tuple(mults))
+    assert _canonical_key(_pattern_bits(_neighbor_masks(moved), every), tuple(moved_mults)) == key
+    assert _ursell_blowup(sum(mults), *key) == ursell(big)
+
+
+@PROPERTY
+@given(st.data())
+def test_cluster_series_ignore_vertex_labels(data):
+    # the terms come in another order, so the sums may differ in the last bits
+    g = data.draw(graphs(max_n=7).filter(lambda g: g.n > 0))
+    perm = data.draw(st.permutations(range(g.n)))
+    v = data.draw(st.integers(0, g.n - 1))
+    order = data.draw(st.integers(0, 5))
+    h = relabel(g, perm)
+    for got, want in (
+        (logZ_series(h, order), logZ_series(g, order)),
+        (ratio_series_cluster(h, perm[v], order), ratio_series_cluster(g, v, order)),
+    ):
+        assert np.allclose(got.coeffs, want.coeffs, rtol=0, atol=1e-12)
 
 
 SMALL_INT = st.integers(-3, 3)
