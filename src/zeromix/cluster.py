@@ -23,10 +23,11 @@ recursion runs once per isomorphism class of blowup.
 """
 
 import functools
+import itertools
 import math
 
 from .errors import SizeLimitError
-from .graphs import _all_vertices, _ball_in, _check_vertex
+from .graphs import _all_vertices, _bfs, _check_vertex
 from .exact import _neighbor_masks, _ratio_polys
 from .series import PowerSeries, _long_division
 
@@ -230,18 +231,6 @@ def _subset_terms(bits, weights, order):
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
-def _compositions(total, parts):
-    """All tuples of `parts` positive ints summing to `total`."""
-    if parts == 1:
-        return ((total,),)
-    out = []
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
 def _connected_sets(g, budget, sizes=None, containing=None, max_count=None):
     """Connected induced vertex subsets of g, as sorted tuples in growth
     order, grown one neighbor at a time while their total size (sizes[u]
@@ -320,7 +309,9 @@ def _graded_compositions(weights, order):
     out = []
     # each copy beyond the first adds at least 1 to the grade
     for k in range(s, s + order - sum(weights) + 1):
-        for m in _compositions(k, s):
+        # the compositions of k into s parts from their cut points, in order
+        for cuts in itertools.combinations(range(1, k), s - 1):
+            m = tuple(b - a for a, b in zip((0,) + cuts, cuts + (k,)))
             grade = sum(mi * w for mi, w in zip(m, weights))
             if grade <= order:
                 out.append((m, k, grade, math.prod(map(math.factorial, m))))
@@ -361,7 +352,6 @@ def ratio_series_cluster(g, v, order=DEFAULT_CLUSTER_ORDER):
     """Taylor series at 0 of the occupation ratio of v, from the cluster
     expansion: the order-k coefficient sums phi(blowup) * m_v / prod m_i!
     over connected multisets through v of total multiplicity k."""
-    _check_vertex(g, v)
     _check_order(order)
     coeffs = [0j] * (order + 1)
     for subset, m, k, phi, denom in _cluster_terms(g, order, containing=(v,)):
@@ -376,7 +366,6 @@ def ratio_series_division(g, v, order=DEFAULT_CLUSTER_ORDER, ball_radius=None):
     The order-k coefficient only depends on the ball of radius k - 1, so
     ball_radius defaults to `order` (one more than needed at top order).
     """
-    _check_vertex(g, v)
     _check_order(order)
     radius = order if ball_radius is None else ball_radius
     return _ball_division(g, v, _all_vertices(g), radius, order)
@@ -385,7 +374,7 @@ def ratio_series_division(g, v, order=DEFAULT_CLUSTER_ORDER, ball_radius=None):
 def _ball_division(g, v, keep, radius, order):
     """The division series of v through `order` on the ball of the given
     radius around v in the subgraph of g induced by the bit mask keep."""
-    ball = sum(1 << u for u in _ball_in(g, v, radius, keep))
+    ball = sum(1 << u for u in _bfs(g, v, keep, radius))
     # long division, not num * (1 / den): the coefficients of 1 / den grow
     # like 1 / |nearest root|^k, and the product then cancels them
     return PowerSeries(_long_division(*_ratio_polys(g, v, ball), order))

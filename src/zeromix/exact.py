@@ -76,20 +76,16 @@ def _frontier_width(adj, order):
     return max(itertools.accumulate(delta))
 
 
-_NARROW = 3
-
-
 @functools.lru_cache(maxsize=256)
 def _sweep_order(adj):
     """Vertex order for the hard-core sweep.  Each component is walked
     breadth first from a least-degree vertex, taking neighbors in increasing
     degree (Cuthill-McKee), which keeps grids and lattices narrow.  Breadth
     first puts every neighbor of a hub on the frontier at once, so when its
-    widest frontier holds more than _NARROW vertices the component is also
-    walked depth first, which keeps trees and hubs narrow, and the narrower
-    walk is kept.  (A frontier of at most _NARROW vertices holds at most
-    2^_NARROW states; a second walk would cost more than it could save.)
-    Returns a tuple, cached per adjacency: one order serves every mask.
+    widest frontier holds more than one vertex the component is also walked
+    depth first, which keeps trees and hubs narrow, and the narrower walk is
+    kept.  Returns a tuple, cached per adjacency: one order serves every
+    mask.
     """
     deg = [len(a) for a in adj]
     nbrs = [sorted(a, key=deg.__getitem__) for a in adj]
@@ -105,9 +101,8 @@ def _sweep_order(adj):
                 if not seen[w]:
                     seen[w] = True
                     walk.append(w)
-        # a frontier of c vertices is never wider than c - 1
-        width = _frontier_width(adj, walk) if len(walk) > _NARROW + 1 else 0
-        if width > _NARROW:
+        width = _frontier_width(adj, walk)
+        if width > 1:
             dfs, todo = {}, [root]  # keys in depth-first placement order
             while todo:
                 v = todo.pop()
@@ -258,10 +253,10 @@ def ratio_R(g, v, lam):
     return _checked_ratio(eval_poly(num, lam), eval_poly(den, complex(lam)), lam)
 
 
-def cond_prob_hardcore(g, v, sigma, lam):
-    """Probability that v is occupied under the hard-core measure at
-    activity lam, conditioned on the boundary condition sigma: the
-    occupation ratio of the boundary-reduced graph."""
+def _hardcore_query(g, v, sigma, lam):
+    """The bit mask of the vertices sigma leaves free, or None when it
+    blocks v, after checking that lam is a positive real, sigma fits g and
+    v is a vertex of g outside sigma's region."""
     if not (isinstance(lam, (int, float)) and lam > 0):
         raise ValueError(f"activity must be a positive real, got {lam!r}")
     _check_vertex(g, v)
@@ -269,8 +264,15 @@ def cond_prob_hardcore(g, v, sigma, lam):
     if v in sigma.region:
         raise BoundaryError(f"vertex {v} lies in the boundary region")
     keep = _hardcore_keep(g, sigma)
-    if not keep >> v & 1:
-        # v is adjacent to an occupied boundary vertex
+    return keep if keep >> v & 1 else None
+
+
+def cond_prob_hardcore(g, v, sigma, lam):
+    """Probability that v is occupied under the hard-core measure at
+    activity lam, conditioned on the boundary condition sigma: the
+    occupation ratio of the boundary-reduced graph."""
+    keep = _hardcore_query(g, v, sigma, lam)
+    if keep is None:
         return 0.0
     num, den = _ratio_polys(g, v, keep)
     lam = complex(lam)
@@ -307,6 +309,20 @@ def _pins(sigma, q, g=None):
     if g is not None:
         sigma.validate(g)
     return dict(sigma.assignment)
+
+
+def _hom_query(g, v, i, sigma, A):
+    """A as a symbol matrix, after checking that sigma fits g and A, v is a
+    vertex of g outside sigma's region and i is a color of A."""
+    A = _as_matrix(A)
+    q = A.shape[0]
+    _pins(sigma, q, g)
+    _check_vertex(g, v)
+    if v in sigma.region:
+        raise BoundaryError(f"vertex {v} is pinned by the boundary")
+    if not 0 <= i < q:
+        raise ValueError(f"color {i} not in 0..{q - 1}")
+    return A
 
 
 def _as_xi(xi, n, q):
@@ -416,7 +432,7 @@ def hom_ratio(g, v, i, sigma, A, z, xi=None):
     At z = 1 and real nonnegative data this is the probability that v gets
     color i given sigma; at z = 0 it is exactly 1/q.
     """
-    A = _as_matrix(A)
+    A = _hom_query(g, v, i, sigma, A)
     q = A.shape[0]
     M = np.ones((q, q), dtype=complex) + z * (A - np.ones((q, q)))
     num = hom_Z(g, M, xi=xi, sigma=sigma.extended(v, i))

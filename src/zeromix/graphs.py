@@ -8,7 +8,6 @@ routines reduce a graph without relabeling: a bit mask of kept vertices
 """
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -129,71 +128,68 @@ def remove_vertices(g, drop):
     return induced_subgraph(g, (v for v in range(g.n) if v not in drop))
 
 
-def bfs_distances(g, source):
-    """Distances from source (list; unreachable vertices get math.inf)."""
-    dist = [math.inf] * g.n
-    dist[source] = 0
-    q = deque([source])
-    while q:
-        u = q.popleft()
-        for w in g.adj[u]:
-            if dist[w] is math.inf:
-                dist[w] = dist[u] + 1
-                q.append(w)
-    return dist
-
-
 def _all_vertices(g):
     """Bit mask of every vertex of g."""
     return (1 << g.n) - 1
 
 
-def _ball_in(g, v, radius, keep):
-    """Vertex set at distance <= radius from v in the subgraph of g induced
-    by the bit mask keep, which holds v."""
-    if radius < 0:
+def _bfs(g, source, keep, radius=None):
+    """Distances from source, in breadth-first order, to the vertices within
+    radius of it (every reachable one when None) in the subgraph of g
+    induced by the bit mask keep, which holds source."""
+    _check_vertex(g, source)
+    if radius is None:
+        radius = g.n
+    elif radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    seen = {v}
-    layer = [v]
-    for _ in range(radius):
-        nxt = []
-        for u in layer:
-            for w in g.adj[u]:
-                if w not in seen and keep >> w & 1:
-                    seen.add(w)
-                    nxt.append(w)
-        layer = nxt
-    return seen
+    dist = {source: 0}
+    queue = [source]
+    for u in queue:  # queue grows while it is read
+        d = dist[u] + 1
+        if d > radius:
+            break
+        for w in g.adj[u]:
+            if w not in dist and keep >> w & 1:
+                dist[w] = d
+                queue.append(w)
+    return dist
+
+
+def bfs_distances(g, source):
+    """Distances from source (list; unreachable vertices get math.inf)."""
+    dist = _bfs(g, source, _all_vertices(g))
+    return [dist.get(u, math.inf) for u in range(g.n)]
 
 
 def ball(g, v, radius):
     """Vertex set at graph distance <= radius from v."""
-    return _ball_in(g, v, radius, _all_vertices(g))
+    return set(_bfs(g, v, _all_vertices(g), radius))
 
 
 def connected_components(g):
     """List of vertex sets, one per connected component."""
-    seen = [False] * g.n
-    comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = {s}
-        seen[s] = True
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for w in g.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.add(w)
-                    q.append(w)
-        comps.append(comp)
+    comps, left = [], _all_vertices(g)
+    while left:  # each component is walked from its least vertex
+        comps.append(set(_bfs(g, (left & -left).bit_length() - 1, left)))
+        left &= ~sum(1 << u for u in comps[-1])
     return comps
 
 
+class _Boundary:
+    """The region and the range check that both kinds of boundary share."""
+
+    @property
+    def region(self):
+        return frozenset(self.assignment)
+
+    def validate(self, g):
+        for v in self.assignment:
+            if not (0 <= v < g.n):
+                raise BoundaryError(f"boundary vertex {v} not in graph with n={g.n}")
+
+
 @dataclass(frozen=True)
-class HardcoreBoundary:
+class HardcoreBoundary(_Boundary):
     """Occupancy boundary condition: a map from boundary vertices to {0, 1}.
 
     The in-set (preimage of 1) must be independent inside the boundary; that
@@ -208,17 +204,11 @@ class HardcoreBoundary:
             if s not in (0, 1):
                 raise BoundaryError(f"boundary value at vertex {v} must be 0 or 1, got {s!r}")
 
-    @property
-    def region(self):
-        return frozenset(self.assignment)
-
     def in_vertices(self):
         return {v for v, s in self.assignment.items() if s == 1}
 
     def validate(self, g):
-        for v in self.assignment:
-            if not (0 <= v < g.n):
-                raise BoundaryError(f"boundary vertex {v} not in graph with n={g.n}")
+        super().validate(g)
         ins = self.in_vertices()
         for u in ins:
             for w in g.adj[u]:
@@ -227,7 +217,7 @@ class HardcoreBoundary:
 
 
 @dataclass(frozen=True)
-class SpinBoundary:
+class SpinBoundary(_Boundary):
     """Color boundary condition: a map from boundary vertices to {0..q-1}."""
 
     assignment: dict
@@ -239,15 +229,6 @@ class SpinBoundary:
         for v, c in self.assignment.items():
             if not (0 <= c < self.q):
                 raise BoundaryError(f"color at vertex {v} must lie in 0..{self.q - 1}, got {c!r}")
-
-    @property
-    def region(self):
-        return frozenset(self.assignment)
-
-    def validate(self, g):
-        for v in self.assignment:
-            if not (0 <= v < g.n):
-                raise BoundaryError(f"boundary vertex {v} not in graph with n={g.n}")
 
     def extended(self, v, c):
         """New boundary also pinning vertex v to color c."""
@@ -289,11 +270,10 @@ def dist_to_disagreement(g, v, sigma, tau):
     boundary conditions differ; math.inf if they agree everywhere."""
     if sigma.region != tau.region:
         raise BoundaryError("boundary conditions have different regions")
-    diff = {u for u in sigma.assignment if sigma.assignment[u] != tau.assignment[u]}
-    if not diff:
-        return math.inf
-    dist = bfs_distances(g, v)
-    return min(dist[u] for u in diff)
+    sigma.validate(g)  # so the shared region lies in g
+    dist = _bfs(g, v, _all_vertices(g))
+    diff = (u for u in sigma.assignment if sigma.assignment[u] != tau.assignment[u])
+    return min((dist.get(u, math.inf) for u in diff), default=math.inf)
 
 
 def is_claw_free(g):

@@ -66,15 +66,18 @@ def _sample_boundary(rng, sphere, adj):
         if attempt and attempt % 50 == 0:
             p /= 2.0
         values = {u: int(rng.random() < p) for u in sphere}
-        ins = [u for u, s in values.items() if s == 1]
-        ok = True
-        for a in ins:
-            if any(b in values and values[b] == 1 for b in adj[a] if b != a):
-                ok = False
-                break
-        if ok:
+        if not any(values.get(b) == 1 for a, s in values.items() if s for b in adj[a]):
             return values
     return None
+
+
+def _graph_ids(graphs, graph_ids):
+    """graph_ids checked to match graphs in number, or g0, g1, ... when None."""
+    if graph_ids is None:
+        return [f"g{k}" for k in range(len(graphs))]
+    if len(graph_ids) != len(graphs):
+        raise ValueError("graph_ids must match graphs")
+    return graph_ids
 
 
 def ssm_scan(
@@ -96,10 +99,9 @@ def ssm_scan(
     disagreement distance is exactly d).  Returns (records, fit); fit is
     None when fewer than two distances have enough usable records.
     """
-    if graph_ids is None:
-        graph_ids = [f"g{k}" for k in range(len(graphs))]
-    if len(graph_ids) != len(graphs):
-        raise ValueError("graph_ids must match graphs")
+    graph_ids = _graph_ids(graphs, graph_ids)
+    if max_distance < 1:
+        raise ValueError(f"max_distance must be >= 1, got {max_distance}")
     records = []
     skipped = 0
     # distances from each drawn (graph, vertex), computed once per call
@@ -306,10 +308,7 @@ def ratio_bound_scan(graphs, activities, graph_ids=None):
     the ratio hitting 0 at lam != 0, the ratio hitting 1, or either
     denominator Z_g or Z_{g - v} vanishing.
     """
-    if graph_ids is None:
-        graph_ids = [f"g{k}" for k in range(len(graphs))]
-    if len(graph_ids) != len(graphs):
-        raise ValueError("graph_ids must match graphs")
+    graph_ids = _graph_ids(graphs, graph_ids)
     best = 0.0
     witness = None
     violations = []

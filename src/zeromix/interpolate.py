@@ -25,13 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cluster import _ball_division
-from .errors import (
-    BoundaryError,
-    TruncationDepthError,
-    ZeroRegionViolationError,
-)
-from .exact import IndPoly, _ratio_polys, _ratios
-from .graphs import _check_vertex, _hardcore_keep
+from .errors import TruncationDepthError, ZeroRegionViolationError
+from .exact import IndPoly, _hardcore_query, _ratio_polys, _ratios
 from .series import PowerSeries
 
 DEFAULT_MAX_DEPTH = 64
@@ -160,6 +155,12 @@ def _map_point(spec, z):
     raise TypeError(f"unsupported map spec {spec!r}")
 
 
+def _check_samples(samples):
+    """Raise ValueError unless samples is a positive count."""
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
+
+
 def _sampled_M(num, den, points):
     """1.5 times the largest |num(z) / den(z)| over the sampled points.
 
@@ -167,8 +168,7 @@ def _sampled_M(num, den, points):
     to working precision, and ValueError when there are no points.
     """
     points = np.asarray(points, dtype=complex)
-    if not points.size:
-        raise ValueError("need at least one sample, got 0")
+    _check_samples(points.size)
     mags = np.abs(_ratios(num, den, points))
     zero = np.isnan(mags)
     if zero.any():
@@ -189,6 +189,7 @@ def estimate_M(g, v, lam, spec, samples=DEFAULT_SAMPLES):
     Raises ZeroRegionViolationError if Z vanishes to working precision at a
     sampled point.
     """
+    _check_samples(samples)
     num, den = _ratio_polys(g, v)
     return _sampled_M(num, den, lam * _map_point(spec, _circle(spec.r, samples)))
 
@@ -200,17 +201,29 @@ def _zero_in_strip_disk(roots, spec, lam, margin):
     r = spec.r * (1.0 + margin)
     for rho in roots:
         rho = complex(rho)
+        w = rho / lam
+        # the strip map takes the slit plane onto exactly this strip; outside
+        # it the closed-form inverse wraps w onto a false preimage
+        if not -math.pi * spec.eps <= w.imag < math.pi * spec.eps:
+            continue
         try:
-            z = g_inverse(spec, rho / lam)
+            z = g_inverse(spec, w)
         except OverflowError:
             # exp(-w/eps) overflows only when the preimage is astronomically
             # far outside the disk
             continue
         if abs(z) <= r:
-            # guard against branch wrap of the closed-form inverse
-            if abs(lam * g_point(spec, z) - rho) <= 1e-9 * (1.0 + abs(rho)):
-                return rho
+            return rho
     return None
+
+
+def _check_target(eps_target, max_depth):
+    """Raise ValueError unless the error target is positive and the depth
+    cap at least 1."""
+    if not eps_target > 0:
+        raise ValueError(f"error target must be positive, got {eps_target}")
+    if max_depth < 1:
+        raise ValueError(f"max_depth must be >= 1, got {max_depth}")
 
 
 def _depth_for(M, r, eps_target):
@@ -232,6 +245,7 @@ def choose_strip_spec(g, v, lam, eps_target, max_depth=DEFAULT_MAX_DEPTH):
     """Pick a strip width whose disk clears the zeros of Z_g with margin and
     whose certified depth fits under max_depth.  Wider strips give faster
     rates, so EPS_LADDER is walked widest-first."""
+    _check_target(eps_target, max_depth)
     num, den = _ratio_polys(g, v)
     return _strip_and_M(num, den, lam, eps_target, max_depth, EPS_LADDER, LADDER_MARGIN)[0]
 
@@ -289,19 +303,11 @@ def approx_cond_prob(
     returns the partial sum at z = 1 with that bound.  A given spec is the
     one-rung ladder (spec.eps,) with no margin.
     """
-    if not (isinstance(lam, (int, float)) and lam > 0):
-        raise ValueError(f"activity must be a positive real, got {lam!r}")
-    if not eps_target > 0:
-        raise ValueError(f"error target must be positive, got {eps_target}")
+    keep = _hardcore_query(g, v, sigma, lam)
+    _check_target(eps_target, max_depth)
     if spec is not None and not isinstance(spec, StripSpec):
         raise TypeError("approx_cond_prob runs on the strip map; pass a StripSpec")
-    _check_vertex(g, v)
-    sigma.validate(g)
-    if v in sigma.region:
-        raise BoundaryError(f"vertex {v} lies in the boundary region")
-
-    keep = _hardcore_keep(g, sigma)
-    if not keep >> v & 1:
+    if keep is None:
         # v is adjacent to an occupied boundary vertex: exactly zero
         r = spec.r if spec is not None else 2.0
         return ApproxResult(0.0, 0.0, 0, 0.0, r)

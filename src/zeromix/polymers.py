@@ -27,7 +27,6 @@ import numpy as np
 
 from .cluster import _check_order, _cluster_terms, _connected_sets
 from .errors import (
-    BoundaryError,
     NearZeroDenominatorError,
     SizeLimitError,
     ZeroRegionViolationError,
@@ -35,6 +34,7 @@ from .errors import (
 from .exact import (
     _as_matrix,
     _as_xi,
+    _hom_query,
     _hom_sum,
     _near_zero,
     _pins,
@@ -45,8 +45,8 @@ from .exact import (
     hom_Z_poly,
     multivariate_Z,
 )
-from .graphs import Graph, _check_vertex, ball, dist_to_disagreement, from_edges
-from .interpolate import _circle, _sampled_M, gap_bound_hom
+from .graphs import Graph, ball, dist_to_disagreement, from_edges
+from .interpolate import _check_samples, _circle, _sampled_M, gap_bound_hom
 from .series import PowerSeries
 
 DEFAULT_POLYMER_EDGES = 8
@@ -184,14 +184,8 @@ def hom_ratio_series(
     weight product.  Every polymer involved lies within distance ell of v,
     so the coefficient only depends on that ball.
     """
-    A = _as_matrix(A)
+    A = _hom_query(g, v, i, sigma, A)
     q = A.shape[0]
-    _pins(sigma, q, g)
-    _check_vertex(g, v)
-    if v in sigma.region:
-        raise BoundaryError(f"vertex {v} is pinned by the boundary")
-    if not (0 <= i < q):
-        raise ValueError(f"color {i} not in 0..{q - 1}")
     _check_order(order)
 
     region = ball(g, v, order)
@@ -289,6 +283,8 @@ def barvinok_zero_check(g, A, sigma=None, samples=0, seed=0):
     With samples > 0, also draws per-edge matrices uniformly in the same box
     and exercises the edge-matrix sum; the hypothesis covers that case too.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     A = _as_matrix(A)
     delta, _, dev = _box(g, A)
     hypothesis_ok = dev <= delta + 1e-15
@@ -375,9 +371,10 @@ def bounded_ratio_check(
     """
     if eta <= 0 or eps <= 0:
         raise ValueError("eta and eps must be positive")
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
-    A = _as_matrix(A)
+    _check_samples(samples)
+    A = _hom_query(g, v, i, sigma, A)
+    if g.degree(v) == 0:
+        raise ValueError(f"identity check needs deg({v}) >= 1")
     q = A.shape[0]
     delta, deg, dev = _box(g, A)
     box_limit = delta / ((1.0 + eps) ** deg * (1.0 + eta))
@@ -394,7 +391,8 @@ def bounded_ratio_check(
     points = np.concatenate([_circle(radius, samples // 2), interior])
 
     cap = 1.0 / eps
-    max_ratio = 0.0
+    max_ratio = max_residual = 0.0
+    checked = 0
     violations = []
     ratios = _ratios(num_poly, den_poly, points)
     for z, ratio in zip(points.tolist(), ratios.tolist()):
@@ -404,24 +402,12 @@ def bounded_ratio_check(
         max_ratio = max(max_ratio, abs(ratio))
         if abs(ratio) > cap * (1.0 + 1e-12):
             violations.append((z, abs(ratio)))
-
-    if g.degree(v) == 0:
-        raise ValueError(f"identity check needs deg({v}) >= 1")
-    max_residual = 0.0
-    checked = 0
-    for z, ratio in zip(points.tolist(), ratios.tolist()):
-        if checked >= IDENTITY_POINTS:
-            break
-        if cmath.isnan(ratio) or abs(ratio) < 1e-9:
-            continue
-        xi = np.ones((g.n, q), dtype=complex)
-        xi[v, i] = 1.0 - 1.0 / ratio
-        mats = build_edge_matrices(g, A, z, xi)
-        residual = abs(edge_matrix_Z(g, mats, sigma=sigma))
-        den = eval_poly(den_poly, z)
-        rel = residual / (1.0 + abs(den))
-        max_residual = max(max_residual, rel)
-        checked += 1
+        if checked < IDENTITY_POINTS and abs(ratio) >= 1e-9:
+            xi = np.ones((g.n, q), dtype=complex)
+            xi[v, i] = 1.0 - 1.0 / ratio
+            residual = abs(edge_matrix_Z(g, build_edge_matrices(g, A, z, xi), sigma=sigma))
+            max_residual = max(max_residual, residual / (1.0 + abs(eval_poly(den_poly, z))))
+            checked += 1
 
     return BoundedRatioReport(
         delta=delta,
@@ -459,7 +445,9 @@ def hom_ssm_experiment(g, v, i, sigma, tau, A, eta, samples=64):
     """
     if not 0 < eta < 1:
         raise ValueError(f"need 0 < eta < 1, got {eta}")
-    A = _as_matrix(A)
+    _check_samples(samples)
+    A = _hom_query(g, v, i, sigma, A)
+    _hom_query(g, v, i, tau, A)
     delta, _, dev = _box(g, A)
     hypothesis_ok = dev <= (1.0 - eta) * delta + 1e-15
 

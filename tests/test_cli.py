@@ -447,6 +447,30 @@ def test_negative_order_is_usage_error(files, capsys, command):
     assert captured.err == "error: order must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["hom-check", "--mode", "zero", "--graph", "G", "--matrix", "M", "--samples", "-3"],
+         "samples must be >= 0, got -3"),
+        (["approx-prob", "--graph", "G", "--vertex", "2", "--boundary", "B", "--activity", "1.0",
+          "--eps-target", "1e-4", "--max-depth", "-5"], "max_depth must be >= 1, got -5"),
+        (["approx-prob", "--graph", "G", "--vertex", "2", "--boundary", "B", "--activity", "1.0",
+          "--eps-target", "1e-4", "--max-depth", "0"], "max_depth must be >= 1, got 0"),
+        (["ssm-scan", "--family", "path", "--params", '{"n": 5}', "--activity", "0.5",
+          "--max-distance", "0"], "max_distance must be >= 1, got 0"),
+    ],
+    ids=["hom-check --samples -3", "approx-prob --max-depth -5", "approx-prob --max-depth 0",
+         "ssm-scan --max-distance 0"],
+)
+def test_bad_count_is_usage_error_naming_it(files, capsys, argv, message):
+    paths = {"G": files("g.txt", P3), "B": files("b.txt", "0 1\n"),
+             "M": files("m.json", "[[1.05, 1], [1, 1.05]]")}
+    assert main([paths.get(a, a) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("eps_region", ["-1", "0"])
 def test_bad_eps_region_names_the_flag(files, capsys, eps_region):
     g = files("g.txt", P3)

@@ -16,12 +16,14 @@ from zeromix import (
     dist_to_disagreement,
     format_graph,
     from_edges,
+    grid_graph,
     induced_subgraph,
     is_claw_free,
     parse_graph,
     path_graph,
     remove_vertices,
 )
+from zeromix.graphs import _all_vertices, _bfs
 from helpers import random_graph
 
 
@@ -134,6 +136,33 @@ def test_connected_components():
     assert sorted(sorted(c) for c in comps) == [[0, 1], [2, 3, 4], [5]]
 
 
+SPIN_PAIR = (SpinBoundary({5: 0}, q=2), SpinBoundary({5: 1}, q=2))
+
+
+@pytest.mark.parametrize("source", [-1, 6])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, v: bfs_distances(g, v),
+        lambda g, v: ball(g, v, 1),
+        lambda g, v: dist_to_disagreement(g, v, *SPIN_PAIR),
+        lambda g, v: dist_to_disagreement(g, v, SPIN_PAIR[0], SPIN_PAIR[0]),
+        # connected_components takes no source: this is the walk it runs
+        lambda g, v: _bfs(g, v, _all_vertices(g)),
+    ],
+    ids=["bfs_distances", "ball", "dist_to_disagreement", "dist_to_agreement", "_bfs"],
+)
+def test_out_of_range_source_is_rejected(call, source):
+    # -1 read distances from vertex n - 1, and ball(g, -1, 1) held -1
+    with pytest.raises(ValueError, match=f"^vertex {source} not in graph with n=6$"):
+        call(grid_graph(2, 3), source)
+
+
+def test_bfs_rejects_a_negative_radius():
+    with pytest.raises(ValueError, match="^radius must be >= 0, got -1$"):
+        ball(path_graph(3), 0, -1)
+
+
 def test_hardcore_boundary_validation():
     g = path_graph(3)
     HardcoreBoundary({0: 1, 2: 1}).validate(g)
@@ -180,6 +209,12 @@ def test_dist_to_disagreement_star():
     s = HardcoreBoundary({1: 0, 2: 0})
     t = HardcoreBoundary({1: 1, 2: 0})
     assert dist_to_disagreement(g, 0, s, t) == 1
+
+
+def test_dist_to_disagreement_rejects_a_region_outside_the_graph():
+    g = path_graph(4)
+    with pytest.raises(BoundaryError, match="^boundary vertex 9 not in graph with n=4$"):
+        dist_to_disagreement(g, 0, HardcoreBoundary({9: 1}), HardcoreBoundary({9: 0}))
 
 
 def test_dist_to_disagreement_region_mismatch():

@@ -220,6 +220,22 @@ def test_ratio_bound_scan_checks_graph_ids():
         ratio_bound_scan([path_graph(3), path_graph(4)], [0.5], graph_ids=["a"])
 
 
+def test_scans_share_the_graph_ids_check():
+    graphs = [path_graph(3), path_graph(4)]
+    for scan in (
+        lambda ids: ssm_scan(graphs, 0.5, 4, 2, graph_ids=ids),
+        lambda ids: ratio_bound_scan(graphs, [0.5], graph_ids=ids),
+    ):
+        with pytest.raises(ValueError, match="^graph_ids must match graphs$"):
+            scan(["a"])
+
+
+@pytest.mark.parametrize("max_distance", [0, -2])
+def test_ssm_scan_names_a_bad_max_distance(max_distance):
+    with pytest.raises(ValueError, match=f"^max_distance must be >= 1, got {max_distance}$"):
+        ssm_scan([path_graph(5)], 0.5, 4, max_distance)
+
+
 def test_scans_apply_no_vertex_cap():
     # graphs of 49 and 45 vertices: no scan applies a vertex cap
     records, fit = ssm_scan([grid_graph(7, 7)], 0.5, 50, 3, seed=1)

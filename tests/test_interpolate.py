@@ -203,6 +203,20 @@ def test_estimate_M_shearer_disk_bound():
 def test_estimate_M_rejects_zero_samples():
     with pytest.raises(ValueError):
         estimate_M(path_graph(3), 0, 0.1, StripSpec(0.5), samples=0)
+    # the message reports the count passed, not the points it makes
+    with pytest.raises(ValueError, match="^need at least one sample, got -1$"):
+        estimate_M(path_graph(3), 0, 0.1, StripSpec(0.5), samples=-1)
+
+
+@pytest.mark.parametrize("max_depth", [0, -5])
+def test_nonpositive_max_depth_is_rejected(max_depth):
+    # a blocked vertex needs no depth, but its query is checked all the same
+    message = f"^max_depth must be >= 1, got {max_depth}$"
+    for v, sigma in ((0, HardcoreBoundary({})), (1, HardcoreBoundary({0: 1}))):
+        with pytest.raises(ValueError, match=message):
+            approx_cond_prob(path_graph(3), v, sigma, 0.5, 1e-3, max_depth=max_depth)
+    with pytest.raises(ValueError, match=message):
+        choose_strip_spec(path_graph(3), 0, 0.5, 1e-3, max_depth=max_depth)
 
 
 def test_sampled_M_bounds_the_points_and_stops_at_a_zero():

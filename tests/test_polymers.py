@@ -24,6 +24,7 @@ from zeromix import (
     hom_ratio_series,
     hom_ssm_experiment,
     hom_Z_via_polymers,
+    hom_ratio,
     path_graph,
     polymer_graph,
     polymer_weight,
@@ -328,6 +329,57 @@ def test_sampled_checks_reject_zero_samples():
         hom_ssm_experiment(g, 0, 0, sigma, tau, A, 0.5, samples=0)
     with pytest.raises(ValueError, match="need at least one sample, got 0"):
         bounded_ratio_check(g, 0, 0, sigma, A, eta=0.5, eps=0.5, samples=0)
+    # a negative count is reported as passed; barvinok_zero_check allows 0
+    with pytest.raises(ValueError, match="^need at least one sample, got -1$"):
+        hom_ssm_experiment(g, 0, 0, sigma, tau, A, 0.5, samples=-1)
+    with pytest.raises(ValueError, match="^need at least one sample, got -1$"):
+        bounded_ratio_check(g, 0, 0, sigma, A, eta=0.5, eps=0.5, samples=-1)
+    with pytest.raises(ValueError, match="^samples must be >= 0, got -3$"):
+        barvinok_zero_check(g, A, sigma=sigma, samples=-3)
+
+
+HOM_ENTRY_POINTS = {
+    "hom_ratio": lambda g, v, i, sigma, tau, A: hom_ratio(g, v, i, sigma, A, 0.5),
+    "hom_ratio_series": lambda g, v, i, sigma, tau, A: hom_ratio_series(g, v, i, sigma, A, order=2),
+    "bounded_ratio_check": lambda g, v, i, sigma, tau, A: bounded_ratio_check(
+        g, v, i, sigma, A, eta=0.5, eps=0.5, samples=8
+    ),
+    "hom_ssm_experiment": lambda g, v, i, sigma, tau, A: hom_ssm_experiment(
+        g, v, i, sigma, tau, A, 0.5, samples=8
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "v,i,error,message",
+    [
+        (-1, 0, ValueError, "vertex -1 not in graph with n=4"),
+        (4, 0, ValueError, "vertex 4 not in graph with n=4"),
+        (0, 2, ValueError, "color 2 not in 0..1"),
+        (3, 0, BoundaryError, "vertex 3 is pinned by the boundary"),
+    ],
+    ids=["vertex -1", "vertex n", "color q", "pinned vertex"],
+)
+@pytest.mark.parametrize("entry", sorted(HOM_ENTRY_POINTS))
+def test_bad_hom_query_gets_one_error_from_every_entry_point(entry, v, i, error, message):
+    g = path_graph(4)
+    sigma, tau = SpinBoundary({3: 0}, q=2), SpinBoundary({3: 1}, q=2)
+    with pytest.raises(error) as e:
+        HOM_ENTRY_POINTS[entry](g, v, i, sigma, tau, [[1.005, 1], [1, 1.005]])
+    assert type(e.value) is error
+    assert str(e.value) == message
+
+
+def test_bounded_ratio_check_rejects_an_isolated_vertex_before_sampling(monkeypatch):
+    from zeromix import polymers
+
+    def no_sums(*args, **kwargs):
+        raise AssertionError("sampled before the inputs were checked")
+
+    monkeypatch.setattr(polymers, "hom_Z_poly", no_sums)
+    lonely = from_edges(2, [])
+    with pytest.raises(ValueError, match=r"^identity check needs deg\(0\) >= 1$"):
+        bounded_ratio_check(lonely, 0, 0, SpinBoundary({}, q=2), np.ones((2, 2)), eta=0.5, eps=0.5)
 
 
 def test_hom_ssm_experiment_path():

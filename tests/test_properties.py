@@ -11,12 +11,14 @@ arithmetic against exact integer and Fraction references, the array route that
 samples the tail bound M against per-point scalar evaluation, and the
 reduction of a graph by a hard-core boundary, which the sweep takes as a
 bit mask of kept vertices, against brute force and against the relabelled
-subgraph."""
+subgraph, and the masked, radius-limited breadth-first search and the
+components built on it against networkx."""
 
 import cmath
 import math
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -30,6 +32,7 @@ from zeromix import (
     ZeroRegionViolationError,
     apply_hardcore_boundary,
     cond_prob_hardcore,
+    connected_components,
     cycle_graph,
     edge_matrix_Z,
     estimate_M,
@@ -48,7 +51,7 @@ from zeromix import (
 )
 from zeromix.cluster import _canonical_key, _pattern_bits, _ursell_blowup
 from zeromix.exact import NEAR_ZERO_REL, _near_zero, _neighbor_masks, _ratio_polys, _ratios
-from zeromix.graphs import _hardcore_keep
+from zeromix.graphs import _bfs, _hardcore_keep
 from zeromix.interpolate import _sampled_M
 from helpers import (
     brute_cond_prob,
@@ -479,3 +482,26 @@ def test_ratio_polys_under_a_mask_match_the_subgraph(data):
     got = _ratio_polys(g, v, keep)
     assert got == _ratio_polys(h, vv)
     assert got == ((0,) + brute_ind_poly(rest), brute_ind_poly(h))
+
+
+@PROPERTY
+@given(st.data())
+def test_masked_bfs_matches_networkx_on_the_induced_subgraph(data):
+    g = data.draw(graphs(max_n=12))
+    assume(g.n > 0)
+    kept = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+    source = data.draw(st.integers(0, g.n - 1))
+    kept[source] = True
+    radius = data.draw(st.none() | st.integers(0, g.n))
+    h = nx.Graph()
+    h.add_nodes_from(u for u in range(g.n) if kept[u])
+    h.add_edges_from((u, w) for u, w in g.edges() if kept[u] and kept[w])
+    keep = sum(1 << u for u in range(g.n) if kept[u])
+    got = _bfs(g, source, keep, radius)
+    assert got == nx.single_source_shortest_path_length(h, source, cutoff=radius)
+    # breadth first: the distances come in increasing order
+    assert list(got.values()) == sorted(got.values())
+    whole = nx.Graph(g.edges())
+    whole.add_nodes_from(range(g.n))
+    want = sorted(map(sorted, nx.connected_components(whole)))
+    assert sorted(map(sorted, connected_components(g))) == want
