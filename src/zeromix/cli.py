@@ -27,7 +27,7 @@ from .errors import (
     ZeromixError,
     ZeroRegionViolationError,
 )
-from .exact import eval_Z, hom_ratio
+from .exact import _check_activity, eval_Z, hom_ratio
 from .families import FAMILY_KINDS, generate_family
 from .graphs import HardcoreBoundary, SpinBoundary, parse_graph
 from .harness import clawfree_root_check, ratio_bound_scan, ssm_scan, zero_scan
@@ -174,8 +174,7 @@ def _ratio_series(args, g):
 
 
 def _approx_prob(args, g, sigma):
-    if not args.activity > 0:
-        raise ValueError(f"activity must be a positive real, got {args.activity!r}")
+    _check_activity(args.activity)
     spec = None
     if args.eps_region is not None:
         if not args.eps_region > 0:

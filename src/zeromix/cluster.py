@@ -27,7 +27,7 @@ import itertools
 import math
 
 from .errors import SizeLimitError
-from .graphs import _all_vertices, _bfs, _check_vertex
+from .graphs import _all_vertices, _ball_mask, _check_vertex
 from .exact import _neighbor_masks, _ratio_polys
 from .series import PowerSeries, _long_division
 
@@ -374,7 +374,7 @@ def ratio_series_division(g, v, order=DEFAULT_CLUSTER_ORDER, ball_radius=None):
 def _ball_division(g, v, keep, radius, order):
     """The division series of v through `order` on the ball of the given
     radius around v in the subgraph of g induced by the bit mask keep."""
-    ball = sum(1 << u for u in _bfs(g, v, keep, radius))
+    ball = _ball_mask(g, v, keep, radius)
     # long division, not num * (1 / den): the coefficients of 1 / den grow
     # like 1 / |nearest root|^k, and the product then cancels them
     return PowerSeries(_long_division(*_ratio_polys(g, v, ball), order))

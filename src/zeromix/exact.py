@@ -5,11 +5,14 @@ frontier sweep whose states are the independent subsets of the frontier:
 it costs n times their number on the widest frontier.  The sweep runs on a
 graph under a bit mask of kept vertices, so a boundary condition, the
 closed neighborhood a ratio removes and a ball are masks on the graph
-given, and no reduced graph is built.  Each graph gets one vertex order,
-cached, and a mask only filters it: each component is swept breadth first,
-or depth first where that makes the widest frontier narrower.  Homomorphism
-sums come from a frontier sweep along the vertex labels, which costs
-n q^(w+1) coefficient operations for frontier width w.  Integer
+given, and no reduced graph is built.  Z factors over connected
+components, so a boundary query is cut to v's component: the other
+components' factors cancel from the occupation ratio, and the sweep never
+visits them.  Each graph gets one vertex order, cached, and a mask only
+filters it: each component is swept breadth first, or depth first where
+that makes the widest frontier narrower.  Homomorphism sums come from a
+frontier sweep along the vertex labels, which costs n q^(w+1) coefficient
+operations for frontier width w.  Integer
 coefficients are exact (Python ints); complex evaluations are plain
 double-precision arithmetic.  Neither applies a size cap: both are
 exponential in the frontier width, and the caller decides what it can
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryError, NearZeroDenominatorError
-from .graphs import _all_vertices, _check_vertex, _hardcore_keep
+from .graphs import _all_vertices, _ball_mask, _check_vertex, _hardcore_keep
 
 NEAR_ZERO_REL = 1e-12
 
@@ -253,24 +256,31 @@ def ratio_R(g, v, lam):
     return _checked_ratio(eval_poly(num, lam), eval_poly(den, complex(lam)), lam)
 
 
-def _hardcore_query(g, v, sigma, lam):
-    """The bit mask of the vertices sigma leaves free, or None when it
-    blocks v, after checking that lam is a positive real, sigma fits g and
-    v is a vertex of g outside sigma's region."""
+def _check_activity(lam):
+    """Raise ValueError unless lam is a positive real."""
     if not (isinstance(lam, (int, float)) and lam > 0):
         raise ValueError(f"activity must be a positive real, got {lam!r}")
+
+
+def _hardcore_query(g, v, sigma, lam):
+    """The bit mask of the vertices sigma leaves free, cut to v's component
+    among them, or None when sigma blocks v, after checking that lam is a
+    positive real, sigma fits g and v is a vertex of g outside sigma's
+    region.  The occupation ratio of v on that component equals the one on
+    every free vertex: the other components' factors of Z cancel."""
+    _check_activity(lam)
     _check_vertex(g, v)
     sigma.validate(g)
     if v in sigma.region:
         raise BoundaryError(f"vertex {v} lies in the boundary region")
     keep = _hardcore_keep(g, sigma)
-    return keep if keep >> v & 1 else None
+    return _ball_mask(g, v, keep) if keep >> v & 1 else None
 
 
 def cond_prob_hardcore(g, v, sigma, lam):
     """Probability that v is occupied under the hard-core measure at
     activity lam, conditioned on the boundary condition sigma: the
-    occupation ratio of the boundary-reduced graph."""
+    occupation ratio of the boundary-reduced graph, cut to v's component."""
     keep = _hardcore_query(g, v, sigma, lam)
     if keep is None:
         return 0.0

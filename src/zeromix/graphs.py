@@ -155,6 +155,13 @@ def _bfs(g, source, keep, radius=None):
     return dist
 
 
+def _ball_mask(g, v, keep, radius=None):
+    """Bit mask of the vertices within radius of v (all of v's connected
+    component when None) in the subgraph of g induced by the bit mask keep,
+    which holds v."""
+    return sum(1 << u for u in _bfs(g, v, keep, radius))
+
+
 def bfs_distances(g, source):
     """Distances from source (list; unreachable vertices get math.inf)."""
     dist = _bfs(g, source, _all_vertices(g))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolationError, NearZeroDenominatorError
-from .exact import cond_prob_hardcore, ind_poly, ratio_P, ratio_R
+from .exact import _check_activity, cond_prob_hardcore, ind_poly, ratio_P, ratio_R
 from .graphs import HardcoreBoundary, bfs_distances, is_claw_free
 
 
@@ -102,6 +102,9 @@ def ssm_scan(
     graph_ids = _graph_ids(graphs, graph_ids)
     if max_distance < 1:
         raise ValueError(f"max_distance must be >= 1, got {max_distance}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_activity(lam)
     records = []
     skipped = 0
     # distances from each drawn (graph, vertex), computed once per call

@@ -27,6 +27,7 @@ import numpy as np
 from .cluster import _ball_division
 from .errors import TruncationDepthError, ZeroRegionViolationError
 from .exact import IndPoly, _hardcore_query, _ratio_polys, _ratios
+from .graphs import _all_vertices, _ball_mask
 from .series import PowerSeries
 
 DEFAULT_MAX_DEPTH = 64
@@ -182,15 +183,21 @@ def _circle(r, samples):
     return r * np.exp(2j * np.pi * np.arange(samples) / samples)
 
 
+def _component_polys(g, v):
+    """The ratio polynomials of v cut to its connected component of g, as
+    approx_cond_prob takes them under an empty boundary."""
+    return _ratio_polys(g, v, _ball_mask(g, v, _all_vertices(g)))
+
+
 def estimate_M(g, v, lam, spec, samples=DEFAULT_SAMPLES):
     """Empirical bound on |P_{g,v}(lam * map(z))| over |z| = r.
 
     Samples the circle uniformly and returns 1.5x the observed maximum.
-    Raises ZeroRegionViolationError if Z vanishes to working precision at a
-    sampled point.
+    Raises ZeroRegionViolationError if Z of v's component vanishes to
+    working precision at a sampled point.
     """
     _check_samples(samples)
-    num, den = _ratio_polys(g, v)
+    num, den = _component_polys(g, v)
     return _sampled_M(num, den, lam * _map_point(spec, _circle(spec.r, samples)))
 
 
@@ -242,11 +249,11 @@ LADDER_MARGIN = 0.05
 
 
 def choose_strip_spec(g, v, lam, eps_target, max_depth=DEFAULT_MAX_DEPTH):
-    """Pick a strip width whose disk clears the zeros of Z_g with margin and
-    whose certified depth fits under max_depth.  Wider strips give faster
-    rates, so EPS_LADDER is walked widest-first."""
+    """Pick a strip width whose disk clears the zeros of Z on v's component
+    with margin and whose certified depth fits under max_depth.  Wider
+    strips give faster rates, so EPS_LADDER is walked widest-first."""
     _check_target(eps_target, max_depth)
-    num, den = _ratio_polys(g, v)
+    num, den = _component_polys(g, v)
     return _strip_and_M(num, den, lam, eps_target, max_depth, EPS_LADDER, LADDER_MARGIN)[0]
 
 
@@ -296,8 +303,9 @@ def approx_cond_prob(
 ):
     """Conditional occupation probability with a certified error bound.
 
-    Reduces by the boundary, verifies the scaled strip image is zero-free
-    (exactly, by pulling the zeros of Z back through the map), bounds
+    Reduces by the boundary and cuts to v's component, verifies the scaled
+    strip image is zero-free (exactly, by pulling the zeros of that
+    component's Z back through the map), bounds
     P(lam * g(z)) on |z| = r by sampling, truncates the composed Taylor
     series at the smallest depth whose tail bound meets eps_target, and
     returns the partial sum at z = 1 with that bound.  A given spec is the

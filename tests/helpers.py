@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 
-from zeromix import from_edges
+from zeromix import HardcoreBoundary, from_edges, grid_graph
 
 
 def random_graph(rng, n, p=0.4, max_degree=None):
@@ -26,6 +26,19 @@ def random_graph(rng, n, p=0.4, max_degree=None):
                 deg[u] += 1
                 deg[w] += 1
     return from_edges(n, edges)
+
+
+def disjoint_union(g, h):
+    """g and h side by side: h's vertices follow g's."""
+    return from_edges(g.n + h.n, g.edges() + [(u + g.n, w + g.n) for u, w in h.edges()])
+
+
+def pinned_grid_centre(side, d):
+    """The side x side grid, its centre vertex and the boundary that pins
+    every vertex at grid distance d from the centre empty."""
+    c = side // 2
+    sphere = {i * side + j: 0 for i in range(side) for j in range(side) if abs(i - c) + abs(j - c) == d}
+    return grid_graph(side, side), c * side + c, HardcoreBoundary(sphere)
 
 
 def brute_independent_sets(g):

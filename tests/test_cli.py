@@ -458,9 +458,13 @@ def test_negative_order_is_usage_error(files, capsys, command):
           "--eps-target", "1e-4", "--max-depth", "0"], "max_depth must be >= 1, got 0"),
         (["ssm-scan", "--family", "path", "--params", '{"n": 5}', "--activity", "0.5",
           "--max-distance", "0"], "max_distance must be >= 1, got 0"),
+        (["ssm-scan", "--family", "path", "--params", '{"n": 5}', "--activity", "-1",
+          "--trials", "-5", "--output", "json"], "trials must be >= 1, got -5"),
+        (["ssm-scan", "--family", "path", "--params", '{"n": 5}', "--activity", "0.5",
+          "--trials", "0"], "trials must be >= 1, got 0"),
     ],
     ids=["hom-check --samples -3", "approx-prob --max-depth -5", "approx-prob --max-depth 0",
-         "ssm-scan --max-distance 0"],
+         "ssm-scan --max-distance 0", "ssm-scan --trials -5", "ssm-scan --trials 0"],
 )
 def test_bad_count_is_usage_error_naming_it(files, capsys, argv, message):
     paths = {"G": files("g.txt", P3), "B": files("b.txt", "0 1\n"),
@@ -489,6 +493,16 @@ def test_nonpositive_activity_is_usage_error(files, capsys, activity):
     b = files("b.txt", "0 1\n")
     argv = ["approx-prob", "--graph", g, "--vertex", "2", "--boundary", b, "--activity", activity,
             "--eps-target", "1e-4", "--eps-region", "1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: activity must be a positive real, got {float(activity)}\n"
+
+
+@pytest.mark.parametrize("activity", ["0", "-1"])
+def test_ssm_scan_nonpositive_activity_is_usage_error(capsys, activity):
+    argv = ["ssm-scan", "--family", "path", "--params", '{"n": 5}', "--activity", activity,
+            "--output", "json"]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -36,8 +37,10 @@ from helpers import (
     brute_ind_poly,
     brute_multivariate_Z,
     brute_Z,
+    disjoint_union,
     grid_transfer_hom_Z,
     grid_transfer_ind_poly,
+    pinned_grid_centre,
     random_graph,
     tree_ind_poly,
 )
@@ -218,6 +221,21 @@ def test_cond_prob_methods_agree():
         a = cond_prob_hardcore(g, v, sigma, lam)
         b = brute_cond_prob(g, v, sigma, lam)
         assert abs(a - b) <= 1e-12
+
+
+def test_cond_prob_ignores_other_components():
+    sigma = HardcoreBoundary({})
+    union = disjoint_union(path_graph(3), grid_graph(3, 3))
+    assert repr(cond_prob_hardcore(union, 1, sigma, 0.5)) == repr(cond_prob_hardcore(path_graph(3), 1, sigma, 0.5))
+
+
+def test_cond_prob_sweeps_only_inside_a_pinned_sphere():
+    # pinning the distance-3 sphere cuts the ball of radius 2 off the grid
+    want = cond_prob_hardcore(*pinned_grid_centre(8, 3), 1.0)
+    start = time.perf_counter()
+    got = cond_prob_hardcore(*pinned_grid_centre(100, 3), 1.0)
+    assert time.perf_counter() - start < 2.0
+    assert repr(got) == repr(want)
 
 
 def test_cond_prob_rejects_bad_activity():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -234,6 +235,19 @@ def test_scans_share_the_graph_ids_check():
 def test_ssm_scan_names_a_bad_max_distance(max_distance):
     with pytest.raises(ValueError, match=f"^max_distance must be >= 1, got {max_distance}$"):
         ssm_scan([path_graph(5)], 0.5, 4, max_distance)
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_ssm_scan_names_a_bad_trial_count(trials):
+    with pytest.raises(ValueError, match=f"^trials must be >= 1, got {trials}$"):
+        ssm_scan([path_graph(5)], 0.5, trials, 2)
+
+
+@pytest.mark.parametrize("lam", [0, -1.0, 0.5j])
+def test_ssm_scan_rejects_a_bad_activity_up_front(lam):
+    # before any trial runs, so a scan that draws no query still refuses it
+    with pytest.raises(ValueError, match=f"^activity must be a positive real, got {re.escape(repr(lam))}$"):
+        ssm_scan([K1], lam, 4, 2)
 
 
 def test_scans_apply_no_vertex_cap():

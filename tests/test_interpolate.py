@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from zeromix import (
     tail_bound,
 )
 from zeromix.interpolate import EPS_LADDER, _sampled_M
+from helpers import disjoint_union, pinned_grid_centre
 
 
 def seg_dist(w):
@@ -236,8 +238,8 @@ def test_sampled_M_bounds_the_points_and_stops_at_a_zero():
 @pytest.mark.parametrize(
     "g,lam",
     [(path_graph(5), 0.1), (path_graph(5), 0.5), (cycle_graph(6), 0.1), (cycle_graph(6), 0.5),
-     (grid_graph(3, 3), 0.1)],
-    ids=["P5-0.1", "P5-0.5", "C6-0.1", "C6-0.5", "grid3x3-0.1"],
+     (grid_graph(3, 3), 0.1), (disjoint_union(grid_graph(3, 3), path_graph(11)), 0.5)],
+    ids=["P5-0.1", "P5-0.5", "C6-0.1", "C6-0.5", "grid3x3-0.1", "grid3x3+P11-0.5"],
 )
 def test_given_strip_matches_the_ladder(g, lam):
     v, sigma = g.n // 2, HardcoreBoundary({})
@@ -252,6 +254,23 @@ def test_no_strip_certifies_the_3x3_grid_at_half_within_default_depth():
     with pytest.raises(TruncationDepthError) as e:
         approx_cond_prob(grid_graph(3, 3), 4, HardcoreBoundary({}), 0.5, 1e-4)
     assert e.value.required > e.value.cap == 64
+
+
+def test_approx_cond_prob_ignores_other_components():
+    # the grid's zero at -0.196 blocks every wide strip; v's component has none
+    sigma = HardcoreBoundary({})
+    union = disjoint_union(path_graph(3), grid_graph(3, 3))
+    want = approx_cond_prob(path_graph(3), 1, sigma, 0.5, 1e-4)
+    assert repr(approx_cond_prob(union, 1, sigma, 0.5, 1e-4)) == repr(want)
+    assert choose_strip_spec(union, 1, 0.5, 1e-4) == choose_strip_spec(path_graph(3), 1, 0.5, 1e-4)
+
+
+def test_approx_cond_prob_sweeps_only_inside_a_pinned_sphere():
+    want = approx_cond_prob(*pinned_grid_centre(8, 3), 0.1, 1e-8)
+    start = time.perf_counter()
+    got = approx_cond_prob(*pinned_grid_centre(100, 3), 0.1, 1e-8)
+    assert time.perf_counter() - start < 2.0
+    assert repr(got) == repr(want)
 
 
 def test_approx_cond_prob_certifies_examples():

@@ -50,7 +50,14 @@ from zeromix import (
     ursell,
 )
 from zeromix.cluster import _canonical_key, _pattern_bits, _ursell_blowup
-from zeromix.exact import NEAR_ZERO_REL, _near_zero, _neighbor_masks, _ratio_polys, _ratios
+from zeromix.exact import (
+    NEAR_ZERO_REL,
+    _hardcore_query,
+    _near_zero,
+    _neighbor_masks,
+    _ratio_polys,
+    _ratios,
+)
 from zeromix.graphs import _bfs, _hardcore_keep
 from zeromix.interpolate import _sampled_M
 from helpers import (
@@ -59,6 +66,7 @@ from helpers import (
     brute_hom_Z,
     brute_ind_poly,
     brute_multivariate_Z,
+    disjoint_union,
     series_quotient,
 )
 
@@ -114,7 +122,7 @@ def test_ind_poly_of_disjoint_union_is_product(data):
     h = data.draw(graphs(max_n=8))
     # interleave the two parts' labels
     perm = data.draw(st.permutations(range(g.n + h.n)))
-    union = from_edges(g.n + h.n, g.edges() + [(u + g.n, w + g.n) for u, w in h.edges()])
+    union = disjoint_union(g, h)
     a, b = ind_poly(g).coeffs, ind_poly(h).coeffs
     product = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -468,6 +476,22 @@ def test_hardcore_boundary_keeps_the_free_vertices(case):
     h, mapping = apply_hardcore_boundary(g, sigma)
     assert sorted(mapping) == want
     assert h.edges() == sorted((mapping[u], mapping[w]) for u, w in g.edges() if u in mapping and w in mapping)
+
+
+@PROPERTY
+@given(pinned_graphs())
+def test_hardcore_query_keeps_the_free_component_of_v(case):
+    g, v, sigma = case
+    ins = sigma.in_vertices()
+    free = [u for u in range(g.n) if u not in sigma.region and not ins & set(g.adj[u])]
+    got = _hardcore_query(g, v, sigma, 1.0)
+    if v not in free:
+        assert got is None
+        return
+    h = nx.Graph()
+    h.add_nodes_from(free)
+    h.add_edges_from((u, w) for u, w in g.edges() if u in free and w in free)
+    assert _mask_bits(g, got) == sorted(nx.node_connected_component(h, v))
 
 
 @PROPERTY
