@@ -16,10 +16,10 @@ polymer series of polymers.hom_ratio_series: there the graph is the polymer
 graph and a polymer's size is its edge count.
 
 Three memos carry the work, all emptied by their cache_clear: each connected
-subset's terms are memoized on its labeled pattern (pattern bits, sizes,
-order); the canonical key of a pattern with multiplicities on its labeled
-(pattern bits, multiplicities); and phi on that canonical key, so the Ursell
-recursion runs once per isomorphism class of blowup.
+subset's terms on its labeled pattern (pattern bits, sizes, order), which
+canonicalizes the bare pattern once; phi by multiplicity vector, one table
+per canonical pattern, so isomorphic patterns share their Ursell values; and
+the compositions of each tuple of sizes.
 """
 
 import functools
@@ -74,70 +74,6 @@ def ursell(h):
     return total
 
 
-def _ursell_from_masks(k, adj_masks):
-    """Ursell function from adjacency bitmasks, by the component-anchored
-    Mobius recursion: with g(T) = [T induces no edge],
-    f(T) = g(T) - sum over proper S containing T's lowest vertex of
-    f(S) g(T \\ S).  Exact integers, O(3^k)."""
-    full = (1 << k) - 1
-    g = [0] * (full + 1)
-    for T in range(full + 1):
-        t, ok = T, 1
-        while t:
-            b = t & -t
-            t ^= b
-            if adj_masks[b.bit_length() - 1] & T:
-                ok = 0
-                break
-        g[T] = ok
-    f = [0] * (full + 1)
-    for T in range(1, full + 1):
-        anchor = T & -T
-        rest = T ^ anchor
-        val = g[T]
-        # proper submasks S of T containing the anchor; f[S] is ready because
-        # a proper submask is numerically smaller
-        sub = rest
-        while True:
-            S = sub | anchor
-            if S != T:
-                val -= f[S] * g[T ^ S]
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        f[T] = val
-    return f[full]
-
-
-@functools.lru_cache(maxsize=1 << 16)
-def _ursell_blowup(k, pattern_bits, mults):
-    """phi of the blowup graph.  _subset_terms passes the canonical key of
-    _canonical_key, so the memo holds one entry per isomorphism class of
-    (pattern, mults).
-
-    pattern_bits packs the adjacency of the s distinct vertices (bit i*s+j),
-    mults is the multiplicity tuple in the same vertex order.
-    """
-    s = len(mults)
-    offs = [0] * s
-    acc = 0
-    for i, m in enumerate(mults):
-        offs[i] = acc
-        acc += m
-    group_mask = [((1 << mults[i]) - 1) << offs[i] for i in range(s)]
-    adj_masks = [0] * k
-    for i in range(s):
-        base = group_mask[i]
-        for j in range(s):
-            if i == j or (pattern_bits >> (i * s + j)) & 1:
-                base_j = group_mask[j]
-                for node in range(offs[i], offs[i] + mults[i]):
-                    adj_masks[node] |= base_j
-    for node in range(k):
-        adj_masks[node] &= ~(1 << node)
-    return _ursell_from_masks(k, adj_masks)
-
-
 def _refine(adj, cells, width):
     """Split the ordered cells of a vertex partition until it is equitable:
     each cell splits by its vertices' neighbor counts in every cell (packed
@@ -165,32 +101,25 @@ def _refine(adj, cells, width):
         cells = out
 
 
-@functools.lru_cache(maxsize=1 << 16)
-def _canonical_key(bits, mults):
-    """The canonical (pattern bits, mults) of a pattern packed as in
-    _pattern_bits whose vertex u has multiplicity mults[u]: the least
-    relabeled bits over the leaves of individualization-refinement, and the
-    multiplicities in that leaf's order.
+def _canonical_form(bits, s):
+    """The canonical form of a pattern of s vertices packed as in
+    _pattern_bits: the least relabeled bits over the leaves of
+    individualization-refinement, and the vertex order of a leaf that gives
+    them (vertex order[p] becomes vertex p).
 
-    Refinement starts from the cells of equal multiplicity, by increasing
-    multiplicity, and individualizes in a smallest cell of more than one
-    vertex, so the leaves give the same set of relabeled bits for every
-    labeling.  Of twins in
-    that cell (neighbors alike apart from each other) only one is
+    Refinement individualizes in a smallest cell of more than one vertex, so
+    the leaves give the same set of relabeled bits for every labeling.  Of
+    twins in that cell (neighbors alike apart from each other) only one is
     individualized: swapping two twins is an automorphism that fixes the
     partition, so their subtrees give the same leaves, and a clique or a
     star costs one path down the tree rather than s! leaves.
     """
-    s = len(mults)
     row = (1 << s) - 1
     nbr = [bits >> (u * s) & row for u in range(s)]
     adj = [[w for w in range(s) if nbr[u] >> w & 1] for u in range(s)]
     width = s.bit_length()
-    by_mult = {}
-    for u, m in enumerate(mults):
-        by_mult.setdefault(m, []).append(u)
     best = best_order = None
-    stack = [_refine(adj, [by_mult[m] for m in sorted(by_mult)], width)]
+    stack = [_refine(adj, [list(range(s))], width)]
     while stack:
         cells = stack.pop()
         if len(cells) == s:
@@ -213,19 +142,78 @@ def _canonical_key(bits, mults):
         for u in reps:
             rest = [w for w in cells[i] if w != u]
             stack.append(_refine(adj, cells[:i] + [[u], rest] + cells[i + 1 :], width))
-    return best, tuple(mults[u] for u in best_order)
+    return best, best_order
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _ursell_table(bits, s):
+    """The nonempty independent sets of a pattern of s vertices packed as in
+    _pattern_bits, as {bit mask: vertices}, and the pattern's memo of phi by
+    multiplicity vector, for _blowup_ursell."""
+    row = (1 << s) - 1
+    nbr = [bits >> (u * s) & row for u in range(s)]
+    indep = {}
+    for mask in range(1, row + 1):
+        members = [u for u in range(s) if mask >> u & 1]
+        if not any(nbr[u] & mask for u in members):
+            indep[mask] = members
+    return indep, {}
+
+
+def _blowup_ursell(bits, s, mults):
+    """phi of the blowup of a pattern of s vertices packed as in
+    _pattern_bits, with vertex u copied mults[u] times.
+
+    Over sets T of copies, with g(T) = [T induces no edge], the anchored
+    Mobius recursion is f(T) = g(T) - sum over proper S that hold T's first
+    copy of f(S) g(T \\ S).  Copies of one vertex are exchangeable, so f
+    depends only on the multiplicity vector n of T, and T \\ S is edge-free
+    only as one copy each of an independent set I of the pattern:
+    f(n) = g(n) - sum over nonempty independent I inside supp(n) of
+    prod over u in I of (n_u - [u = a]) * f(n - 1_I), with a the first vertex
+    of supp(n), whose first copy stays in S.  Exact integers, memoized per
+    pattern, so _subset_terms passes the canonical form.
+    """
+    indep, memo = _ursell_table(bits, s)
+
+    def f(n):
+        val = memo.get(n)
+        if val is not None:
+            return val
+        support = 0
+        for u, c in enumerate(n):
+            if c:
+                support |= 1 << u
+        a = (support & -support).bit_length() - 1
+        val = int(max(n) == 1 and support in indep)
+        for mask, members in indep.items():
+            if mask & ~support:
+                continue
+            coef = 1
+            rest = list(n)
+            for u in members:
+                coef *= n[u] - (u == a)
+                rest[u] -= 1
+            if coef:
+                val -= coef * f(tuple(rest))
+        memo[n] = val
+        return val
+
+    return f(tuple(mults))
 
 
 @functools.lru_cache(maxsize=1 << 16)
 def _subset_terms(bits, weights, order):
     """The nonzero (mults, grade, phi, prod m!) of one connected subset with
     packed pattern bits and vertex weights, for each composition of
-    _graded_compositions(weights, order) in its order, phi looked up under
-    the canonical key.
+    _graded_compositions(weights, order) in its order, phi read on the
+    canonical form of the pattern with the multiplicities in its order.
     """
+    s = len(weights)
+    canon, leaf = _canonical_form(bits, s)
     out = []
-    for m, k, grade, denom in _graded_compositions(weights, order):
-        phi = _ursell_blowup(k, *_canonical_key(bits, m))
+    for m, grade, denom in _graded_compositions(weights, order):
+        phi = _blowup_ursell(canon, s, tuple(m[u] for u in leaf))
         if phi:
             out.append((m, grade, phi, denom))
     return tuple(out)
@@ -302,8 +290,8 @@ def _pattern_bits(nbr, subset):
 
 @functools.lru_cache(maxsize=None)
 def _graded_compositions(weights, order):
-    """(mults, k, grade, prod m!) for each composition mults of len(weights)
-    parts, by increasing total multiplicity k, whose graded size
+    """(mults, grade, prod m!) for each composition mults of len(weights)
+    parts, by increasing total multiplicity, whose graded size
     grade = sum m_i * weights[i] is at most order."""
     s = len(weights)
     out = []
@@ -314,7 +302,7 @@ def _graded_compositions(weights, order):
             m = tuple(b - a for a, b in zip((0,) + cuts, cuts + (k,)))
             grade = sum(mi * w for mi, w in zip(m, weights))
             if grade <= order:
-                out.append((m, k, grade, math.prod(map(math.factorial, m))))
+                out.append((m, grade, math.prod(map(math.factorial, m))))
     return tuple(out)
 
 

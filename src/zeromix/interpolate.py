@@ -26,7 +26,7 @@ import numpy as np
 
 from .cluster import _ball_division
 from .errors import TruncationDepthError, ZeroRegionViolationError
-from .exact import IndPoly, _hardcore_query, _ratio_polys, _ratios
+from .exact import IndPoly, _check_activity, _hardcore_query, _ratio_polys, _ratios
 from .graphs import _all_vertices, _ball_mask
 from .series import PowerSeries
 
@@ -196,6 +196,7 @@ def estimate_M(g, v, lam, spec, samples=DEFAULT_SAMPLES):
     Raises ZeroRegionViolationError if Z of v's component vanishes to
     working precision at a sampled point.
     """
+    _check_activity(lam)
     _check_samples(samples)
     num, den = _component_polys(g, v)
     return _sampled_M(num, den, lam * _map_point(spec, _circle(spec.r, samples)))
@@ -252,6 +253,7 @@ def choose_strip_spec(g, v, lam, eps_target, max_depth=DEFAULT_MAX_DEPTH):
     """Pick a strip width whose disk clears the zeros of Z on v's component
     with margin and whose certified depth fits under max_depth.  Wider
     strips give faster rates, so EPS_LADDER is walked widest-first."""
+    _check_activity(lam)
     _check_target(eps_target, max_depth)
     num, den = _component_polys(g, v)
     return _strip_and_M(num, den, lam, eps_target, max_depth, EPS_LADDER, LADDER_MARGIN)[0]

@@ -213,3 +213,40 @@ def series_quotient(num, den, order):
             acc -= den[j] * out[k - j]
         out.append(acc / den[0])
     return out
+
+
+def blowup_ursell(h, mults):
+    """Ursell function of the blowup of h with vertex u copied mults[u]
+    times (copies of one vertex, or of adjacent ones, are joined), by the
+    anchored Mobius recursion over subsets of copies: with g(T) = [T induces
+    no edge], f(T) = g(T) - sum over proper S holding T's lowest copy of
+    f(S) g(T \\ S).  O(3^k) in the number k of copies, so it reaches blowups
+    past ursell()'s edge limit."""
+    copies = [u for u in range(h.n) for _ in range(mults[u])]
+    k = len(copies)
+    adj = [
+        sum(
+            1 << b
+            for b in range(k)
+            if b != a and (copies[a] == copies[b] or h.has_edge(copies[a], copies[b]))
+        )
+        for a in range(k)
+    ]
+    full = (1 << k) - 1
+    g = [int(all(not adj[a] & T for a in range(k) if T >> a & 1)) for T in range(full + 1)]
+    f = [0] * (full + 1)
+    for T in range(1, full + 1):
+        anchor = T & -T
+        rest = T ^ anchor
+        val = g[T]
+        # f[S] is ready: a proper submask is numerically smaller
+        sub = rest
+        while True:
+            S = sub | anchor
+            if S != T:
+                val -= f[S] * g[T ^ S]
+            if sub == 0:
+                break
+            sub = (sub - 1) & rest
+        f[T] = val
+    return f[full]

@@ -49,6 +49,7 @@ from zeromix import (
     ursell,
     weitz_lambda_c,
 )
+from zeromix.cluster import _canonical_form
 from zeromix.interpolate import StripSpec
 from helpers import brute_hom_Z, random_graph, series_quotient
 
@@ -99,31 +100,21 @@ def test_criterion_1_series_formula_equivalence():
 
 def _eight_vertex_classes():
     """All isomorphism classes on exactly 8 vertices: augment every 7-vertex
-    class by one vertex joined to each of the 128 subsets, bucketing by
-    (degree sequence, rounded spectrum) and deduplicating exactly within each
-    bucket."""
+    class by one vertex joined to each of the 128 subsets, keeping the first
+    graph of each canonical form of its adjacency (packed with bit 8u + w
+    per edge, as the cluster expansion packs its patterns)."""
     classes = []
-    buckets = {}
+    seen = set()
     for h in (a for a in nx.graph_atlas_g()[1:] if a.number_of_nodes() == 7):
-        base = np.zeros((8, 8))
-        for u, w in h.edges():
-            base[u][w] = base[w][u] = 1.0
         base_edges = list(h.edges())
+        base = sum(1 << (8 * u + w) | 1 << (8 * w + u) for u, w in base_edges)
         for mask in range(128):
-            A = base.copy()
-            for j in range(7):
-                if mask >> j & 1:
-                    A[j][7] = A[7][j] = 1.0
-            degs = tuple(sorted(int(x) for x in A.sum(axis=0)))
-            spectrum = tuple(np.round(np.linalg.eigvalsh(A), 6))
-            bucket = buckets.setdefault((degs, spectrum), [])
-            g = nx.Graph()
-            g.add_nodes_from(range(8))
-            g.add_edges_from(base_edges)
-            g.add_edges_from((j, 7) for j in range(7) if mask >> j & 1)
-            if not any(nx.is_isomorphic(g, rep) for rep in bucket):
-                bucket.append(g)
-                classes.append(_from_nx(g))
+            joined = [j for j in range(7) if mask >> j & 1]
+            bits = base | sum(1 << (8 * j + 7) | 1 << (56 + j) for j in joined)
+            key, _ = _canonical_form(bits, 8)
+            if key not in seen:
+                seen.add(key)
+                classes.append(from_edges(8, base_edges + [(j, 7) for j in joined]))
     return classes
 
 

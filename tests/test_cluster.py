@@ -23,9 +23,9 @@ from zeromix import (
     ursell,
     weitz_lambda_c,
 )
-from zeromix.cluster import _canonical_key, _pattern_bits, _ursell_blowup, _ursell_from_masks
+from zeromix.cluster import _blowup_ursell, _canonical_form, _pattern_bits
 from zeromix.exact import _neighbor_masks
-from helpers import brute_connected, random_graph
+from helpers import blowup_ursell, brute_connected, random_graph
 
 
 def complete(k):
@@ -95,18 +95,18 @@ def test_ursell_blowup_dp_matches_subset_scan():
         k = int(rng.integers(1, 7))
         h = random_graph(rng, k, p=float(rng.uniform(0.3, 0.9)))
         bits = _pattern_bits(_neighbor_masks(h), tuple(range(k)))
-        assert _ursell_blowup(k, bits, (1,) * k) == ursell(h)
+        assert _blowup_ursell(bits, k, (1,) * k) == ursell(h)
 
 
 def test_ursell_blowup_with_multiplicities():
     # blowing K_2 up with multiplicities (2, 1) gives the triangle
     k2 = from_edges(2, [(0, 1)])
     bits = _pattern_bits(_neighbor_masks(k2), (0, 1))
-    assert _ursell_blowup(3, bits, (2, 1)) == 2
+    assert _blowup_ursell(bits, 2, (2, 1)) == 2
     # K_1 with multiplicity m is the complete graph K_m
     one = _pattern_bits(_neighbor_masks(from_edges(1, [])), (0,))
     for m in range(1, 7):
-        assert _ursell_blowup(m, one, (m,)) == (-1) ** (m - 1) * math.factorial(m - 1)
+        assert _blowup_ursell(one, 1, (m,)) == (-1) ** (m - 1) * math.factorial(m - 1)
 
 
 def test_canonical_key_separates_k33_from_prism():
@@ -116,10 +116,10 @@ def test_canonical_key_separates_k33_from_prism():
     prism = from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)])
     keys = []
     for h, phi in ((k33, -31), (prism, -26)):
-        key = _canonical_key(_pattern_bits(_neighbor_masks(h), tuple(range(6))), (1,) * 6)
+        key, _ = _canonical_form(_pattern_bits(_neighbor_masks(h), tuple(range(6))), 6)
         keys.append(key)
         assert ursell(h) == phi
-        assert _ursell_blowup(6, *key) == phi
+        assert _blowup_ursell(key, 6, (1,) * 6) == phi
     assert keys[0] != keys[1]
 
 
@@ -141,23 +141,16 @@ def test_canonical_key_separates_k33_from_prism():
 def test_canonical_key_of_symmetric_patterns(h, mults):
     # every vertex of a clique, and every leaf of a star, is a twin of the
     # others: the search must not try each of their orders, and must still
-    # try a vertex of each class of twins
+    # try a vertex of each class of twins; phi is read on the canonical form
+    # with the multiplicities in the order of its leaf
     k = sum(mults)
-    copies = [u for u in range(h.n) for _ in range(mults[u])]
-    masks = [
-        sum(
-            1 << b
-            for b in range(k)
-            if b != a and (copies[a] == copies[b] or h.has_edge(copies[a], copies[b]))
-        )
-        for a in range(k)
-    ]
-    every = tuple(range(h.n))
-    key = _canonical_key(_pattern_bits(_neighbor_masks(h), every), mults)
-    assert _ursell_blowup(k, *key) == _ursell_from_masks(k, masks)
+    want = blowup_ursell(h, mults)
     if len(h.edges()) == h.n * (h.n - 1) // 2:
         # the blowup of a clique is the clique K_k
-        assert _ursell_blowup(k, *key) == (-1) ** (k - 1) * math.factorial(k - 1)
+        assert want == (-1) ** (k - 1) * math.factorial(k - 1)
+    every = tuple(range(h.n))
+    key, order = _canonical_form(_pattern_bits(_neighbor_masks(h), every), h.n)
+    assert _blowup_ursell(key, h.n, tuple(mults[u] for u in order)) == want
     rng = np.random.default_rng(37)
     for _ in range(5):
         perm = [int(u) for u in rng.permutation(h.n)]
@@ -165,24 +158,42 @@ def test_canonical_key_of_symmetric_patterns(h, mults):
         moved_mults = [0] * h.n
         for u in range(h.n):
             moved_mults[perm[u]] = mults[u]
-        assert _canonical_key(_pattern_bits(_neighbor_masks(moved), every), tuple(moved_mults)) == key
+        moved_key, moved_order = _canonical_form(_pattern_bits(_neighbor_masks(moved), every), h.n)
+        assert moved_key == key
+        assert _blowup_ursell(key, h.n, tuple(moved_mults[u] for u in moved_order)) == want
 
 
 def test_cluster_series_of_clique_and_star_at_order_9():
     # the bound catches a canonical form that tries every order of twins
-    # (9! on K9); with one vertex per class of twins the five series take
-    # well under a second
+    # (10! on K10); with one vertex per class of twins the series take about
+    # a second.  The Petersen graph and K_{5,5} at order 10 add many
+    # isomorphic patterns with many independent sets
     start = time.perf_counter()
     k9 = complete(9)
-    # the independent sets of K9 are the empty set and the singletons
-    want = [0] + [(-1) ** (j + 1) * 9**j / j for j in range(1, 10)]
-    assert np.allclose(logZ_series(k9, order=9).coeffs, want, rtol=1e-12, atol=0)
+    # the independent sets of K_k are the empty set and the singletons
+    for k in (9, 10):
+        want = [0] + [(-1) ** (j + 1) * k**j / j for j in range(1, k + 1)]
+        assert np.allclose(logZ_series(complete(k), order=k).coeffs, want, rtol=1e-12, atol=0)
     s8 = star(8)
+    petersen = from_edges(
+        10,
+        [(u, (u + 1) % 5) for u in range(5)]
+        + [(u, u + 5) for u in range(5)]
+        + [(5 + u, 5 + (u + 2) % 5) for u in range(5)],
+    )
+    k55 = from_edges(10, [(u, w) for u in range(5) for w in range(5, 10)])
     z = PowerSeries.from_coeffs(ind_poly(s8).coeffs, order=9)
     assert np.allclose(logZ_series(s8, order=9).exp().coeffs, z.coeffs, rtol=1e-12, atol=1e-9)
-    for g, v in ((k9, 4), (s8, 0), (s8, 5)):
-        got = ratio_series_cluster(g, v, order=9).coeffs
-        assert np.allclose(got, ratio_series_division(g, v, order=9).coeffs, rtol=1e-9, atol=1e-9)
+    for g in (petersen, k55):
+        log_z = logZ_series(g, order=10)
+        z = PowerSeries.from_coeffs(ind_poly(g).coeffs, order=10)
+        # exp cancels coefficients of log Z up to 8e7 (K_{5,5}) down to Z's
+        # zeros past degree 5, so the error scales with the largest of them
+        scale = max(map(abs, log_z.coeffs))
+        assert np.allclose(log_z.exp().coeffs, z.coeffs, rtol=1e-12, atol=1e-12 * scale)
+    for g, v, order in ((k9, 4, 9), (s8, 0, 9), (s8, 5, 9), (petersen, 0, 10), (k55, 7, 10)):
+        got = ratio_series_cluster(g, v, order=order).coeffs
+        assert np.allclose(got, ratio_series_division(g, v, order=order).coeffs, rtol=1e-9, atol=1e-9)
     assert time.perf_counter() - start < 10
 
 

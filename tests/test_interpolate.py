@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import time
 
 import numpy as np
@@ -208,6 +209,17 @@ def test_estimate_M_rejects_zero_samples():
     # the message reports the count passed, not the points it makes
     with pytest.raises(ValueError, match="^need at least one sample, got -1$"):
         estimate_M(path_graph(3), 0, 0.1, StripSpec(0.5), samples=-1)
+
+
+@pytest.mark.parametrize("lam", [0, -0.5, 1j, float("nan")])
+def test_strip_choice_and_M_reject_a_bad_activity(lam):
+    # as approx_cond_prob does, before any root finding or sampling: 0 once
+    # divided by zero in the strip test, and the others raised exit-2 errors
+    message = f"^activity must be a positive real, got {re.escape(repr(lam))}$"
+    with pytest.raises(ValueError, match=message):
+        choose_strip_spec(path_graph(3), 0, lam, 1e-3)
+    with pytest.raises(ValueError, match=message):
+        estimate_M(path_graph(3), 0, lam, StripSpec(0.5))
 
 
 @pytest.mark.parametrize("max_depth", [0, -5])

@@ -49,7 +49,7 @@ from zeromix import (
     ratio_series_cluster,
     ursell,
 )
-from zeromix.cluster import _canonical_key, _pattern_bits, _ursell_blowup
+from zeromix.cluster import _blowup_ursell, _canonical_form, _pattern_bits
 from zeromix.exact import (
     NEAR_ZERO_REL,
     _hardcore_query,
@@ -260,9 +260,12 @@ def test_canonical_key_ignores_vertex_labels(data):
     for u in range(h.n):
         moved_mults[perm[u]] = mults[u]
     every = tuple(range(h.n))
-    key = _canonical_key(_pattern_bits(_neighbor_masks(h), every), tuple(mults))
-    assert _canonical_key(_pattern_bits(_neighbor_masks(moved), every), tuple(moved_mults)) == key
-    assert _ursell_blowup(sum(mults), *key) == ursell(big)
+    key, order = _canonical_form(_pattern_bits(_neighbor_masks(h), every), h.n)
+    moved_key, moved_order = _canonical_form(_pattern_bits(_neighbor_masks(moved), every), h.n)
+    assert moved_key == key
+    want = ursell(big)
+    assert _blowup_ursell(key, h.n, tuple(mults[u] for u in order)) == want
+    assert _blowup_ursell(key, h.n, tuple(moved_mults[u] for u in moved_order)) == want
 
 
 @PROPERTY
