@@ -355,14 +355,7 @@ def ratio_series_division(g, v, order=DEFAULT_CLUSTER_ORDER, ball_radius=None):
     ball_radius defaults to `order` (one more than needed at top order).
     """
     _check_order(order)
-    radius = order if ball_radius is None else ball_radius
-    return _ball_division(g, v, _all_vertices(g), radius, order)
-
-
-def _ball_division(g, v, keep, radius, order):
-    """The division series of v through `order` on the ball of the given
-    radius around v in the subgraph of g induced by the bit mask keep."""
-    ball = _ball_mask(g, v, keep, radius)
+    ball = _ball_mask(g, v, _all_vertices(g), order if ball_radius is None else ball_radius)
     # long division, not num * (1 / den): the coefficients of 1 / den grow
     # like 1 / |nearest root|^k, and the product then cancels them
     return PowerSeries(_long_division(*_ratio_polys(g, v, ball), order))

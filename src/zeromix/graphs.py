@@ -7,6 +7,7 @@ routines reduce a graph without relabeling: a bit mask of kept vertices
 (bit v for vertex v) on the original graph stands for the reduced graph.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -39,6 +40,13 @@ class Graph:
 
     def neighbors(self, v):
         return self.adj[v]
+
+    @functools.cached_property
+    def _hash(self):
+        return hash((self.n, self.adj))
+
+    def __hash__(self):  # computed once: caches are keyed on graphs
+        return self._hash
 
 
 def _check_vertex(g, v):

@@ -15,20 +15,22 @@ into a thin zero-free neighborhood of [0, 1]:
               image avoids the real ray left of -3 delta / 4, so it suits
               graphs whose partition-function zeros are real and negative.
 
-Both maps send 0 to 0 and 1 to 1 and have explicit Taylor coefficients.
+Both maps send 0 to 0 and 1 to 1 and have positive Taylor coefficients, so
+composing P's positive numerator x I(H - N[v]) and denominator I(H) with
+lam * g cancels nothing; one long division then gives P(lam * g(z)).
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import _ball_division
 from .errors import TruncationDepthError, ZeroRegionViolationError
-from .exact import IndPoly, _check_activity, _hardcore_query, _ratio_polys, _ratios
-from .graphs import _all_vertices, _ball_mask
-from .series import PowerSeries
+from .exact import IndPoly, _hardcore_query, _ratio_polys, _ratios
+from .graphs import HardcoreBoundary
+from .series import PowerSeries, _long_division
 
 DEFAULT_MAX_DEPTH = 64
 DEFAULT_SAMPLES = 256
@@ -148,14 +150,6 @@ def gap_bound_hom(M, r, d):
     return 2.0 * tail_bound(M, r, d)
 
 
-def _map_point(spec, z):
-    if isinstance(spec, StripSpec):
-        return g_point(spec, z)
-    if isinstance(spec, SectorSpec):
-        return h_point(spec, z)
-    raise TypeError(f"unsupported map spec {spec!r}")
-
-
 def _check_samples(samples):
     """Raise ValueError unless samples is a positive count."""
     if samples < 1:
@@ -183,10 +177,15 @@ def _circle(r, samples):
     return r * np.exp(2j * np.pi * np.arange(samples) / samples)
 
 
-def _component_polys(g, v):
-    """The ratio polynomials of v cut to its connected component of g, as
-    approx_cond_prob takes them under an empty boundary."""
-    return _ratio_polys(g, v, _ball_mask(g, v, _all_vertices(g)))
+@functools.lru_cache(maxsize=64)
+def _circle_image(spec, samples=DEFAULT_SAMPLES):
+    """The map's image of the circle |z| = spec.r, one read-only array per
+    spec shared by every query."""
+    if not isinstance(spec, (StripSpec, SectorSpec)):
+        raise TypeError(f"unsupported map spec {spec!r}")
+    w = (g_point if isinstance(spec, StripSpec) else h_point)(spec, _circle(spec.r, samples))
+    w.flags.writeable = False
+    return w
 
 
 def estimate_M(g, v, lam, spec, samples=DEFAULT_SAMPLES):
@@ -196,10 +195,10 @@ def estimate_M(g, v, lam, spec, samples=DEFAULT_SAMPLES):
     Raises ZeroRegionViolationError if Z of v's component vanishes to
     working precision at a sampled point.
     """
-    _check_activity(lam)
+    keep = _hardcore_query(g, v, HardcoreBoundary({}), lam)
     _check_samples(samples)
-    num, den = _component_polys(g, v)
-    return _sampled_M(num, den, lam * _map_point(spec, _circle(spec.r, samples)))
+    num, den = _ratio_polys(g, v, keep)
+    return _sampled_M(num, den, lam * _circle_image(spec, samples))
 
 
 def _zero_in_strip_disk(roots, spec, lam, margin):
@@ -253,9 +252,9 @@ def choose_strip_spec(g, v, lam, eps_target, max_depth=DEFAULT_MAX_DEPTH):
     """Pick a strip width whose disk clears the zeros of Z on v's component
     with margin and whose certified depth fits under max_depth.  Wider
     strips give faster rates, so EPS_LADDER is walked widest-first."""
-    _check_activity(lam)
+    keep = _hardcore_query(g, v, HardcoreBoundary({}), lam)
     _check_target(eps_target, max_depth)
-    num, den = _component_polys(g, v)
+    num, den = _ratio_polys(g, v, keep)
     return _strip_and_M(num, den, lam, eps_target, max_depth, EPS_LADDER, LADDER_MARGIN)[0]
 
 
@@ -273,7 +272,7 @@ def _strip_and_M(num, den, lam, eps_target, max_depth, ladder, margin):
             nearest = hit
             continue
         try:
-            M = _sampled_M(num, den, lam * g_point(spec, _circle(spec.r, DEFAULT_SAMPLES)))
+            M = _sampled_M(num, den, lam * _circle_image(spec))
         except ZeroRegionViolationError as exc:
             nearest = exc.point
             continue
@@ -294,22 +293,15 @@ def _strip_and_M(num, den, lam, eps_target, max_depth, ladder, margin):
     )
 
 
-def approx_cond_prob(
-    g,
-    v,
-    sigma,
-    lam,
-    eps_target,
-    spec=None,
-    max_depth=DEFAULT_MAX_DEPTH,
-):
+def approx_cond_prob(g, v, sigma, lam, eps_target, spec=None, max_depth=DEFAULT_MAX_DEPTH):
     """Conditional occupation probability with a certified error bound.
 
     Reduces by the boundary and cuts to v's component, verifies the scaled
     strip image is zero-free (exactly, by pulling the zeros of that
     component's Z back through the map), bounds
-    P(lam * g(z)) on |z| = r by sampling, truncates the composed Taylor
-    series at the smallest depth whose tail bound meets eps_target, and
+    P(lam * g(z)) on |z| = r by sampling, takes the smallest depth n whose
+    tail bound meets eps_target, composes the component's numerator and
+    denominator, cut at n coefficients, with lam * g, long-divides them and
     returns the partial sum at z = 1 with that bound.  A given spec is the
     one-rung ladder (spec.eps,) with no margin.
     """
@@ -323,9 +315,10 @@ def approx_cond_prob(
         return ApproxResult(0.0, 0.0, 0, 0.0, r)
 
     ladder, margin = (EPS_LADDER, LADDER_MARGIN) if spec is None else ((spec.eps,), 0.0)
-    spec, M, n = _strip_and_M(*_ratio_polys(g, v, keep), lam, eps_target, max_depth, ladder, margin)
-    p = _ball_division(g, v, keep, n - 1, n - 1)
-    scaled = PowerSeries(tuple(c * lam**k for k, c in enumerate(p.coeffs)))
-    comp = scaled.compose(g_series(spec, n - 1))
-    value = comp.partial_sum()
-    return ApproxResult(value.real, tail_bound(M, spec.r, n), n, M, spec.r)
+    num, den = _ratio_polys(g, v, keep)
+    spec, M, n = _strip_and_M(num, den, lam, eps_target, max_depth, ladder, margin)
+    # coefficients 0..n-1 of the composite read coefficients 0..n-1 of each
+    inner = g_series(spec, n - 1).scale(lam)
+    top, bottom = (PowerSeries.from_coeffs(p, n - 1).compose(inner).coeffs for p in (num, den))
+    value = float(_long_division(top, bottom, n - 1).sum().real)
+    return ApproxResult(value, tail_bound(M, spec.r, n), n, M, spec.r)

@@ -75,7 +75,9 @@ class PowerSeries:
         K = self.order
         b = np.array(inner.coeffs)
         acc = np.zeros(K + 1, dtype=complex)
-        for c in reversed(self.coeffs):
+        # Horner from the last nonzero coefficient: zeros only add exact zeros
+        top = max((k for k, c in enumerate(self.coeffs) if c), default=0)
+        for c in reversed(self.coeffs[: top + 1]):
             acc = np.convolve(acc, b)[: K + 1]
             acc[0] += c
         return PowerSeries(acc)

@@ -23,6 +23,7 @@ from zeromix import (
     path_graph,
     remove_vertices,
 )
+from zeromix.exact import _ind_poly_cached
 from zeromix.graphs import _all_vertices, _bfs
 from helpers import random_graph
 
@@ -254,3 +255,14 @@ def test_line_graph_of_petersen_is_claw_free():
     g = from_edges(len(nodes), [(idx[a], idx[b]) for a, b in lg.edges()])
     ok, _ = is_claw_free(g)
     assert ok
+
+
+def test_equal_graphs_built_apart_hash_alike_and_share_a_cache_entry():
+    g = grid_graph(5, 5)
+    h = from_edges(25, reversed(g.edges()))
+    assert g is not h and g == h
+    assert hash(g) == hash(h) == hash((g.n, g.adj))
+    _ind_poly_cached.cache_clear()
+    assert _ind_poly_cached(g, _all_vertices(g)) == _ind_poly_cached(h, _all_vertices(h))
+    info = _ind_poly_cached.cache_info()
+    assert (info.currsize, info.hits) == (1, 1)

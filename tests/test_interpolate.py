@@ -268,6 +268,20 @@ def test_no_strip_certifies_the_3x3_grid_at_half_within_default_depth():
     assert e.value.required > e.value.cap == 64
 
 
+@pytest.mark.parametrize(
+    "g,v,depth", [(cycle_graph(6), 3, 75), (grid_graph(3, 3), 4, 222)], ids=["C6", "grid3x3"]
+)
+def test_approx_cond_prob_holds_its_bound_past_depth_64(g, v, depth):
+    # the ratio series alternates and grows like (lam / |nearest zero|)^k;
+    # composing it with the strip map in doubles cancelled past depth 64
+    # (off by 1.6e-6 on C6 and by 2.6e23 on the grid), composing the
+    # numerator and the denominator does not
+    sigma = HardcoreBoundary({})
+    res = approx_cond_prob(g, v, sigma, 0.5, 1e-6, max_depth=256)
+    assert res.depth_used == depth
+    assert abs(res.value - cond_prob_hardcore(g, v, sigma, 0.5)) <= res.error_bound <= 1e-6
+
+
 def test_approx_cond_prob_ignores_other_components():
     # the grid's zero at -0.196 blocks every wide strip; v's component has none
     sigma = HardcoreBoundary({})

@@ -11,8 +11,9 @@ arithmetic against exact integer and Fraction references, the array route that
 samples the tail bound M against per-point scalar evaluation, and the
 reduction of a graph by a hard-core boundary, which the sweep takes as a
 bit mask of kept vertices, against brute force and against the relabelled
-subgraph, and the masked, radius-limited breadth-first search and the
-components built on it against networkx."""
+subgraph, the masked, radius-limited breadth-first search and the
+components built on it against networkx, and every certified
+approx_cond_prob against cond_prob_hardcore within its error bound."""
 
 import cmath
 import math
@@ -29,8 +30,10 @@ from zeromix import (
     PowerSeries,
     SectorSpec,
     SpinBoundary,
+    TruncationDepthError,
     ZeroRegionViolationError,
     apply_hardcore_boundary,
+    approx_cond_prob,
     cond_prob_hardcore,
     connected_components,
     cycle_graph,
@@ -466,6 +469,23 @@ def _mask_bits(g, mask):
 def test_cond_prob_hardcore_matches_brute_force(case, lam):
     g, v, sigma = case
     assert abs(cond_prob_hardcore(g, v, sigma, lam) - brute_cond_prob(g, v, sigma, lam)) <= 1e-12
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(
+    graphs(),
+    st.floats(0.02, 4.0, exclude_min=True, exclude_max=True),
+    st.sampled_from([1e-4, 1e-5, 1e-6, 1e-7, 1e-8]),
+    st.sampled_from([64, 128, 256]),
+)
+def test_approx_cond_prob_holds_its_bound_at_every_certified_vertex(g, lam, target, max_depth):
+    sigma = HardcoreBoundary({})
+    for v in range(g.n):
+        try:
+            res = approx_cond_prob(g, v, sigma, lam, target, max_depth=max_depth)
+        except (TruncationDepthError, ZeroRegionViolationError):
+            continue
+        assert abs(res.value - cond_prob_hardcore(g, v, sigma, lam)) <= res.error_bound
 
 
 @PROPERTY

@@ -133,6 +133,21 @@ def test_compose_coefficients_are_triangular():
         assert abs(ca.coeffs[k] - cb.coeffs[k]) <= 1e-12
 
 
+def test_compose_of_a_zero_padded_polynomial_equals_the_unpadded_one():
+    # compose starts Horner at the last nonzero coefficient; the zeros above
+    # it would only have added exact zeros
+    rng = np.random.default_rng(7)
+    for degree in range(4):
+        cs = list(random_series(rng, degree).coeffs)
+        inner = random_series(rng, 12, zero_constant=True)
+        padded = PowerSeries.from_coeffs(cs, 12)
+        acc = np.zeros(13, dtype=complex)
+        for c in reversed(cs):
+            acc = np.convolve(acc, inner.coeffs)[:13]
+            acc[0] += c
+        assert padded.compose(inner) == PowerSeries(acc)
+
+
 def test_partial_sum_and_call():
     s = PowerSeries((1, 2, 3))
     assert s(2) == 1 + 4 + 12
