@@ -263,30 +263,42 @@ def _check_activity(lam):
 
 
 def _hardcore_query(g, v, sigma, lam):
-    """The bit mask of the vertices sigma leaves free, cut to v's component
-    among them, or None when sigma blocks v, after checking that lam is a
-    positive real, sigma fits g and v is a vertex of g outside sigma's
-    region.  The occupation ratio of v on that component equals the one on
-    every free vertex: the other components' factors of Z cancel."""
+    """The bit mask of the vertices sigma leaves free, after checking that
+    lam is a positive real, sigma fits g and v is a vertex of g outside
+    sigma's region."""
     _check_activity(lam)
     _check_vertex(g, v)
     sigma.validate(g)
     if v in sigma.region:
         raise BoundaryError(f"vertex {v} lies in the boundary region")
-    keep = _hardcore_keep(g, sigma)
-    return _ball_mask(g, v, keep) if keep >> v & 1 else None
+    return _hardcore_keep(g, *sigma._masks())
+
+
+def _free_component(g, v, free):
+    """The bit mask of v's component in the subgraph of g induced by the
+    bit mask free, or None when v is not free.  The occupation ratio of v on
+    that component equals the one on all of free: the other components'
+    factors of Z cancel."""
+    return _ball_mask(g, v, free) if free >> v & 1 else None
+
+
+def _hardcore_prob(g, v, free, lam):
+    """Occupation probability of v at activity lam in the subgraph of g
+    induced by the bit mask free, cut to v's component; 0.0 when v is not
+    free.  The inputs are trusted: cond_prob_hardcore checks them."""
+    keep = _free_component(g, v, free)
+    if keep is None:
+        return 0.0
+    num, den = _ratio_polys(g, v, keep)
+    lam = complex(lam)
+    return _checked_ratio(eval_poly(num, lam), eval_poly(den, lam), lam).real
 
 
 def cond_prob_hardcore(g, v, sigma, lam):
     """Probability that v is occupied under the hard-core measure at
     activity lam, conditioned on the boundary condition sigma: the
     occupation ratio of the boundary-reduced graph, cut to v's component."""
-    keep = _hardcore_query(g, v, sigma, lam)
-    if keep is None:
-        return 0.0
-    num, den = _ratio_polys(g, v, keep)
-    lam = complex(lam)
-    return _checked_ratio(eval_poly(num, lam), eval_poly(den, lam), lam).real
+    return _hardcore_prob(g, v, _hardcore_query(g, v, sigma, lam), lam)
 
 
 # --- homomorphism sums ---------------------------------------------------

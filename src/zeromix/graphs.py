@@ -222,6 +222,15 @@ class HardcoreBoundary(_Boundary):
     def in_vertices(self):
         return {v for v, s in self.assignment.items() if s == 1}
 
+    def _masks(self):
+        """Bit masks of the region and of the in-set."""
+        region = ins = 0
+        for v, s in self.assignment.items():
+            region |= 1 << v
+            if s:
+                ins |= 1 << v
+        return region, ins
+
     def validate(self, g):
         super().validate(g)
         ins = self.in_vertices()
@@ -254,16 +263,17 @@ class SpinBoundary(_Boundary):
         return SpinBoundary(new, self.q)
 
 
-def _hardcore_keep(g, sigma):
-    """Bit mask of the vertices an occupancy boundary leaves free: the
-    boundary region is dropped, and so is every vertex adjacent (in g) to an
-    in-vertex, since those sites are blocked.  sigma must fit g."""
-    drop = 0
-    for u, s in sigma.assignment.items():
-        drop |= 1 << u
-        if s:
-            for w in g.adj[u]:
-                drop |= 1 << w
+def _hardcore_keep(g, region, ins):
+    """Bit mask of the vertices an occupancy boundary leaves free, from the
+    bit masks of its region and of its in-set: the region is dropped, and so
+    is every vertex adjacent (in g) to an in-vertex, since those sites are
+    blocked."""
+    drop = region
+    while ins:
+        low = ins & -ins
+        for w in g.adj[low.bit_length() - 1]:
+            drop |= 1 << w
+        ins ^= low
     return _all_vertices(g) & ~drop
 
 
@@ -276,7 +286,7 @@ def apply_hardcore_boundary(g, sigma):
     mapping.
     """
     sigma.validate(g)
-    keep = _hardcore_keep(g, sigma)
+    keep = _hardcore_keep(g, *sigma._masks())
     return induced_subgraph(g, (v for v in range(g.n) if keep >> v & 1))
 
 

@@ -3,7 +3,9 @@ bound sweeps over graph families.
 
 ssm_scan draws random boundary-condition pairs on distance spheres and
 records the gap between the two conditional occupation probabilities; the
-fit of log gap against distance estimates the decay rate.  zero_scan counts
+fit of log gap against distance estimates the decay rate.  Its trials run
+on bit masks of the graph (spheres, drawn in-sets, free vertices), and
+build boundary objects only when asked to.  zero_scan counts
 partition-function zeros per cell of a rectangle by winding numbers of
 Z'/Z.  The scans are exact per record; only the sampling is random, and it
 is fully determined by the seed.
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolationError, NearZeroDenominatorError
-from .exact import _check_activity, cond_prob_hardcore, ind_poly, ratio_P, ratio_R
-from .graphs import HardcoreBoundary, bfs_distances, is_claw_free
+from .exact import _check_activity, _hardcore_prob, _neighbor_masks, ind_poly, ratio_P, ratio_R
+from .graphs import HardcoreBoundary, _all_vertices, _bfs, _hardcore_keep, is_claw_free
 
 
 @dataclass(frozen=True)
@@ -57,27 +59,45 @@ MAX_DOUBLINGS = 4
 CONTOUR_TOL = 1e-9
 
 
-def _sample_boundary(rng, sphere, adj):
-    """Rejection-sample an occupancy assignment on the sphere whose in-set is
-    independent; the inclusion probability starts at SPHERE_IN_PROB and is
-    halved after every 50 failed attempts so dense spheres stay feasible."""
+def _sample_in_set(rng, sphere, nbr):
+    """Rejection-sample an independent in-set on the sphere (a vertex list)
+    as a bit mask, given the graph's neighbor masks nbr.  An attempt draws
+    one number per sphere vertex, in list order, and takes the vertex when
+    it is below p; p starts at SPHERE_IN_PROB and is halved after every 50
+    failed attempts so dense spheres stay feasible.  None when all fail."""
     p = SPHERE_IN_PROB
     for attempt in range(MAX_BOUNDARY_ATTEMPTS):
         if attempt and attempt % 50 == 0:
             p /= 2.0
-        values = {u: int(rng.random() < p) for u in sphere}
-        if not any(values.get(b) == 1 for a, s in values.items() if s for b in adj[a]):
-            return values
+        ins = blocked = 0
+        for u, x in zip(sphere, rng.random(len(sphere)).tolist()):
+            if x < p:
+                ins |= 1 << u
+                blocked |= nbr[u]
+        if not ins & blocked:
+            return ins
     return None
 
 
 def _graph_ids(graphs, graph_ids):
-    """graph_ids checked to match graphs in number, or g0, g1, ... when None."""
+    """graph_ids checked to match graphs in number, or g0, g1, ... when None,
+    after checking that there is a graph to scan."""
+    if not graphs:
+        raise ValueError("no graphs to scan")
     if graph_ids is None:
         return [f"g{k}" for k in range(len(graphs))]
     if len(graph_ids) != len(graphs):
         raise ValueError("graph_ids must match graphs")
     return graph_ids
+
+
+def _spheres(g, v, max_distance):
+    """The distance spheres around v out to max_distance, index d holding
+    the vertices at distance d, ascending, and their bit mask."""
+    layers = [[] for _ in range(max_distance + 1)]
+    for u, d in _bfs(g, v, _all_vertices(g), max_distance).items():
+        layers[d].append(u)
+    return [(sorted(s), sum(1 << u for u in s)) for s in layers]
 
 
 def ssm_scan(
@@ -96,8 +116,14 @@ def ssm_scan(
     the graph round-robin, a uniform vertex v and distance d, take the full
     distance-d sphere as the boundary region, and draw two independent
     occupancy assignments on it (the second redrawn until it differs, so the
-    disagreement distance is exactly d).  Returns (records, fit); fit is
-    None when fewer than two distances have enough usable records.
+    disagreement distance is exactly d).  A trial runs on bit masks: the
+    spheres around v come from one breadth-first search per drawn (graph,
+    vertex), each draw's in-set is a mask tested for independence against
+    the neighbor masks, and each gap is the difference of the occupation
+    probabilities of v on the two free masks, cut to v's component.
+    HardcoreBoundary objects are built only with collect_boundaries=True.
+    Returns (records, fit); fit is None when fewer than two distances have
+    enough usable records.
     """
     graph_ids = _graph_ids(graphs, graph_ids)
     if max_distance < 1:
@@ -105,43 +131,50 @@ def ssm_scan(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     _check_activity(lam)
+    for gid, g in zip(graph_ids, graphs):
+        if not g.n:
+            raise ValueError(f"graph {gid} has no vertex to scan")
     records = []
     skipped = 0
-    # distances from each drawn (graph, vertex), computed once per call
-    dists = {}
+    # neighbor masks per graph and spheres per drawn (graph, vertex),
+    # computed once per call
+    nbrs = {}
+    spheres = {}
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
         k = t % len(graphs)
         g = graphs[k]
         v = int(rng.integers(g.n))
         d = int(rng.integers(1, max_distance + 1))
-        dist = dists.get((k, v))
-        if dist is None:
-            dist = dists[k, v] = bfs_distances(g, v)
-        sphere = [u for u in range(g.n) if dist[u] == d]
+        if k not in nbrs:
+            nbrs[k] = _neighbor_masks(g)
+        if (k, v) not in spheres:
+            spheres[k, v] = _spheres(g, v, max_distance)
+        sphere, region = spheres[k, v][d]
         if not sphere:
             skipped += 1
             continue
-        first = _sample_boundary(rng, sphere, g.adj)
+        first = _sample_in_set(rng, sphere, nbrs[k])
         if first is None:
             skipped += 1
             continue
         second = None
         for _ in range(MAX_BOUNDARY_ATTEMPTS):
-            cand = _sample_boundary(rng, sphere, g.adj)
+            cand = _sample_in_set(rng, sphere, nbrs[k])
             if cand is not None and cand != first:
                 second = cand
                 break
         if second is None:
             skipped += 1
             continue
-        sigma = HardcoreBoundary(first)
-        tau = HardcoreBoundary(second)
         gap = abs(
-            cond_prob_hardcore(g, v, sigma, lam)
-            - cond_prob_hardcore(g, v, tau, lam)
+            _hardcore_prob(g, v, _hardcore_keep(g, region, first), lam)
+            - _hardcore_prob(g, v, _hardcore_keep(g, region, second), lam)
         )
         if collect_boundaries:
+            sigma, tau = (
+                HardcoreBoundary({u: ins >> u & 1 for u in sphere}) for ins in (first, second)
+            )
             records.append(SSMRecord(graph_ids[k], v, d, gap, sigma=sigma, tau=tau))
         else:
             records.append(SSMRecord(graph_ids[k], v, d, gap))

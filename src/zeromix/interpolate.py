@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationDepthError, ZeroRegionViolationError
-from .exact import IndPoly, _hardcore_query, _ratio_polys, _ratios
+from .exact import IndPoly, _free_component, _hardcore_query, _ratio_polys, _ratios
 from .graphs import HardcoreBoundary
 from .series import PowerSeries, _long_division
 
@@ -195,7 +195,7 @@ def estimate_M(g, v, lam, spec, samples=DEFAULT_SAMPLES):
     Raises ZeroRegionViolationError if Z of v's component vanishes to
     working precision at a sampled point.
     """
-    keep = _hardcore_query(g, v, HardcoreBoundary({}), lam)
+    keep = _free_component(g, v, _hardcore_query(g, v, HardcoreBoundary({}), lam))
     _check_samples(samples)
     num, den = _ratio_polys(g, v, keep)
     return _sampled_M(num, den, lam * _circle_image(spec, samples))
@@ -252,7 +252,7 @@ def choose_strip_spec(g, v, lam, eps_target, max_depth=DEFAULT_MAX_DEPTH):
     """Pick a strip width whose disk clears the zeros of Z on v's component
     with margin and whose certified depth fits under max_depth.  Wider
     strips give faster rates, so EPS_LADDER is walked widest-first."""
-    keep = _hardcore_query(g, v, HardcoreBoundary({}), lam)
+    keep = _free_component(g, v, _hardcore_query(g, v, HardcoreBoundary({}), lam))
     _check_target(eps_target, max_depth)
     num, den = _ratio_polys(g, v, keep)
     return _strip_and_M(num, den, lam, eps_target, max_depth, EPS_LADDER, LADDER_MARGIN)[0]
@@ -305,7 +305,7 @@ def approx_cond_prob(g, v, sigma, lam, eps_target, spec=None, max_depth=DEFAULT_
     returns the partial sum at z = 1 with that bound.  A given spec is the
     one-rung ladder (spec.eps,) with no margin.
     """
-    keep = _hardcore_query(g, v, sigma, lam)
+    keep = _free_component(g, v, _hardcore_query(g, v, sigma, lam))
     _check_target(eps_target, max_depth)
     if spec is not None and not isinstance(spec, StripSpec):
         raise TypeError("approx_cond_prob runs on the strip map; pass a StripSpec")

@@ -509,6 +509,18 @@ def test_ssm_scan_nonpositive_activity_is_usage_error(capsys, activity):
     assert captured.err == f"error: activity must be a positive real, got {float(activity)}\n"
 
 
+@pytest.mark.parametrize(
+    "params, message",
+    [('{"sizes": []}', "no graphs to scan"), ('{"sizes": [3, 0]}', "graph path-1 has no vertex to scan")],
+    ids=["no graphs", "a graph with no vertex"],
+)
+def test_ssm_scan_with_nothing_to_draw_is_an_error_naming_it(capsys, params, message):
+    assert main(["ssm-scan", "--family", "path", "--params", params, "--activity", "0.5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_exact_z_has_no_vertex_cap(files, capsys):
     # Z(P_n, 1) is the Fibonacci number F(n + 2), and F(47) = 2971215073
     g = files("g.txt", "45\n" + "".join(f"{k} {k + 1}\n" for k in range(44)))

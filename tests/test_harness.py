@@ -12,6 +12,7 @@ from zeromix import (
     dist_to_disagreement,
     from_edges,
     grid_graph,
+    line_graph_of_random_regular,
     path_graph,
     ratio_bound_scan,
     shearer_radius,
@@ -37,19 +38,85 @@ def test_ssm_scan_deterministic():
 
 
 def test_ssm_records_recompute_exactly():
-    # each recorded gap is the exact conditional-probability difference
-    g = path_graph(10)
+    # each record matches the public route: both boundaries fit the graph,
+    # the gap is the exact conditional-probability difference and the
+    # distance is the disagreement distance
+    graphs = [
+        path_graph(10),
+        grid_graph(4, 4),
+        grid_graph(3, 5),
+        cycle_graph(9),
+        line_graph_of_random_regular(3, 12),
+    ]
     records, _ = ssm_scan(
-        [g], 1.0, trials=30, max_distance=4, seed=3, collect_boundaries=True
+        graphs, 1.0, trials=150, max_distance=4, seed=3, collect_boundaries=True
     )
-    assert records
+    assert {rec.graph_id for rec in records} == {f"g{k}" for k in range(len(graphs))}
+    blocked = 0
     for rec in records:
+        g = graphs[int(rec.graph_id[1:])]
+        rec.sigma.validate(g)
+        rec.tau.validate(g)
         want = abs(
             cond_prob_hardcore(g, rec.vertex, rec.sigma, 1.0)
             - cond_prob_hardcore(g, rec.vertex, rec.tau, 1.0)
         )
         assert rec.gap == want
         assert rec.distance == dist_to_disagreement(g, rec.vertex, rec.sigma, rec.tau)
+        ins = rec.sigma.in_vertices() | rec.tau.in_vertices()
+        blocked += rec.distance == 1 and bool(ins & set(g.adj[rec.vertex]))
+    # distance-1 trials where an in-vertex blocks v are among them
+    assert blocked
+
+
+# (vertex, distance, repr(gap)) of ssm_scan([g], 1.0, 40, 3, seed=17): pins
+# how the trials consume each generator's stream, which comparing a scan
+# with itself cannot catch
+GOLDEN_GRID_4X4 = [
+    (11, 3, "0.05555555555555555"), (2, 2, "0.0"), (12, 2, "0.0"), (4, 2, "0.0"),
+    (13, 1, "0.0"), (8, 1, "0.0"), (10, 1, "0.0"), (3, 1, "0.0"),
+    (9, 3, "0.09956709956709955"), (4, 3, "0.033333333333333354"), (14, 2, "0.0"),
+    (1, 2, "0.0"), (7, 3, "0.1965811965811966"), (10, 3, "0.09956709956709955"),
+    (10, 3, "0.056216216216216225"), (9, 2, "0.0"), (10, 3, "0.12530712530712532"),
+    (2, 2, "0.16666666666666669"), (3, 2, "0.3"), (5, 2, "0.0"),
+    (4, 3, "0.06766917293233082"), (1, 2, "0.3"), (5, 3, "0.057142857142857134"),
+    (5, 2, "0.16666666666666669"), (4, 3, "0.07586206896551723"),
+    (5, 3, "0.04242424242424242"), (10, 2, "0.3"), (7, 1, "0.0"),
+    (3, 2, "0.16666666666666669"), (7, 1, "0.5"), (6, 3, "0.030476190476190462"),
+    (13, 1, "0.0"), (14, 2, "0.3"), (11, 3, "0.16475095785440613"), (0, 2, "0.0"),
+    (11, 3, "0.16475095785440613"), (3, 2, "0.0"), (2, 1, "0.5"),
+    (14, 3, "0.06766917293233082"), (7, 2, "0.3"),
+]
+GOLDEN_CUBIC_LINE_12 = [
+    (13, 3, "0.050724637681159424"), (2, 2, "0.1333333333333333"),
+    (14, 2, "0.08333333333333334"), (4, 2, "0.08333333333333331"), (15, 1, "0.0"),
+    (9, 1, "0.0"), (12, 1, "0.0"), (3, 1, "0.0"), (10, 3, "0.02882882882882884"),
+    (4, 3, "0.05052631578947367"), (16, 2, "0.1333333333333333"),
+    (1, 2, "0.16666666666666669"), (8, 3, "0.07194550872711791"),
+    (12, 3, "0.03787375415282393"), (11, 3, "0.04596273291925465"), (10, 2, "0.25"),
+    (11, 3, "0.009803921568627472"), (2, 2, "0.1333333333333333"),
+    (4, 2, "0.08333333333333334"), (5, 2, "0.0"), (4, 3, "0.009523809523809518"),
+    (2, 2, "0.19047619047619047"), (6, 3, "0.04482758620689656"),
+    (6, 2, "0.35714285714285715"), (4, 3, "0.06280193236714976"), (5, 3, "0.0"),
+    (12, 2, "0.1333333333333333"), (7, 1, "0.0"), (3, 2, "0.25"), (8, 1, "0.0"),
+    (6, 3, "0.017241379310344834"), (15, 1, "0.0"), (16, 2, "0.0"),
+    (13, 3, "0.06114130434782608"), (0, 2, "0.1333333333333333"), (13, 3, "0.0"),
+    (4, 2, "0.08333333333333334"), (2, 1, "0.0"), (16, 3, "0.03220035778175312"),
+    (8, 2, "0.2333333333333333"),
+]
+
+
+@pytest.mark.parametrize(
+    "g, want",
+    [
+        (grid_graph(4, 4), GOLDEN_GRID_4X4),
+        (line_graph_of_random_regular(3, 12, seed=0), GOLDEN_CUBIC_LINE_12),
+    ],
+    ids=["grid 4x4", "cubic line graph n=12"],
+)
+def test_ssm_scan_golden_records(g, want):
+    records, _ = ssm_scan([g], 1.0, 40, 3, seed=17)
+    assert [(rec.vertex, rec.distance, repr(rec.gap)) for rec in records] == want
 
 
 def test_scans_run_on_the_10x10_grid():
@@ -229,6 +296,24 @@ def test_scans_share_the_graph_ids_check():
     ):
         with pytest.raises(ValueError, match="^graph_ids must match graphs$"):
             scan(["a"])
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [lambda: ssm_scan([], 0.5, 4, 2), lambda: ratio_bound_scan([], [0.5])],
+    ids=["ssm_scan", "ratio_bound_scan"],
+)
+def test_scans_refuse_an_empty_graph_list(scan):
+    with pytest.raises(ValueError, match="^no graphs to scan$"):
+        scan()
+
+
+def test_ssm_scan_names_a_graph_with_no_vertex():
+    # up front, before any trial draws a vertex from it
+    with pytest.raises(ValueError, match="^graph g1 has no vertex to scan$"):
+        ssm_scan([path_graph(3), from_edges(0, [])], 0.5, 4, 2)
+    with pytest.raises(ValueError, match="^graph empty has no vertex to scan$"):
+        ssm_scan([from_edges(0, [])], 0.5, 4, 2, graph_ids=["empty"])
 
 
 @pytest.mark.parametrize("max_distance", [0, -2])

@@ -55,6 +55,7 @@ from zeromix import (
 from zeromix.cluster import _blowup_ursell, _canonical_form, _pattern_bits
 from zeromix.exact import (
     NEAR_ZERO_REL,
+    _free_component,
     _hardcore_query,
     _near_zero,
     _neighbor_masks,
@@ -495,7 +496,7 @@ def test_hardcore_boundary_keeps_the_free_vertices(case):
     ins = sigma.in_vertices()
     # a vertex stays unless it is pinned or next to an occupied pin
     want = [u for u in range(g.n) if u not in sigma.region and not ins & set(g.adj[u])]
-    assert _mask_bits(g, _hardcore_keep(g, sigma)) == want
+    assert _mask_bits(g, _hardcore_keep(g, *sigma._masks())) == want
     h, mapping = apply_hardcore_boundary(g, sigma)
     assert sorted(mapping) == want
     assert h.edges() == sorted((mapping[u], mapping[w]) for u, w in g.edges() if u in mapping and w in mapping)
@@ -507,7 +508,7 @@ def test_hardcore_query_keeps_the_free_component_of_v(case):
     g, v, sigma = case
     ins = sigma.in_vertices()
     free = [u for u in range(g.n) if u not in sigma.region and not ins & set(g.adj[u])]
-    got = _hardcore_query(g, v, sigma, 1.0)
+    got = _free_component(g, v, _hardcore_query(g, v, sigma, 1.0))
     if v not in free:
         assert got is None
         return
