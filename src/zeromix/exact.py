@@ -22,6 +22,7 @@ afford.
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,8 +258,10 @@ def ratio_R(g, v, lam):
 
 
 def _check_activity(lam):
-    """Raise ValueError unless lam is a positive real."""
-    if not (isinstance(lam, (int, float)) and lam > 0):
+    """Raise ValueError unless lam is a finite positive real: not a bool,
+    and not an int too large for a float."""
+    real = isinstance(lam, (int, float)) and not isinstance(lam, bool)
+    if not (real and 0 < lam <= sys.float_info.max):
         raise ValueError(f"activity must be a positive real, got {lam!r}")
 
 

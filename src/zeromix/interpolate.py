@@ -23,6 +23,7 @@ lam * g cancels nothing; one long division then gives P(lam * g(z)).
 import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,15 +178,59 @@ def _circle(r, samples):
     return r * np.exp(2j * np.pi * np.arange(samples) / samples)
 
 
+def _map_of(spec):
+    """The (point, series) pair of the map that spec parametrises."""
+    if isinstance(spec, StripSpec):
+        return g_point, g_series
+    if isinstance(spec, SectorSpec):
+        return h_point, h_series
+    raise TypeError(f"unsupported map spec {spec!r}")
+
+
 @functools.lru_cache(maxsize=64)
 def _circle_image(spec, samples=DEFAULT_SAMPLES):
     """The map's image of the circle |z| = spec.r, one read-only array per
     spec shared by every query."""
-    if not isinstance(spec, (StripSpec, SectorSpec)):
-        raise TypeError(f"unsupported map spec {spec!r}")
-    w = (g_point if isinstance(spec, StripSpec) else h_point)(spec, _circle(spec.r, samples))
+    w = _map_of(spec)[0](spec, _circle(spec.r, samples))
     w.flags.writeable = False
     return w
+
+
+def _pow2_ceil(k):
+    """The least power of two >= k, for k >= 1."""
+    return 1 << (k - 1).bit_length()
+
+
+@functools.lru_cache(maxsize=64)
+def _power_table(spec, lam, rows, cols):
+    """The read-only float64 array T with T[j, k] = [z^k] (lam * map(z))^j
+    for j < rows and k < cols, one per (spec, lam, shape) shared by every
+    query.  It is keyed on lam, not on the map alone, so each entry has the
+    magnitude of the Horner product it replaces; powers of the bare map,
+    rescaled by lam^j afterwards, would underflow at narrow rungs and large
+    j."""
+    b = lam * np.real(_map_of(spec)[1](spec, cols - 1).coeffs)
+    T = np.zeros((rows, cols))
+    T[0, 0] = 1.0
+    for j in range(1, rows):
+        T[j] = np.convolve(T[j - 1], b)[:cols]
+    T.flags.writeable = False
+    return T
+
+
+def _composed(spec, lam, n, *polys):
+    """Coefficients 0..n-1 of p(lam * map(z)) for each polynomial p
+    (coefficients constant first), which read only p's coefficients 0..n-1:
+    one vector-matrix product each with a shared power table.  The table's
+    columns are rounded up to a power of two >= max(n, 64) and its rows to
+    one >= the longest cut polynomial, so a deep query of low degree builds
+    few rows and queries of nearby depth and degree share a table.  For
+    polynomials with nonnegative coefficients every term is nonnegative:
+    nothing cancels."""
+    polys = [np.array(p[:n], dtype=float) for p in polys]
+    cols = max(64, _pow2_ceil(n))
+    T = _power_table(spec, lam, min(_pow2_ceil(max(map(len, polys))), cols), cols)
+    return [p @ T[: len(p), :n] for p in polys]
 
 
 def estimate_M(g, v, lam, spec, samples=DEFAULT_SAMPLES):
@@ -226,9 +271,11 @@ def _zero_in_strip_disk(roots, spec, lam, margin):
 
 def _check_target(eps_target, max_depth):
     """Raise ValueError unless the error target is positive and the depth
-    cap at least 1."""
+    cap an int (not a bool) of at least 1."""
     if not eps_target > 0:
         raise ValueError(f"error target must be positive, got {eps_target}")
+    if isinstance(max_depth, bool) or not isinstance(max_depth, numbers.Integral):
+        raise ValueError(f"max_depth must be an integer, got {max_depth!r}")
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
 
@@ -302,7 +349,10 @@ def approx_cond_prob(g, v, sigma, lam, eps_target, spec=None, max_depth=DEFAULT_
     P(lam * g(z)) on |z| = r by sampling, takes the smallest depth n whose
     tail bound meets eps_target, composes the component's numerator and
     denominator, cut at n coefficients, with lam * g, long-divides them and
-    returns the partial sum at z = 1 with that bound.  A given spec is the
+    returns the partial sum at z = 1 with that bound.  Each composition is
+    one product with a cached table of the powers of lam * g for the rung
+    and lam, and the division runs in float64; every input is real and
+    every term of the compositions nonnegative.  A given spec is the
     one-rung ladder (spec.eps,) with no margin.
     """
     keep = _free_component(g, v, _hardcore_query(g, v, sigma, lam))
@@ -317,8 +367,6 @@ def approx_cond_prob(g, v, sigma, lam, eps_target, spec=None, max_depth=DEFAULT_
     ladder, margin = (EPS_LADDER, LADDER_MARGIN) if spec is None else ((spec.eps,), 0.0)
     num, den = _ratio_polys(g, v, keep)
     spec, M, n = _strip_and_M(num, den, lam, eps_target, max_depth, ladder, margin)
-    # coefficients 0..n-1 of the composite read coefficients 0..n-1 of each
-    inner = g_series(spec, n - 1).scale(lam)
-    top, bottom = (PowerSeries.from_coeffs(p, n - 1).compose(inner).coeffs for p in (num, den))
-    value = float(_long_division(top, bottom, n - 1).sum().real)
+    top, bottom = _composed(spec, lam, n, num, den)
+    value = float(_long_division(top, bottom, n - 1).sum())
     return ApproxResult(value, tail_bound(M, spec.r, n), n, M, spec.r)

@@ -487,7 +487,9 @@ def test_bad_eps_region_names_the_flag(files, capsys, eps_region):
     assert captured.err == f"error: --eps-region must be positive, got {float(eps_region)}\n"
 
 
-@pytest.mark.parametrize("activity", ["0", "-1"])
+# "inf" and "1e400" once made approx-prob exit 2, as if every strip disk held
+# a zero, and ssm-scan exit 0 with "gap": NaN, which is not JSON
+@pytest.mark.parametrize("activity", ["0", "-1", "inf", "1e400"])
 def test_nonpositive_activity_is_usage_error(files, capsys, activity):
     g = files("g.txt", P3)
     b = files("b.txt", "0 1\n")
@@ -499,7 +501,7 @@ def test_nonpositive_activity_is_usage_error(files, capsys, activity):
     assert captured.err == f"error: activity must be a positive real, got {float(activity)}\n"
 
 
-@pytest.mark.parametrize("activity", ["0", "-1"])
+@pytest.mark.parametrize("activity", ["0", "-1", "inf", "1e400"])
 def test_ssm_scan_nonpositive_activity_is_usage_error(capsys, activity):
     argv = ["ssm-scan", "--family", "path", "--params", '{"n": 5}', "--activity", activity,
             "--output", "json"]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import time
 
 import numpy as np
@@ -244,6 +245,17 @@ def test_cond_prob_rejects_bad_activity():
         cond_prob_hardcore(g, 0, HardcoreBoundary({}), -0.5)
     with pytest.raises(ValueError):
         cond_prob_hardcore(g, 0, HardcoreBoundary({}), 1 + 1j)
+
+
+@pytest.mark.parametrize(
+    "lam", [math.inf, True, 10**400], ids=["inf", "True", "int-beyond-float"]
+)
+def test_cond_prob_rejects_a_non_finite_or_bool_activity(lam):
+    # inf once gave nan, True answered as lam = 1 and 10**400 raised a bare
+    # OverflowError
+    message = f"^activity must be a positive real, got {re.escape(repr(lam))}$"
+    with pytest.raises(ValueError, match=message):
+        cond_prob_hardcore(path_graph(3), 0, HardcoreBoundary({}), lam)
 
 
 def test_hom_Z_hand_values():

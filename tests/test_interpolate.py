@@ -28,6 +28,7 @@ from zeromix import (
     h_inverse_candidates,
     h_point,
     h_series,
+    line_graph_of_random_regular,
     path_graph,
     shearer_radius,
     tail_bound,
@@ -233,6 +234,21 @@ def test_nonpositive_max_depth_is_rejected(max_depth):
         choose_strip_spec(path_graph(3), 0, 0.5, 1e-3, max_depth=max_depth)
 
 
+@pytest.mark.parametrize("max_depth", [True, 2.5, "64"])
+def test_a_depth_cap_that_is_not_an_int_is_rejected(max_depth):
+    # True once passed as depth 1 and 2.5 as a cap between 2 and 3, and
+    # TruncationDepthError then reported "within depth True"
+    message = f"^max_depth must be an integer, got {re.escape(repr(max_depth))}$"
+    for v, sigma in ((0, HardcoreBoundary({})), (1, HardcoreBoundary({0: 1}))):
+        with pytest.raises(ValueError, match=message):
+            approx_cond_prob(path_graph(3), v, sigma, 0.5, 1e-3, max_depth=max_depth)
+    with pytest.raises(ValueError, match=message):
+        choose_strip_spec(path_graph(3), 0, 0.5, 1e-3, max_depth=max_depth)
+    # any Integral that is not a bool is a depth cap
+    res = approx_cond_prob(path_graph(3), 0, HardcoreBoundary({}), 0.5, 1e-3, max_depth=np.int64(64))
+    assert res.depth_used > 0
+
+
 def test_sampled_M_bounds_the_points_and_stops_at_a_zero():
     num, den = (0, 1), (1, 2)  # z / (1 + 2z); the denominator vanishes at -0.5
     points = [0.1, 1j, -1.0, 0.4 - 0.3j]
@@ -393,3 +409,46 @@ def test_choose_strip_spec_narrows_as_activity_grows():
     wide = choose_strip_spec(g, 1, 0.01, 1e-3).eps
     mid = choose_strip_spec(g, 1, 0.2, 1e-3).eps
     assert mid <= wide
+
+
+# (graph, vertex, lam, depth_used, bound_M, rate_r, error_bound, value) of
+# approx_cond_prob at target 1e-8 with no boundary, as the Horner composition
+# with complex long division computed them; the table route in real
+# arithmetic keeps the first four by repr and moves the value only by
+# rounding
+CERTIFIED = [
+    ("grid6x6", 0, 0.03, 20, 0.12203903486855933, 2.285255827655929, 6.292347231983929e-09, 0.02758466816852505),
+    ("grid6x6", 0, 0.11, 26, 0.3902485942799855, 1.9744101008840758, 8.341191687786177e-09, 0.08438842404528146),
+    ("grid6x6", 0, 0.21, 60, 0.4495670074857557, 1.3678794411714423, 8.398845205232693e-09, 0.13541427739798093),
+    ("grid6x6", 14, 0.03, 20, 0.1066786171882204, 2.285255827655929, 5.5003622594946216e-09, 0.026198010246999352),
+    ("grid6x6", 14, 0.11, 28, 1.1878143384020539, 1.9744101008840758, 6.5126927444526975e-09, 0.07346622766575442),
+    ("grid6x6", 14, 0.21, 64, 1.7747563087563978, 1.3678794411714423, 9.470492938098463e-09, 0.11091626100984486),
+    ("grid6x6", 27, 0.03, 20, 0.10621025518704205, 2.285255827655929, 5.476213458704324e-09, 0.02618065975522179),
+    ("grid6x6", 27, 0.11, 28, 0.9958731706312559, 1.9744101008840758, 5.460294393727003e-09, 0.07312444423687978),
+    ("grid6x6", 27, 0.21, 64, 1.413480123382856, 1.3678794411714423, 7.542643156468016e-09, 0.10988126160716914),
+    ("line16", 0, 0.03, 20, 0.10560623472746467, 2.285255827655929, 5.4450700915761185e-09, 0.026161780907870885),
+    ("line16", 0, 0.11, 27, 0.8701977772531619, 1.9744101008840758, 9.420356966907161e-09, 0.07267941229105597),
+    ("line16", 0, 0.21, 63, 1.16970919346593, 1.3678794411714423, 8.538067452897464e-09, 0.10830253270271688),
+    ("line16", 9, 0.03, 20, 0.10551253079927846, 2.285255827655929, 5.440238705833159e-09, 0.02616075475080947),
+    ("line16", 9, 0.11, 27, 0.9234008679929735, 1.9744101008840758, 9.996308916697041e-09, 0.07260793974904117),
+    ("line16", 9, 0.21, 63, 1.2720375497348568, 1.3678794411714423, 9.28499362313592e-09, 0.10790852937040483),
+    ("line16", 17, 0.03, 20, 0.10490747320037722, 2.285255827655929, 5.4090418636773875e-09, 0.026141874427090064),
+    ("line16", 17, 0.11, 27, 0.8132049385517839, 1.9744101008840758, 8.803378965861146e-09, 0.0721620633784576),
+    ("line16", 17, 0.21, 63, 1.074576648641424, 1.3678794411714423, 7.843665725344417e-09, 0.10631955423833829),
+]
+CERTIFIED_GRAPHS = {
+    "grid6x6": grid_graph(6, 6),
+    "line16": line_graph_of_random_regular(3, 16, seed=5),
+}
+
+
+@pytest.mark.parametrize("name,v,lam,depth,M,r,bound,value", CERTIFIED)
+def test_certified_metadata_is_pinned(name, v, lam, depth, M, r, bound, value):
+    res = approx_cond_prob(CERTIFIED_GRAPHS[name], v, HardcoreBoundary({}), lam, 1e-8)
+    assert (res.depth_used, repr(res.bound_M), repr(res.rate_r), repr(res.error_bound)) == (
+        depth,
+        repr(M),
+        repr(r),
+        repr(bound),
+    )
+    assert abs(res.value - value) <= 2 * bound

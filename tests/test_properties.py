@@ -18,6 +18,7 @@ approx_cond_prob against cond_prob_hardcore within its error bound."""
 import cmath
 import math
 from fractions import Fraction
+from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -30,6 +31,7 @@ from zeromix import (
     PowerSeries,
     SectorSpec,
     SpinBoundary,
+    StripSpec,
     TruncationDepthError,
     ZeroRegionViolationError,
     apply_hardcore_boundary,
@@ -41,6 +43,7 @@ from zeromix import (
     estimate_M,
     eval_poly,
     from_edges,
+    g_series,
     h_point,
     hom_ratio_series,
     hom_Z_poly,
@@ -63,7 +66,9 @@ from zeromix.exact import (
     _ratios,
 )
 from zeromix.graphs import _bfs, _hardcore_keep
-from zeromix.interpolate import _sampled_M
+from zeromix import interpolate
+from zeromix.interpolate import EPS_LADDER, _sampled_M
+from zeromix.series import _long_division
 from helpers import (
     brute_cond_prob,
     brute_edge_matrix_Z,
@@ -340,6 +345,55 @@ def test_power_series_matches_exact_reference(data):
     got = PowerSeries(tail).exp().coeffs
     for g, w, s in zip(got, want, scale):
         assert abs(g - float(w)) <= 1e-12 * float(s)
+
+
+# --- the power-table composition of approx_cond_prob -----------------------
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.sampled_from(EPS_LADDER),
+    st.floats(0.02, 5.0, exclude_min=True, exclude_max=True),
+    st.lists(st.integers(0, 50), max_size=40).map(lambda p: [1, *p[1:], 1] if p else [1]),
+    st.lists(st.integers(0, 50), max_size=41),
+    st.integers(1, 256),
+)
+def test_power_table_composition_matches_horner(eps, lam, den, num, n):
+    # den is a degree-<=40 polynomial with a unit constant term and num one of
+    # no higher degree, as x * I(H - N[v]) and I(H) are; n up to 256 reaches
+    # tables wider than the least width of 64
+    num = num[: len(den)] or [0]
+    spec = StripSpec(eps)
+    shapes = []
+
+    def spy(spec, lam, rows, cols):
+        shapes.append((rows, cols))
+        return power_table(spec, lam, rows, cols)
+
+    power_table = interpolate._power_table
+    with mock.patch.object(interpolate, "_power_table", spy):
+        top, bottom = interpolate._composed(spec, lam, n, num, den)
+    (rows, cols), = shapes
+    degree = len(den[:n]) - 1
+    assert degree + 1 <= rows <= 2 * (degree + 1) and cols >= n
+
+    inner = g_series(spec, n - 1).scale(lam)
+    for p, got in ((num, top), (den, bottom)):
+        want = np.real(PowerSeries.from_coeffs(p, n - 1).compose(inner).coeffs)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        # every term is nonnegative, so both routes are accurate relative
+        # to each coefficient
+        assert (np.abs(got - want) <= 1e-13 * want).all()
+
+    # den's zeros may lie near 0 here, unlike the ladder's, and the quotient
+    # then grows like |nearest zero|^-k; 64 coefficients keep it finite
+    m = min(n, 64)
+    quotient = _long_division(top[:m], bottom[:m], m - 1)
+    assert quotient.dtype == np.float64
+    want = _long_division(top[:m].astype(complex), bottom[:m].astype(complex), m - 1)
+    # each step's rounding scales with the largest coefficient so far
+    scale = np.maximum.accumulate(np.abs(want))
+    assert (np.abs(quotient - want) <= 1e-11 * scale).all()
 
 
 # --- the array route of the sampled bound M ---------------------------------
