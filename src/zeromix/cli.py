@@ -179,7 +179,10 @@ def _approx_prob(args, g, sigma):
     if args.eps_region is not None:
         if not args.eps_region > 0:
             raise ValueError(f"--eps-region must be positive, got {args.eps_region}")
-        spec = interpolate.StripSpec(args.eps_region / (2.0 * args.activity))
+        try:
+            spec = interpolate.StripSpec(args.eps_region / (2.0 * args.activity))
+        except ValueError as exc:
+            raise ValueError(f"--eps-region {args.eps_region}: {exc}") from None
     res = interpolate.approx_cond_prob(
         g,
         args.vertex,

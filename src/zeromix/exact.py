@@ -60,7 +60,16 @@ class IndPoly:
         return tuple(k * c for k, c in enumerate(self.coeffs))[1:]
 
     def roots(self):
-        return np.roots([float(c) for c in reversed(self.coeffs)])
+        """The zeros, as np.roots gives them: the eigenvalues of the same
+        companion matrix, built without np.roots' trimming and stacking,
+        15-20 % of its time at degrees 8 and 11.  A constant or a zero
+        end coefficient goes through np.roots itself."""
+        p = np.array([float(c) for c in reversed(self.coeffs)])
+        if p.size < 2 or p[0] == 0 or p[-1] == 0:
+            return np.roots(p)
+        A = np.diag(np.ones(p.size - 2), -1)
+        A[0] = -p[1:] / p[0]
+        return np.linalg.eigvals(A)
 
 
 def _neighbor_masks(g):

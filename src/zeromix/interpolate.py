@@ -37,6 +37,17 @@ DEFAULT_MAX_DEPTH = 64
 DEFAULT_SAMPLES = 256
 
 
+def _check_map_param(name, value, rate):
+    """Raise ValueError unless the map parameter is positive and finite and
+    rate() gives a radius r > 1 in float64: a narrow strip rounds r to
+    exactly 1, and the tail bound then divides by r - 1 = 0."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    r = rate()
+    if not r > 1:
+        raise ValueError(f"{name} = {value} gives r = {r} in float64; need r > 1")
+
+
 @dataclass(frozen=True)
 class StripSpec:
     """Strip map parameters; eps is the half-width of the target neighborhood
@@ -45,8 +56,8 @@ class StripSpec:
     eps: float
 
     def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        # alpha is 0 in float64 for eps past about 2^54, and r is then undefined
+        _check_map_param("eps", self.eps, lambda: self.r if self.alpha > 0 else math.nan)
 
     @property
     def alpha(self):
@@ -64,8 +75,7 @@ class SectorSpec:
     delta: float
 
     def __post_init__(self):
-        if not self.delta > 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        _check_map_param("delta", self.delta, lambda: self.r)
 
     @property
     def zeta(self):
@@ -152,7 +162,9 @@ def gap_bound_hom(M, r, d):
 
 
 def _check_samples(samples):
-    """Raise ValueError unless samples is a positive count."""
+    """Raise ValueError unless samples is an int (not a bool) of at least 1."""
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
 
@@ -270,10 +282,10 @@ def _zero_in_strip_disk(roots, spec, lam, margin):
 
 
 def _check_target(eps_target, max_depth):
-    """Raise ValueError unless the error target is positive and the depth
-    cap an int (not a bool) of at least 1."""
-    if not eps_target > 0:
-        raise ValueError(f"error target must be positive, got {eps_target}")
+    """Raise ValueError unless the error target is positive and finite and
+    the depth cap an int (not a bool) of at least 1."""
+    if not 0 < eps_target < math.inf:
+        raise ValueError(f"error target must be positive and finite, got {eps_target}")
     if isinstance(max_depth, bool) or not isinstance(max_depth, numbers.Integral):
         raise ValueError(f"max_depth must be an integer, got {max_depth!r}")
     if max_depth < 1:
@@ -354,6 +366,13 @@ def approx_cond_prob(g, v, sigma, lam, eps_target, spec=None, max_depth=DEFAULT_
     and lam, and the division runs in float64; every input is real and
     every term of the compositions nonnegative.  A given spec is the
     one-rung ladder (spec.eps,) with no margin.
+
+    The graph enters only through the component's pair (x I(H - N[v]),
+    I(H)), so everything after the cut to v's component is memoized on
+    (num, den, lam, eps_target, max_depth, spec), spec None meaning the
+    ladder; the key is taken after the query checks, and a query that
+    raises is not stored.  Queries behind pinned spheres often land on the
+    same small component, and a repeat returns the first result.
     """
     keep = _free_component(g, v, _hardcore_query(g, v, sigma, lam))
     _check_target(eps_target, max_depth)
@@ -363,9 +382,16 @@ def approx_cond_prob(g, v, sigma, lam, eps_target, spec=None, max_depth=DEFAULT_
         # v is adjacent to an occupied boundary vertex: exactly zero
         r = spec.r if spec is not None else 2.0
         return ApproxResult(0.0, 0.0, 0, 0.0, r)
+    return _certified(*_ratio_polys(g, v, keep), lam, eps_target, max_depth, spec)
 
+
+@functools.lru_cache(maxsize=1024)
+def _certified(num, den, lam, eps_target, max_depth, spec):
+    """The certified value of num / den at lam for checked arguments: the
+    strip of the ladder (spec None) or of spec, its sampled M and depth, the
+    compositions and the division.  It reads nothing but its arguments, so
+    queries whose components share the pair (num, den) share one entry."""
     ladder, margin = (EPS_LADDER, LADDER_MARGIN) if spec is None else ((spec.eps,), 0.0)
-    num, den = _ratio_polys(g, v, keep)
     spec, M, n = _strip_and_M(num, den, lam, eps_target, max_depth, ladder, margin)
     top, bottom = _composed(spec, lam, n, num, den)
     value = float(_long_division(top, bottom, n - 1).sum())

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import zeromix
 from zeromix.cli import main
 
 P3 = "3\n0 1\n1 2\n"
@@ -485,6 +489,41 @@ def test_bad_eps_region_names_the_flag(files, capsys, eps_region):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: --eps-region must be positive, got {float(eps_region)}\n"
+
+
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--eps-region", "inf", "--eps-region inf: eps must be positive and finite, got inf"),
+        ("--eps-region", "0.02", "--eps-region 0.02: eps = 0.02 gives r = 1.0 in float64; need r > 1"),
+        ("--eps-target", "inf", "error target must be positive and finite, got inf"),
+    ],
+)
+def test_a_degenerate_region_or_target_is_usage_error(files, capsys, flag, value, message):
+    # the region once ended in a ZeroDivisionError traceback and the target
+    # in "error: math domain error"
+    g = files("g.txt", P3)
+    b = files("b.txt", "")
+    argv = ["approx-prob", "--graph", g, "--vertex", "1", "--boundary", b, "--activity", "0.5",
+            "--eps-target", "1e-4", flag, value]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_importing_the_package_loads_neither_scipy_nor_sympy():
+    # sympy is imported lazily where it is needed; scipy alone more than
+    # doubles the resident memory of a run
+    code = (
+        "import sys, zeromix, zeromix.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'sympy')))"
+    )
+    # the child imports the same copy of the package as this process
+    src = os.path.dirname(os.path.dirname(zeromix.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout == "[]\n"
 
 
 # "inf" and "1e400" once made approx-prob exit 2, as if every strip disk held

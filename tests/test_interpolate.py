@@ -33,7 +33,7 @@ from zeromix import (
     shearer_radius,
     tail_bound,
 )
-from zeromix.interpolate import EPS_LADDER, _sampled_M
+from zeromix.interpolate import EPS_LADDER, _certified, _sampled_M
 from helpers import disjoint_union, pinned_grid_centre
 
 
@@ -63,6 +63,28 @@ def test_sector_spec_derived_quantities():
     assert 1 < spec.r < 1 / spec.zeta
     with pytest.raises(ValueError):
         SectorSpec(-1.0)
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda: StripSpec(float("inf")), "eps must be positive and finite, got inf"),
+        (lambda: StripSpec(float("nan")), "eps must be positive and finite, got nan"),
+        (lambda: SectorSpec(float("inf")), "delta must be positive and finite, got inf"),
+        # r rounds to exactly 1 for strips narrower than about 0.027
+        (lambda: StripSpec(0.02), "eps = 0.02 gives r = 1.0 in float64; need r > 1"),
+        # alpha rounds to 0, which leaves r undefined
+        (lambda: StripSpec(1e17), "eps = 1e+17 gives r = nan in float64; need r > 1"),
+        (lambda: SectorSpec(1e-40), "delta = 1e-40 gives r = 1.0 in float64; need r > 1"),
+    ],
+    ids=["strip-inf", "strip-nan", "sector-inf", "strip-0.02", "strip-1e17", "sector-1e-40"],
+)
+def test_a_degenerate_map_spec_is_rejected(make, message):
+    # all but nan were once accepted, and approx_cond_prob with
+    # StripSpec(0.02) then raised a bare ZeroDivisionError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+    assert StripSpec(0.03).r > 1 and SectorSpec(1e-30).r > 1
 
 
 def test_strip_map_endpoints():
@@ -212,6 +234,15 @@ def test_estimate_M_rejects_zero_samples():
         estimate_M(path_graph(3), 0, 0.1, StripSpec(0.5), samples=-1)
 
 
+@pytest.mark.parametrize("samples", [2.5, True, "8"])
+def test_a_sample_count_that_is_not_an_int_is_rejected(samples):
+    # 2.5 once sampled 3 points and True one
+    message = f"^samples must be an integer, got {re.escape(repr(samples))}$"
+    with pytest.raises(ValueError, match=message):
+        estimate_M(path_graph(3), 0, 0.1, StripSpec(0.5), samples=samples)
+    assert estimate_M(path_graph(3), 0, 0.1, StripSpec(0.5), samples=np.int64(8)) > 0
+
+
 @pytest.mark.parametrize("lam", [0, -0.5, 1j, float("nan")])
 def test_strip_choice_and_M_reject_a_bad_activity(lam):
     # as approx_cond_prob does, before any root finding or sampling: 0 once
@@ -232,6 +263,15 @@ def test_nonpositive_max_depth_is_rejected(max_depth):
             approx_cond_prob(path_graph(3), v, sigma, 0.5, 1e-3, max_depth=max_depth)
     with pytest.raises(ValueError, match=message):
         choose_strip_spec(path_graph(3), 0, 0.5, 1e-3, max_depth=max_depth)
+
+
+def test_an_infinite_error_target_is_rejected():
+    # once a math domain error from the depth formula's log(0)
+    message = "^error target must be positive and finite, got inf$"
+    with pytest.raises(ValueError, match=message):
+        approx_cond_prob(path_graph(3), 0, HardcoreBoundary({}), 0.5, float("inf"))
+    with pytest.raises(ValueError, match=message):
+        choose_strip_spec(path_graph(3), 0, 0.5, float("inf"))
 
 
 @pytest.mark.parametrize("max_depth", [True, 2.5, "64"])
@@ -452,3 +492,27 @@ def test_certified_metadata_is_pinned(name, v, lam, depth, M, r, bound, value):
         repr(bound),
     )
     assert abs(res.value - value) <= 2 * bound
+
+
+def test_queries_sharing_a_ratio_pair_share_one_certified_entry():
+    # P9 pinned empty at 1 and 7 leaves vertex 4 the centre of a free P5
+    small = (path_graph(5), 2, HardcoreBoundary({}))
+    large = (path_graph(9), 4, HardcoreBoundary({1: 0, 7: 0}))
+    _certified.cache_clear()
+    first = approx_cond_prob(*small, 0.3, 1e-8)
+    assert _certified.cache_info().hits == 0
+    second = approx_cond_prob(*large, 0.3, 1e-8)
+    assert _certified.cache_info().hits == 1
+    _certified.cache_clear()
+    cold = approx_cond_prob(*large, 0.3, 1e-8)
+    assert repr(first) == repr(second) == repr(cold)
+    # each of lam, the target, the cap and the spec is part of the key
+    for lam, target, cap, spec in ((0.31, 1e-8, 64, None), (0.3, 1e-9, 64, None),
+                                   (0.3, 1e-8, 63, None), (0.3, 1e-8, 64, StripSpec(1.6))):
+        approx_cond_prob(*large, lam, target, spec=spec, max_depth=cap)
+    assert _certified.cache_info().currsize == 5 and _certified.cache_info().hits == 0
+    # a query that raises leaves no entry, and raises again
+    for _ in range(2):
+        with pytest.raises(TruncationDepthError):
+            approx_cond_prob(*large, 0.3, 1e-8, max_depth=1)
+    assert _certified.cache_info().currsize == 5 and _certified.cache_info().hits == 0

@@ -338,6 +338,18 @@ def test_sampled_checks_reject_zero_samples():
         barvinok_zero_check(g, A, sigma=sigma, samples=-3)
 
 
+@pytest.mark.parametrize("samples", [2.5, True])
+def test_sampled_checks_reject_a_sample_count_that_is_not_an_int(samples):
+    g = path_graph(4)
+    sigma, tau = SpinBoundary({3: 0}, q=2), SpinBoundary({3: 1}, q=2)
+    A = [[1.005, 1], [1, 1.005]]
+    message = f"^samples must be an integer, got {samples!r}$"
+    with pytest.raises(ValueError, match=message):
+        hom_ssm_experiment(g, 0, 0, sigma, tau, A, 0.5, samples=samples)
+    with pytest.raises(ValueError, match=message):
+        bounded_ratio_check(g, 0, 0, sigma, A, eta=0.5, eps=0.5, samples=samples)
+
+
 HOM_ENTRY_POINTS = {
     "hom_ratio": lambda g, v, i, sigma, tau, A: hom_ratio(g, v, i, sigma, A, 0.5),
     "hom_ratio_series": lambda g, v, i, sigma, tau, A: hom_ratio_series(g, v, i, sigma, A, order=2),

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 
 from zeromix import (
     HardcoreBoundary,
+    IndPoly,
     PowerSeries,
     SectorSpec,
     SpinBoundary,
@@ -394,6 +395,21 @@ def test_power_table_composition_matches_horner(eps, lam, den, num, n):
     # each step's rounding scales with the largest coefficient so far
     scale = np.maximum.accumulate(np.abs(want))
     assert (np.abs(quotient - want) <= 1e-11 * scale).all()
+
+
+# --- the companion-matrix roots of IndPoly ---------------------------------
+
+
+@PROPERTY
+@given(st.lists(st.integers(1, 10**6), min_size=1, max_size=13), st.booleans())
+def test_ind_poly_roots_match_np_roots(coeffs, zero_constant):
+    # degrees 0-12; a zero constant term goes through np.roots' own
+    # handling of trailing zeros
+    if zero_constant:
+        coeffs[0] = 0
+    got = IndPoly(tuple(coeffs)).roots()
+    want = np.roots([float(c) for c in reversed(coeffs)])
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 # --- the array route of the sampled bound M ---------------------------------
