@@ -5,20 +5,24 @@ ssm_scan draws random boundary-condition pairs on distance spheres and
 records the gap between the two conditional occupation probabilities; the
 fit of log gap against distance estimates the decay rate.  Its trials run
 on bit masks of the graph (spheres, drawn in-sets, free vertices), and
-build boundary objects only when asked to.  zero_scan counts
-partition-function zeros per cell of a rectangle by winding numbers of
-Z'/Z.  The scans are exact per record; only the sampling is random, and it
-is fully determined by the seed.
+build boundary objects only when asked to.  Trial t reads exactly the
+stream of np.random.default_rng([seed, t]), but the seeds of a call's
+trials are derived in one vectorized pass and loaded into one shared
+generator; each probability is computed once per free ball in a call.
+zero_scan counts partition-function zeros per cell of a rectangle by
+winding numbers of Z'/Z.  The scans are exact per record; only the sampling
+is random, and it is fully determined by the seed.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import HypothesisViolationError, NearZeroDenominatorError
 from .exact import _check_activity, _hardcore_prob, _neighbor_masks, ind_poly, ratio_P, ratio_R
-from .graphs import HardcoreBoundary, _all_vertices, _bfs, _hardcore_keep, is_claw_free
+from .graphs import HardcoreBoundary, _all_vertices, _bfs, is_claw_free
 
 
 @dataclass(frozen=True)
@@ -58,13 +62,114 @@ PTS_PER_SIDE = 64
 MAX_DOUBLINGS = 4
 CONTOUR_TOL = 1e-9
 
+# numpy's SeedSequence (numpy/random/bit_generator.pyx) and PCG64 seeding
+# (pcg64.h), which _trial_rngs reproduces
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+# trials seeded per vectorized pass; a power of two, so the trial numbers of
+# one block all split into the same number of 32-bit words
+_SEED_BLOCK = 1024
+
+
+def _uint32_words(n):
+    """The 32-bit words of the non-negative int n, least significant first,
+    as SeedSequence splits its entropy (0 is one word)."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hashmix(value, const):
+    """SeedSequence's hashmix of the uint32 array value; returns it with
+    the next hash constant."""
+    nxt = const * _MULT_A & _MASK32
+    value = (value ^ np.uint32(const)) * np.uint32(nxt)
+    return value ^ value >> np.uint32(16), nxt
+
+
+def _mix(x, y):
+    """SeedSequence's mix of the uint32 arrays x and y."""
+    out = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return out ^ out >> np.uint32(16)
+
+
+def _pcg64_seeds(entropy):
+    """SeedSequence(e).generate_state(4, np.uint64) for every entropy row e,
+    given as a list of uint32 columns, one per word: the four columns of
+    uint64 words as lists of Python ints."""
+    n = len(entropy[0])
+    const = _INIT_A
+    pool = []
+    for i in range(_POOL_SIZE):
+        word, const = _hashmix(entropy[i] if i < len(entropy) else np.zeros(n, np.uint32), const)
+        pool.append(word)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                word, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], word)
+    for src in range(_POOL_SIZE, len(entropy)):
+        for dst in range(_POOL_SIZE):
+            word, const = _hashmix(entropy[src], const)
+            pool[dst] = _mix(pool[dst], word)
+    const = _INIT_B
+    halves = []
+    for i in range(8):
+        word = pool[i % _POOL_SIZE] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        word = word * np.uint32(const)
+        halves.append((word ^ word >> np.uint32(16)).astype(np.uint64))
+    return [(halves[2 * k] | halves[2 * k + 1] << np.uint64(32)).tolist() for k in range(4)]
+
+
+def _trial_rngs(seed, trials):
+    """An iterator over `trials` generators: the t-th is one shared
+    np.random.Generator set to the state of np.random.default_rng([seed, t]),
+    so it draws the same stream.  The seeds come from one vectorized
+    SeedSequence pass per block of trials; each is loaded into the shared
+    PCG64 as numpy's pcg_setseq_128_srandom does, through its state, whose
+    buffered 32-bit word is cleared.  Raises ValueError unless seed is a
+    non-negative integer (not a bool)."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return _reseeded(_uint32_words(int(seed)), trials)
+
+
+def _reseeded(seed_words, trials):
+    """The iterator behind _trial_rngs, given the seed's 32-bit words."""
+    rng = np.random.Generator(np.random.PCG64())
+    bitgen = rng.bit_generator
+    for start in range(0, trials, _SEED_BLOCK):
+        t = np.arange(start, min(start + _SEED_BLOCK, trials), dtype=np.uint64)
+        entropy = [np.full(len(t), w, np.uint32) for w in seed_words]
+        for j in range(len(_uint32_words(start))):
+            entropy.append((t >> np.uint64(32 * j)).astype(np.uint32))
+        for s_hi, s_lo, i_hi, i_lo in zip(*_pcg64_seeds(entropy)):
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+            bitgen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield rng
+
 
 def _sample_in_set(rng, sphere, nbr):
     """Rejection-sample an independent in-set on the sphere (a vertex list)
-    as a bit mask, given the graph's neighbor masks nbr.  An attempt draws
-    one number per sphere vertex, in list order, and takes the vertex when
-    it is below p; p starts at SPHERE_IN_PROB and is halved after every 50
-    failed attempts so dense spheres stay feasible.  None when all fail."""
+    as a bit mask, given the graph's neighbor masks nbr; returns it with the
+    mask of the vertices it blocks (its in-vertices' neighbors).  An attempt
+    draws one number per sphere vertex, in list order, and takes the vertex
+    when it is below p; p starts at SPHERE_IN_PROB and is halved after every
+    50 failed attempts so dense spheres stay feasible.  None when all
+    fail."""
     p = SPHERE_IN_PROB
     for attempt in range(MAX_BOUNDARY_ATTEMPTS):
         if attempt and attempt % 50 == 0:
@@ -75,7 +180,7 @@ def _sample_in_set(rng, sphere, nbr):
                 ins |= 1 << u
                 blocked |= nbr[u]
         if not ins & blocked:
-            return ins
+            return ins, blocked
     return None
 
 
@@ -93,11 +198,25 @@ def _graph_ids(graphs, graph_ids):
 
 def _spheres(g, v, max_distance):
     """The distance spheres around v out to max_distance, index d holding
-    the vertices at distance d, ascending, and their bit mask."""
+    the vertices at distance d, ascending, and the bit mask of the ball of
+    radius d - 1 that the sphere encloses."""
     layers = [[] for _ in range(max_distance + 1)]
     for u, d in _bfs(g, v, _all_vertices(g), max_distance).items():
         layers[d].append(u)
-    return [(sorted(s), sum(1 << u for u in s)) for s in layers]
+    out, inner = [], 0
+    for s in layers:
+        out.append((sorted(s), inner))
+        inner |= sum(1 << u for u in s)
+    return out
+
+
+def _check_count(name, value):
+    """Raise ValueError unless value is an integer (not a bool) of at
+    least 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def ssm_scan(
@@ -112,36 +231,38 @@ def ssm_scan(
     """Sample boundary-condition pairs on distance spheres and record the
     conditional-probability gaps.
 
-    Each trial t is driven by its own generator seeded from (seed, t): pick
-    the graph round-robin, a uniform vertex v and distance d, take the full
-    distance-d sphere as the boundary region, and draw two independent
-    occupancy assignments on it (the second redrawn until it differs, so the
-    disagreement distance is exactly d).  A trial runs on bit masks: the
-    spheres around v come from one breadth-first search per drawn (graph,
-    vertex), each draw's in-set is a mask tested for independence against
-    the neighbor masks, and each gap is the difference of the occupation
-    probabilities of v on the two free masks, cut to v's component.
+    Trial t draws from exactly the stream of np.random.default_rng([seed,
+    t]): pick the graph round-robin, a uniform vertex v and distance d, take
+    the full distance-d sphere as the boundary region, and draw two
+    independent occupancy assignments on it (the second redrawn until it
+    differs, so the disagreement distance is exactly d).  A trial runs on
+    bit masks: the spheres around v come from one breadth-first search per
+    drawn (graph, vertex), and each draw's in-set is a mask tested for
+    independence against the neighbor masks.  The sphere separates v from
+    the rest of the graph, so v's free component lies in the ball inside
+    it, less the vertices the in-set blocks there; each gap is the
+    difference of v's occupation probabilities on the two such free balls,
+    and each probability is computed once per free ball in a call.
     HardcoreBoundary objects are built only with collect_boundaries=True.
-    Returns (records, fit); fit is None when fewer than two distances have
-    enough usable records.
+    seed must be a non-negative integer, trials and max_distance integers
+    of at least 1.  Returns (records, fit); fit is None when fewer than two
+    distances have enough usable records.
     """
     graph_ids = _graph_ids(graphs, graph_ids)
-    if max_distance < 1:
-        raise ValueError(f"max_distance must be >= 1, got {max_distance}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_count("max_distance", max_distance)
+    _check_count("trials", trials)
     _check_activity(lam)
     for gid, g in zip(graph_ids, graphs):
         if not g.n:
             raise ValueError(f"graph {gid} has no vertex to scan")
     records = []
     skipped = 0
-    # neighbor masks per graph and spheres per drawn (graph, vertex),
-    # computed once per call
+    # neighbor masks per graph, spheres per drawn (graph, vertex) and
+    # probabilities per (graph, vertex, free ball), computed once per call
     nbrs = {}
     spheres = {}
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
+    probs = {}
+    for t, rng in enumerate(_trial_rngs(seed, trials)):
         k = t % len(graphs)
         g = graphs[k]
         v = int(rng.integers(g.n))
@@ -150,7 +271,7 @@ def ssm_scan(
             nbrs[k] = _neighbor_masks(g)
         if (k, v) not in spheres:
             spheres[k, v] = _spheres(g, v, max_distance)
-        sphere, region = spheres[k, v][d]
+        sphere, inner = spheres[k, v][d]
         if not sphere:
             skipped += 1
             continue
@@ -161,19 +282,22 @@ def ssm_scan(
         second = None
         for _ in range(MAX_BOUNDARY_ATTEMPTS):
             cand = _sample_in_set(rng, sphere, nbrs[k])
-            if cand is not None and cand != first:
+            if cand is not None and cand[0] != first[0]:
                 second = cand
                 break
         if second is None:
             skipped += 1
             continue
-        gap = abs(
-            _hardcore_prob(g, v, _hardcore_keep(g, region, first), lam)
-            - _hardcore_prob(g, v, _hardcore_keep(g, region, second), lam)
-        )
+        p = []
+        for _, blocked in (first, second):
+            key = k, v, inner & ~blocked
+            if key not in probs:
+                probs[key] = _hardcore_prob(g, v, key[2], lam)
+            p.append(probs[key])
+        gap = abs(p[0] - p[1])
         if collect_boundaries:
             sigma, tau = (
-                HardcoreBoundary({u: ins >> u & 1 for u in sphere}) for ins in (first, second)
+                HardcoreBoundary({u: ins >> u & 1 for u in sphere}) for ins, _ in (first, second)
             )
             records.append(SSMRecord(graph_ids[k], v, d, gap, sigma=sigma, tau=tau))
         else:

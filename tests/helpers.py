@@ -9,7 +9,8 @@ import itertools
 
 import numpy as np
 
-from zeromix import HardcoreBoundary, from_edges, grid_graph
+from zeromix import HardcoreBoundary, bfs_distances, cond_prob_hardcore, from_edges, grid_graph
+from zeromix.harness import MAX_BOUNDARY_ATTEMPTS, SPHERE_IN_PROB, SSMRecord
 
 
 def random_graph(rng, n, p=0.4, max_degree=None):
@@ -250,3 +251,42 @@ def blowup_ursell(h, mults):
             sub = (sub - 1) & rest
         f[T] = val
     return f[full]
+
+
+def per_trial_ssm_records(graphs, lam, trials, max_distance, seed):
+    """ssm_scan's records, with boundaries, and its count of skipped trials,
+    by the direct route: a fresh np.random.default_rng([seed, t]) per trial,
+    the sphere read off bfs_distances, in-sets drawn as vertex sets, and
+    each gap from cond_prob_hardcore on the whole graph."""
+    records, skipped = [], 0
+
+    def draw(rng, g, sphere):
+        p = SPHERE_IN_PROB
+        for attempt in range(MAX_BOUNDARY_ATTEMPTS):
+            if attempt and attempt % 50 == 0:
+                p /= 2.0
+            ins = {u for u, x in zip(sphere, rng.random(len(sphere))) if x < p}
+            if not any(g.has_edge(u, w) for u in ins for w in ins):
+                return HardcoreBoundary({u: int(u in ins) for u in sphere})
+        return None
+
+    for t in range(trials):
+        rng = np.random.default_rng([seed, t])
+        k = t % len(graphs)
+        g = graphs[k]
+        v = int(rng.integers(g.n))
+        d = int(rng.integers(1, max_distance + 1))
+        sphere = [u for u, du in enumerate(bfs_distances(g, v)) if du == d]
+        first = draw(rng, g, sphere) if sphere else None
+        second = None
+        for _ in range(MAX_BOUNDARY_ATTEMPTS if first is not None else 0):
+            cand = draw(rng, g, sphere)
+            if cand is not None and cand != first:
+                second = cand
+                break
+        if second is None:
+            skipped += 1
+            continue
+        gap = abs(cond_prob_hardcore(g, v, first, lam) - cond_prob_hardcore(g, v, second, lam))
+        records.append(SSMRecord(f"g{k}", v, d, gap, sigma=first, tau=second))
+    return records, skipped

@@ -479,6 +479,15 @@ def test_bad_count_is_usage_error_naming_it(files, capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
+def test_negative_seed_is_usage_error_naming_it(capsys):
+    argv = ["ssm-scan", "--family", "path", "--params", '{"n": 5}', "--activity", "0.5",
+            "--seed", "-1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+
+
 @pytest.mark.parametrize("eps_region", ["-1", "0"])
 def test_bad_eps_region_names_the_flag(files, capsys, eps_region):
     g = files("g.txt", P3)

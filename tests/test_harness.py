@@ -21,6 +21,7 @@ from zeromix import (
 )
 from zeromix import harness
 from zeromix.harness import GAP_FLOOR, MIN_RECORDS_PER_DISTANCE
+from helpers import disjoint_union, per_trial_ssm_records
 
 K2 = from_edges(2, [(0, 1)])
 K1 = from_edges(1, [])
@@ -117,6 +118,37 @@ GOLDEN_CUBIC_LINE_12 = [
 def test_ssm_scan_golden_records(g, want):
     records, _ = ssm_scan([g], 1.0, 40, 3, seed=17)
     assert [(rec.vertex, rec.distance, repr(rec.gap)) for rec in records] == want
+
+
+# a disconnected graph; a path; the 4x4 grid, whose spheres past distance 4
+# are empty around its inner vertices; the 12-vertex cubic line graph
+PER_TRIAL_CASES = [
+    ([disjoint_union(path_graph(4), cycle_graph(5))], 3),
+    ([path_graph(10)], 4),
+    ([grid_graph(4, 4)], 5),
+    ([line_graph_of_random_regular(3, 12, seed=0)], 3),
+]
+
+
+@pytest.mark.parametrize(
+    "graphs, max_distance", PER_TRIAL_CASES, ids=["disconnected", "path 10", "grid 4x4", "cubic line graph n=12"]
+)
+def test_ssm_scan_matches_the_per_trial_route(graphs, max_distance):
+    # the scan seeds all trials in one pass and conditions once per free
+    # ball; the records and skipped trials must be those of a fresh
+    # generator per trial and a whole-graph conditioning per draw.  Two
+    # activities in a row: each call equals a fresh one
+    blocking = 0
+    for lam, seed in ((1.0, 5), (0.4, 2**64 + 5)):
+        records, fit = ssm_scan(graphs, lam, 120, max_distance, seed=seed, collect_boundaries=True)
+        want, skipped = per_trial_ssm_records(graphs, lam, 120, max_distance, seed)
+        assert repr(records) == repr(want)
+        assert fit is None or fit.n_skipped_trials == skipped
+        for rec in records:
+            ins = rec.sigma.in_vertices() | rec.tau.in_vertices()
+            blocking += rec.distance == 1 and bool(ins & set(graphs[0].adj[rec.vertex]))
+    # distance-1 draws that block v are among them
+    assert blocking
 
 
 def test_scans_run_on_the_10x10_grid():
@@ -326,6 +358,28 @@ def test_ssm_scan_names_a_bad_max_distance(max_distance):
 def test_ssm_scan_names_a_bad_trial_count(trials):
     with pytest.raises(ValueError, match=f"^trials must be >= 1, got {trials}$"):
         ssm_scan([path_graph(5)], 0.5, trials, 2)
+
+
+@pytest.mark.parametrize("seed", [None, "3", True, 1.5, -1], ids=["None", "str", "bool", "float", "negative"])
+def test_ssm_scan_names_a_bad_seed(seed):
+    with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"):
+        ssm_scan([path_graph(5)], 0.5, 4, 2, seed=seed)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("trials", True), ("trials", 2.5), ("max_distance", True), ("max_distance", 2.5)],
+    ids=["trials bool", "trials float", "max_distance bool", "max_distance float"],
+)
+def test_ssm_scan_names_a_non_integer_count(name, value):
+    counts = {"trials": 4, "max_distance": 2, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        ssm_scan([path_graph(5)], 0.5, **counts)
+
+
+def test_ssm_scan_takes_numpy_integers():
+    got = ssm_scan([path_graph(6)], 1.0, np.int64(30), np.int64(3), seed=np.int64(4))
+    assert repr(got) == repr(ssm_scan([path_graph(6)], 1.0, 30, 3, seed=4))
 
 
 @pytest.mark.parametrize("lam", [0, -1.0, 0.5j])

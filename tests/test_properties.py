@@ -12,8 +12,9 @@ samples the tail bound M against per-point scalar evaluation, and the
 reduction of a graph by a hard-core boundary, which the sweep takes as a
 bit mask of kept vertices, against brute force and against the relabelled
 subgraph, the masked, radius-limited breadth-first search and the
-components built on it against networkx, and every certified
-approx_cond_prob against cond_prob_hardcore within its error bound."""
+components built on it against networkx, every certified
+approx_cond_prob against cond_prob_hardcore within its error bound, and the
+generators ssm_scan seeds for its trials against np.random.default_rng."""
 
 import cmath
 import math
@@ -67,7 +68,7 @@ from zeromix.exact import (
     _ratios,
 )
 from zeromix.graphs import _bfs, _hardcore_keep
-from zeromix import interpolate
+from zeromix import harness, interpolate
 from zeromix.interpolate import EPS_LADDER, _sampled_M
 from zeromix.series import _long_division
 from helpers import (
@@ -623,3 +624,23 @@ def test_masked_bfs_matches_networkx_on_the_induced_subgraph(data):
     whole.add_nodes_from(range(g.n))
     want = sorted(map(sorted, nx.connected_components(whole)))
     assert sorted(map(sorted, connected_components(g))) == want
+
+
+# seeds of 1 to 5 uint32 words: SeedSequence mixes a fifth word into its
+# 4-word pool in a separate pass
+SEEDS = st.integers(1, 5).flatmap(lambda k: st.integers(1 << 32 * (k - 1) if k > 1 else 0, (1 << 32 * k) - 1))
+
+
+@PROPERTY
+@given(SEEDS, st.integers(0, 5000))
+def test_trial_rngs_match_default_rng(seed, t):
+    for u, rng in enumerate(harness._trial_rngs(seed, t + 1)):
+        if u < t:
+            # leaves a buffered 32-bit word in the shared generator
+            rng.integers(5)
+    want = np.random.default_rng([seed, t])
+    assert rng.bit_generator.state == want.bit_generator.state
+    for _ in range(3):
+        assert rng.integers(7) == want.integers(7)
+        assert rng.integers(1, 2**40) == want.integers(1, 2**40)
+        assert rng.random(5).tolist() == want.random(5).tolist()
