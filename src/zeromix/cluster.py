@@ -15,13 +15,17 @@ The same terms, graded by sum m_u * size(u) in place of k, give the
 polymer series of polymers.hom_ratio_series: there the graph is the polymer
 graph and a polymer's size is its edge count.
 
-Three memos carry the work, all emptied by their cache_clear: each connected
-subset's terms on its labeled pattern (pattern bits, sizes, order), which
-canonicalizes the bare pattern once; phi by multiplicity vector, one table
-per canonical pattern, so isomorphic patterns share their Ursell values; and
-the compositions of each tuple of sizes.
+Subsets grow as bit masks that carry their pattern bits, one row per added
+vertex.  The hard-core series count subsets per pattern and sum each
+pattern's terms once, exactly, over order!, so every coefficient is
+correctly rounded.  Three memos, emptied by their cache_clear, carry the
+rest: each pattern's terms, which canonicalizes the bare pattern once; phi
+by multiplicity vector per canonical pattern; and the compositions of each
+tuple of sizes.  polymers.hom_ratio_series weighs each polymer shape
+(local edges and pins) once a call.
 """
 
+import collections
 import functools
 import itertools
 import math
@@ -103,7 +107,7 @@ def _refine(adj, cells, width):
 
 def _canonical_form(bits, s):
     """The canonical form of a pattern of s vertices packed as in
-    _pattern_bits: the least relabeled bits over the leaves of
+    _unpack: the least relabeled bits over the leaves of
     individualization-refinement, and the vertex order of a leaf that gives
     them (vertex order[p] becomes vertex p).
 
@@ -114,8 +118,7 @@ def _canonical_form(bits, s):
     partition, so their subtrees give the same leaves, and a clique or a
     star costs one path down the tree rather than s! leaves.
     """
-    row = (1 << s) - 1
-    nbr = [bits >> (u * s) & row for u in range(s)]
+    nbr = _unpack(bits, s)
     adj = [[w for w in range(s) if nbr[u] >> w & 1] for u in range(s)]
     width = s.bit_length()
     best = best_order = None
@@ -130,7 +133,8 @@ def _canonical_form(bits, s):
             key = 0
             for p, u in enumerate(order):
                 for w in adj[u]:
-                    key |= 1 << (p * s + pos[w])
+                    if pos[w] < p:
+                        key |= 1 << (p * (p - 1) // 2 + pos[w])
             if best is None or key < best:
                 best, best_order = key, order
             continue
@@ -145,15 +149,25 @@ def _canonical_form(bits, s):
     return best, best_order
 
 
+def _unpack(bits, s):
+    """The neighbor bitmasks of a pattern of s vertices packed row by row:
+    the neighbors of vertex p among 0..p-1 are bits p(p-1)/2 onward, so a
+    pattern's bits extend those of the pattern on its first vertices."""
+    nbr = [bits >> p * (p - 1) // 2 & ((1 << p) - 1) for p in range(s)]
+    for p in range(s):
+        for w in range(p):
+            nbr[w] |= (nbr[p] >> w & 1) << p
+    return nbr
+
+
 @functools.lru_cache(maxsize=1 << 16)
 def _ursell_table(bits, s):
     """The nonempty independent sets of a pattern of s vertices packed as in
-    _pattern_bits, as {bit mask: vertices}, and the pattern's memo of phi by
+    _unpack, as {bit mask: vertices}, and the pattern's memo of phi by
     multiplicity vector, for _blowup_ursell."""
-    row = (1 << s) - 1
-    nbr = [bits >> (u * s) & row for u in range(s)]
+    nbr = _unpack(bits, s)
     indep = {}
-    for mask in range(1, row + 1):
+    for mask in range(1, 1 << s):
         members = [u for u in range(s) if mask >> u & 1]
         if not any(nbr[u] & mask for u in members):
             indep[mask] = members
@@ -162,7 +176,7 @@ def _ursell_table(bits, s):
 
 def _blowup_ursell(bits, s, mults):
     """phi of the blowup of a pattern of s vertices packed as in
-    _pattern_bits, with vertex u copied mults[u] times.
+    _unpack, with vertex u copied mults[u] times.
 
     Over sets T of copies, with g(T) = [T induces no edge], the anchored
     Mobius recursion is f(T) = g(T) - sum over proper S that hold T's first
@@ -220,9 +234,10 @@ def _subset_terms(bits, weights, order):
 
 
 def _connected_sets(g, budget, sizes=None, containing=None, max_count=None):
-    """Connected induced vertex subsets of g, as sorted tuples in growth
-    order, grown one neighbor at a time while their total size (sizes[u]
-    each, 1 by default) stays within budget.
+    """Connected induced vertex subsets of g, grown one neighbor at a time
+    while their total size (sizes[u] each, 1 by default) stays within
+    budget, as (members in the order they joined, pattern bits of the
+    members in that order as in _unpack).
 
     With `containing` (a collection of vertices of g) only the subsets
     meeting it are grown, each from its least member there; otherwise each
@@ -234,58 +249,47 @@ def _connected_sets(g, budget, sizes=None, containing=None, max_count=None):
     # neighbors by increasing size (a stable sort keeps the order of equal
     # sizes), so a scan stops at the first one past the budget
     adj = [sorted(nbrs, key=sizes.__getitem__) for nbrs in g.adj]
+    nbr = _neighbor_masks(g)
     if containing is None:
         anchors = range(g.n)
     else:
         anchors = sorted(set(containing))
         for u in anchors:
             _check_vertex(g, u)
-    barrier = frozenset(anchors)
-    results = []
+    barrier = sum(1 << u for u in anchors)
+    count = 0
     for anchor in anchors:
         if sizes[anchor] > budget:
             continue
-        seed = frozenset([anchor])
-        visited = {seed}
-        stack = [(seed, sizes[anchor])]
+        below = barrier & ((1 << anchor) - 1)
+        visited = {1 << anchor}
+        stack = [(1 << anchor, sizes[anchor], (anchor,), 0)]
         while stack:
-            S, size = stack.pop()
-            results.append(tuple(sorted(S)))
-            if max_count is not None and len(results) > max_count:
+            S, size, members, bits = stack.pop()
+            yield members, bits
+            count += 1
+            if max_count is not None and count > max_count:
                 raise SizeLimitError(f"more than {max_count} connected sets")
             if size >= budget:
                 continue
-            for u in S:
+            taken = S | below
+            shift = len(members) * (len(members) - 1) // 2
+            for u in members:
                 for w in adj[u]:
                     if size + sizes[w] > budget:
                         break
-                    if w in S or (w < anchor and w in barrier):
-                        continue
-                    T = S | {w}
-                    if T not in visited:
+                    T = S | 1 << w
+                    if not taken >> w & 1 and T not in visited:
                         visited.add(T)
-                        stack.append((T, size + sizes[w]))
-    return results
+                        row = sum(1 << p for p, x in enumerate(members) if nbr[w] >> x & 1)
+                        stack.append((T, size + sizes[w], members + (w,), bits | row << shift))
 
 
 def connected_subsets(g, max_size, containing=None):
     """All connected induced vertex subsets of size <= max_size, as sorted
     tuples; restricted to subsets containing `containing` when given."""
-    return _connected_sets(g, max_size, containing=None if containing is None else (containing,))
-
-
-def _pattern_bits(nbr, subset):
-    """Pack the induced adjacency of `subset` (sorted tuple) into an int,
-    given the graph's neighbor bitmasks `nbr`."""
-    s = len(subset)
-    bits = 0
-    for i in range(s):
-        mask = nbr[subset[i]]
-        for j in range(i + 1, s):
-            if mask >> subset[j] & 1:
-                bits |= 1 << (i * s + j)
-                bits |= 1 << (j * s + i)
-    return bits
+    found = _connected_sets(g, max_size, containing=None if containing is None else (containing,))
+    return [tuple(sorted(members)) for members, _ in found]
 
 
 @functools.lru_cache(maxsize=None)
@@ -306,19 +310,12 @@ def _graded_compositions(weights, order):
     return tuple(out)
 
 
-def _cluster_terms(g, order, sizes=None, containing=None):
-    """The nonzero terms of the cluster expansion on g up to graded order:
-    (subset, mults, grade, phi, prod m!) for each connected subset (through
-    `containing` when given) and each composition mults of it whose graded
-    size sum m_u * sizes[u] (sizes 1 by default, so the multiplicity k) is
-    at most order; phi is the Ursell function of the blowup."""
-    if sizes is None:
-        sizes = [1] * g.n
-    nbr = _neighbor_masks(g)
-    for subset in _connected_sets(g, order, sizes, containing):
-        weights = tuple(sizes[u] for u in subset)
-        for m, grade, phi, denom in _subset_terms(_pattern_bits(nbr, subset), weights, order):
-            yield subset, m, grade, phi, denom
+def _cluster_terms(g, order, sizes, containing):
+    """(members in the order they joined, nonzero terms from _subset_terms)
+    for each connected subset of g through `containing` of graded size
+    sum sizes[u] at most order."""
+    for members, bits in _connected_sets(g, order, sizes, containing):
+        yield members, _subset_terms(bits, tuple(sizes[u] for u in members), order)
 
 
 def _check_order(order):
@@ -327,24 +324,33 @@ def _check_order(order):
         raise ValueError(f"order must be >= 0, got {order}")
 
 
+def _hardcore_series(g, order, v=None):
+    """The cluster expansion of log Z_g (v None) or of the occupation ratio
+    of v to order: the order-k coefficient sums phi * m_v / prod m! (m_v
+    read as 1 for log Z) over the terms of multiplicity k, in integers over
+    order!, with one pass over each pattern's terms."""
+    _check_order(order)
+    found = _connected_sets(g, order, containing=None if v is None else (v,))
+    counts = collections.Counter((bits, len(members)) for members, bits in found)
+    scale = math.factorial(order)
+    sums = [0] * (order + 1)
+    for (bits, s), count in counts.items():
+        for m, k, phi, denom in _subset_terms(bits, (1,) * s, order):
+            # v is every subset's first member
+            sums[k] += count * phi * (1 if v is None else m[0]) * (scale // denom)
+    return PowerSeries(tuple(c / scale for c in sums))
+
+
 def logZ_series(g, order=DEFAULT_CLUSTER_ORDER):
     """Taylor series of log Z_g at 0, to the given order."""
-    _check_order(order)
-    coeffs = [0j] * (order + 1)
-    for _, _, k, phi, denom in _cluster_terms(g, order):
-        coeffs[k] += phi / denom
-    return PowerSeries(tuple(coeffs))
+    return _hardcore_series(g, order)
 
 
 def ratio_series_cluster(g, v, order=DEFAULT_CLUSTER_ORDER):
     """Taylor series at 0 of the occupation ratio of v, from the cluster
     expansion: the order-k coefficient sums phi(blowup) * m_v / prod m_i!
     over connected multisets through v of total multiplicity k."""
-    _check_order(order)
-    coeffs = [0j] * (order + 1)
-    for subset, m, k, phi, denom in _cluster_terms(g, order, containing=(v,)):
-        coeffs[k] += phi * m[subset.index(v)] / denom
-    return PowerSeries(tuple(coeffs))
+    return _hardcore_series(g, order, v)
 
 
 def ratio_series_division(g, v, order=DEFAULT_CLUSTER_ORDER, ball_radius=None):

@@ -197,11 +197,13 @@ def _graph_ids(graphs, graph_ids):
 
 
 def _spheres(g, v, max_distance):
-    """The distance spheres around v out to max_distance, index d holding
-    the vertices at distance d, ascending, and the bit mask of the ball of
-    radius d - 1 that the sphere encloses."""
-    layers = [[] for _ in range(max_distance + 1)]
-    for u, d in _bfs(g, v, _all_vertices(g), max_distance).items():
+    """The distance spheres around v out to max_distance or to the last
+    nonempty one, whichever comes first, index d holding the vertices at
+    distance d, ascending, and the bit mask of the ball of radius d - 1 that
+    the sphere encloses."""
+    dist = _bfs(g, v, _all_vertices(g), max_distance)
+    layers = [[] for _ in range(max(dist.values()) + 1)]
+    for u, d in dist.items():
         layers[d].append(u)
     out, inner = [], 0
     for s in layers:
@@ -271,10 +273,10 @@ def ssm_scan(
             nbrs[k] = _neighbor_masks(g)
         if (k, v) not in spheres:
             spheres[k, v] = _spheres(g, v, max_distance)
-        sphere, inner = spheres[k, v][d]
-        if not sphere:
+        if d >= len(spheres[k, v]):  # no vertex at distance d
             skipped += 1
             continue
+        sphere, inner = spheres[k, v][d]
         first = _sample_in_set(rng, sphere, nbrs[k])
         if first is None:
             skipped += 1

@@ -372,7 +372,9 @@ def approx_cond_prob(g, v, sigma, lam, eps_target, spec=None, max_depth=DEFAULT_
     (num, den, lam, eps_target, max_depth, spec), spec None meaning the
     ladder; the key is taken after the query checks, and a query that
     raises is not stored.  Queries behind pinned spheres often land on the
-    same small component, and a repeat returns the first result.
+    same small component, and a repeat returns the first result.  A target
+    below 4 * 2**-52 * |value|, which rounding alone breaks, raises
+    ValueError.
     """
     keep = _free_component(g, v, _hardcore_query(g, v, sigma, lam))
     _check_target(eps_target, max_depth)
@@ -395,4 +397,7 @@ def _certified(num, den, lam, eps_target, max_depth, spec):
     spec, M, n = _strip_and_M(num, den, lam, eps_target, max_depth, ladder, margin)
     top, bottom = _composed(spec, lam, n, num, den)
     value = float(_long_division(top, bottom, n - 1).sum())
+    floor = 4 * 2.0**-52 * abs(value)  # rounding alone moves value this far
+    if eps_target < floor:
+        raise ValueError(f"error target {eps_target:.3g} is below the float64 floor {floor:.3g}")
     return ApproxResult(value, tail_bound(M, spec.r, n), n, M, spec.r)

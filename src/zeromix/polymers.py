@@ -19,6 +19,7 @@ distance ell of the target vertex.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -95,10 +96,12 @@ def enumerate_polymers(g, max_edges=DEFAULT_POLYMER_EDGES, within=None):
             incident.setdefault(u, []).append(a)
     line = from_edges(len(edges), [(a, b) for es in incident.values() for a, b in combinations(es, 2)])
     try:
-        found = _connected_sets(line, max_edges, max_count=DEFAULT_POLYMER_CAP)
+        polys = [
+            Polymer.from_edge_set(edges[a] for a in members)
+            for members, _ in _connected_sets(line, max_edges, max_count=DEFAULT_POLYMER_CAP)
+        ]
     except SizeLimitError:
         raise SizeLimitError(f"more than {DEFAULT_POLYMER_CAP} polymers") from None
-    polys = [Polymer.from_edge_set(edges[a] for a in S) for S in found]
     polys.sort(key=lambda p: (p.size, p.edges))
     return polys
 
@@ -116,6 +119,30 @@ def polymer_graph(polymers):
     return PolymerGraph(tuple(polymers), from_edges(n, edges))
 
 
+def _shape(polymer, pins):
+    """A polymer's vertex count, edges and pinned colors, relabeled to
+    0..k-1 in vertex order: all that its weight reads but z, A and xi."""
+    local = {u: a for a, u in enumerate(polymer.vertices)}
+    edges = tuple((local[u], local[w]) for u, w in polymer.edges)
+    return len(local), edges, tuple((local[u], pins[u]) for u in polymer.vertices if u in pins)
+
+
+def _shape_weight(C, k, edges, fixed, rows=None, z=1.0):
+    """polymer_weight of a polymer of the given _shape, from C = A - J and
+    xi's rows for its vertices (all ones when None)."""
+    q, fixed = len(C), dict(fixed)
+    if rows is None:
+        norm = complex(q ** (k - len(fixed)))
+    else:  # the free-vertex mass
+        norm = complex(math.prod(rows[a, fixed[a]] if a in fixed else rows[a].sum() for a in range(k)))
+    num = _hom_sum(k, edges, q, [C] * len(edges), rows, fixed)
+    if _near_zero(num, norm):
+        raise NearZeroDenominatorError(
+            "free-vertex mass vanishes", abs_denominator=abs(norm), point=z
+        )
+    return z ** len(edges) * num / norm
+
+
 def polymer_weight(polymer, A, z, sigma=None, xi=None):
     """Weight w^sigma(H) = z^|F| Z^sigma_H(A - J, xi) / (free-vertex mass).
 
@@ -123,56 +150,40 @@ def polymer_weight(polymer, A, z, sigma=None, xi=None):
     xi_{u,sigma(u)} for pinned u; with xi = 1 it is q^{#unpinned}.
     """
     A = _as_matrix(A)
-    q = A.shape[0]
-    C = A - np.ones((q, q), dtype=complex)
-    pins = _pins(sigma, q)
-    k = len(polymer.vertices)
-    local = {u: a for a, u in enumerate(polymer.vertices)}
-    fixed = {local[u]: pins[u] for u in polymer.vertices if u in pins}
-    if xi is None:
-        rows = None
-        norm = complex(q ** (k - len(fixed)))
-    else:
-        rows = np.asarray(xi, dtype=complex)[list(polymer.vertices)]
-        # the free-vertex mass is the sum over colorings with no edges
-        norm = _hom_sum(k, [], q, [], rows, fixed)
-    edges = [(local[u], local[w]) for u, w in polymer.edges]
-    num = _hom_sum(k, edges, q, [C] * polymer.size, rows, fixed)
-    if _near_zero(num, norm):
-        raise NearZeroDenominatorError(
-            "free-vertex mass vanishes", abs_denominator=abs(norm), point=z
-        )
-    return z ** polymer.size * num / norm
+    rows = None if xi is None else np.asarray(xi, dtype=complex)[list(polymer.vertices)]
+    return _shape_weight(A - 1.0, *_shape(polymer, _pins(sigma, A.shape[0])), rows, z)
+
+
+@functools.lru_cache(maxsize=1)
+def _polymer_structure(g):
+    """Every polymer of g and their polymer graph, kept for the last graph
+    only (21 MiB on K5), which is what repeated draws on one graph reuse."""
+    polys = tuple(enumerate_polymers(g, max_edges=g.num_edges()))
+    return polys, polymer_graph(polys).graph
 
 
 def hom_Z_via_polymers(g, A, z=1.0, sigma=None, xi=None):
     """Z^sigma_g(J + z(A - J), xi) assembled from the polymer identity.
 
     Exponential in |E(g)|; a consistency route for small graphs, checked
-    against hom_Z.
+    against hom_Z.  The polymers and their graph are kept for the last g.
     """
     A = _as_matrix(A)
     q = A.shape[0]
     pinned = _pins(sigma, q, g)
     xi = _as_xi(xi, g.n, q)
-    polys = enumerate_polymers(g, max_edges=g.num_edges())
-    pg = polymer_graph(polys)
+    polys, pg = _polymer_structure(g)
+    C = A - 1.0
     weights = [
-        polymer_weight(p, A, z, sigma=sigma, xi=xi) for p in polys
+        _shape_weight(C, *_shape(p, pinned), None if xi is None else xi[list(p.vertices)], z)
+        for p in polys
     ]
-    zg = multivariate_Z(pg.graph, weights)
+    zg = multivariate_Z(pg, weights)
     # times the boundary-weighted vertex mass
     return _hom_sum(g.n, [], q, [], xi, pinned) * zg
 
 
-def hom_ratio_series(
-    g,
-    v,
-    i,
-    sigma,
-    A,
-    order=DEFAULT_SERIES_ORDER,
-):
+def hom_ratio_series(g, v, i, sigma, A, order=DEFAULT_SERIES_ORDER):
     """Taylor series in z of the conditional color ratio
     Z^{sigma, v->i}(J + z(A - J)) / Z^sigma(J + z(A - J)).
 
@@ -182,42 +193,38 @@ def hom_ratio_series(
     multisets of polymers with total edge count ell that meet v, the
     Ursell function of the multiset's blowup times the derivative of its
     weight product.  Every polymer involved lies within distance ell of v,
-    so the coefficient only depends on that ball.
+    so the coefficient only depends on that ball.  A call weighs each
+    polymer shape once.
     """
     A = _hom_query(g, v, i, sigma, A)
     q = A.shape[0]
     _check_order(order)
-
-    region = ball(g, v, order)
-    polys = enumerate_polymers(g, max_edges=order, within=region)
+    polys = enumerate_polymers(g, max_edges=order, within=ball(g, v, order))
+    through = [a for a, p in enumerate(polys) if v in p.vertices]
 
     # per-polymer weight at xi = 1 and its xi_{v,i} derivative, which is
     # nonzero only on polymers through v
-    w = [polymer_weight(p, A, 1.0, sigma) for p in polys]
-    sigma_v = sigma.extended(v, i)
-    dw = {
-        a: (polymer_weight(p, A, 1.0, sigma_v) - w[a]) / q
-        for a, p in enumerate(polys)
-        if v in p.vertices
-    }
+    C = A - 1.0
+    weigh = functools.cache(lambda shape: _shape_weight(C, *shape))
+    pins = dict(sigma.assignment)
+    w = [weigh(_shape(p, pins)) for p in polys]
+    pins[v] = i
+    dw = {a: (weigh(_shape(polys[a], pins)) - w[a]) / q for a in through}
 
     coeffs = [0j] * (order + 1)
     coeffs[0] = 1.0 / q
-    terms = _cluster_terms(
-        polymer_graph(polys).graph, order, sizes=[p.size for p in polys], containing=dw.keys()
-    )
-    for support, mults, ell, phi, denom in terms:
-        # d/dxi_{v,i} of prod_a w_a^{m_a} at xi = 1
-        deriv = 0j
-        for pos, a in enumerate(support):
-            if a not in dw:
-                continue
-            term = mults[pos] * dw[a] * w[a] ** (mults[pos] - 1)
-            for pos2, b in enumerate(support):
-                if pos2 != pos:
-                    term *= w[b] ** mults[pos2]
-            deriv += term
-        coeffs[ell] += phi * deriv / denom
+    clusters = _cluster_terms(polymer_graph(polys).graph, order, [p.size for p in polys], through)
+    for support, terms in clusters:
+        ws = [w[a] for a in support]
+        ds = [(pos, dw[a]) for pos, a in enumerate(support) if a in dw]
+        for mults, ell, phi, denom in terms:
+            # d/dxi_{v,i} of prod_a w_a^{m_a} at xi = 1
+            pw = [x**m for x, m in zip(ws, mults)]
+            deriv = sum(
+                mults[pos] * d * ws[pos] ** (mults[pos] - 1) * math.prod(pw[:pos] + pw[pos + 1 :])
+                for pos, d in ds
+            )
+            coeffs[ell] += phi * deriv / denom
     return PowerSeries(tuple(coeffs))
 
 

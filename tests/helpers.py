@@ -216,6 +216,18 @@ def series_quotient(num, den, order):
     return out
 
 
+def pattern_bits(h, order):
+    """The adjacency of h with its vertices relabeled by their position in
+    `order`, packed row by row as zeromix.cluster reads patterns: the pair
+    of positions j < p is bit p(p-1)/2 + j."""
+    bits = 0
+    for p, u in enumerate(order):
+        for j in range(p):
+            if h.has_edge(u, order[j]):
+                bits |= 1 << (p * (p - 1) // 2 + j)
+    return bits
+
+
 def blowup_ursell(h, mults):
     """Ursell function of the blowup of h with vertex u copied mults[u]
     times (copies of one vertex, or of adjacent ones, are joined), by the

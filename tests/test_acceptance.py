@@ -101,17 +101,17 @@ def test_criterion_1_series_formula_equivalence():
 def _eight_vertex_classes():
     """All isomorphism classes on exactly 8 vertices: augment every 7-vertex
     class by one vertex joined to each of the 128 subsets, keeping the first
-    graph of each canonical form of its adjacency (packed with bit 8u + w
-    per edge, as the cluster expansion packs its patterns)."""
+    graph of each canonical form of its adjacency (packed with bit
+    u(u-1)/2 + w per edge u > w, as the cluster expansion packs its
+    patterns, so vertex 7's row is the subset's mask from bit 21 on)."""
     classes = []
     seen = set()
     for h in (a for a in nx.graph_atlas_g()[1:] if a.number_of_nodes() == 7):
         base_edges = list(h.edges())
-        base = sum(1 << (8 * u + w) | 1 << (8 * w + u) for u, w in base_edges)
+        base = sum(1 << (max(e) * (max(e) - 1) // 2 + min(e)) for e in base_edges)
         for mask in range(128):
             joined = [j for j in range(7) if mask >> j & 1]
-            bits = base | sum(1 << (8 * j + 7) | 1 << (56 + j) for j in joined)
-            key, _ = _canonical_form(bits, 8)
+            key, _ = _canonical_form(base | mask << 21, 8)
             if key not in seen:
                 seen.add(key)
                 classes.append(from_edges(8, base_edges + [(j, 7) for j in joined]))

@@ -521,6 +521,17 @@ def test_a_degenerate_region_or_target_is_usage_error(files, capsys, flag, value
     assert captured.err == f"error: {message}\n"
 
 
+def test_an_error_target_below_the_float64_floor_is_usage_error(files, capsys):
+    g = files("g.txt", "3\n0 1\n")
+    b = files("b.txt", "")
+    argv = ["approx-prob", "--graph", g, "--vertex", "0", "--boundary", b, "--activity", "0.5",
+            "--eps-target", "1e-300", "--max-depth", "1000000"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: error target 1e-300 is below the float64 floor 2.22e-16\n"
+
+
 def test_importing_the_package_loads_neither_scipy_nor_sympy():
     # sympy is imported lazily where it is needed; scipy alone more than
     # doubles the resident memory of a run

@@ -23,9 +23,8 @@ from zeromix import (
     ursell,
     weitz_lambda_c,
 )
-from zeromix.cluster import _blowup_ursell, _canonical_form, _pattern_bits
-from zeromix.exact import _neighbor_masks
-from helpers import blowup_ursell, brute_connected, random_graph
+from zeromix.cluster import _blowup_ursell, _canonical_form
+from helpers import blowup_ursell, brute_connected, pattern_bits, random_graph
 
 
 def complete(k):
@@ -94,17 +93,17 @@ def test_ursell_blowup_dp_matches_subset_scan():
     for _ in range(40):
         k = int(rng.integers(1, 7))
         h = random_graph(rng, k, p=float(rng.uniform(0.3, 0.9)))
-        bits = _pattern_bits(_neighbor_masks(h), tuple(range(k)))
+        bits = pattern_bits(h, tuple(range(k)))
         assert _blowup_ursell(bits, k, (1,) * k) == ursell(h)
 
 
 def test_ursell_blowup_with_multiplicities():
     # blowing K_2 up with multiplicities (2, 1) gives the triangle
     k2 = from_edges(2, [(0, 1)])
-    bits = _pattern_bits(_neighbor_masks(k2), (0, 1))
+    bits = pattern_bits(k2, (0, 1))
     assert _blowup_ursell(bits, 2, (2, 1)) == 2
     # K_1 with multiplicity m is the complete graph K_m
-    one = _pattern_bits(_neighbor_masks(from_edges(1, [])), (0,))
+    one = pattern_bits(from_edges(1, []), (0,))
     for m in range(1, 7):
         assert _blowup_ursell(one, 1, (m,)) == (-1) ** (m - 1) * math.factorial(m - 1)
 
@@ -116,7 +115,7 @@ def test_canonical_key_separates_k33_from_prism():
     prism = from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)])
     keys = []
     for h, phi in ((k33, -31), (prism, -26)):
-        key, _ = _canonical_form(_pattern_bits(_neighbor_masks(h), tuple(range(6))), 6)
+        key, _ = _canonical_form(pattern_bits(h, tuple(range(6))), 6)
         keys.append(key)
         assert ursell(h) == phi
         assert _blowup_ursell(key, 6, (1,) * 6) == phi
@@ -149,7 +148,7 @@ def test_canonical_key_of_symmetric_patterns(h, mults):
         # the blowup of a clique is the clique K_k
         assert want == (-1) ** (k - 1) * math.factorial(k - 1)
     every = tuple(range(h.n))
-    key, order = _canonical_form(_pattern_bits(_neighbor_masks(h), every), h.n)
+    key, order = _canonical_form(pattern_bits(h, every), h.n)
     assert _blowup_ursell(key, h.n, tuple(mults[u] for u in order)) == want
     rng = np.random.default_rng(37)
     for _ in range(5):
@@ -158,7 +157,7 @@ def test_canonical_key_of_symmetric_patterns(h, mults):
         moved_mults = [0] * h.n
         for u in range(h.n):
             moved_mults[perm[u]] = mults[u]
-        moved_key, moved_order = _canonical_form(_pattern_bits(_neighbor_masks(moved), every), h.n)
+        moved_key, moved_order = _canonical_form(pattern_bits(moved, every), h.n)
         assert moved_key == key
         assert _blowup_ursell(key, h.n, tuple(moved_mults[u] for u in moved_order)) == want
 

@@ -151,6 +151,19 @@ def test_ssm_scan_matches_the_per_trial_route(graphs, max_distance):
     assert blocking
 
 
+def test_ssm_scan_builds_no_sphere_past_the_last_one():
+    # spheres stop at v's eccentricity, so a huge max_distance builds no
+    # layer per distance (it once took seconds and hundreds of MiB); a drawn
+    # distance past the last sphere is an empty sphere and its trial skipped
+    g = path_graph(5)
+    for v, eccentricity in ((0, 4), (2, 2)):
+        assert len(harness._spheres(g, v, 10**6)) == eccentricity + 1
+        assert harness._spheres(g, v, 10**6) == harness._spheres(g, v, eccentricity)
+    assert len(harness._spheres(g, 0, 2)) == 3
+    assert ssm_scan([g], 0.5, 3, 10**6, seed=1) == ([], None)
+    assert per_trial_ssm_records([g], 0.5, 3, 10**6, 1) == ([], 3)
+
+
 def test_scans_run_on_the_10x10_grid():
     g = grid_graph(10, 10)
     records, fit = ssm_scan([g], 1.0, 20, 4, seed=1)

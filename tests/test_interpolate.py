@@ -274,6 +274,19 @@ def test_an_infinite_error_target_is_rejected():
         choose_strip_spec(path_graph(3), 0, 0.5, float("inf"))
 
 
+def test_an_error_target_below_the_float64_floor_is_rejected():
+    # P(0 occupied) on K2 plus an isolated vertex is 1/4; at 1e-300 this once
+    # returned 0.2500000000000001 with a bound of 6.0e-301, which rounding
+    # alone breaks
+    g = from_edges(3, [(0, 1)])
+    message = r"^error target 1e-300 is below the float64 floor 2\.22e-16$"
+    with pytest.raises(ValueError, match=message):
+        approx_cond_prob(g, 0, HardcoreBoundary({}), 0.5, 1e-300, max_depth=10**6)
+    # a few ulps above it are still a target
+    res = approx_cond_prob(g, 0, HardcoreBoundary({}), 0.5, 1e-15, max_depth=10**6)
+    assert abs(res.value - 0.25) <= res.error_bound
+
+
 @pytest.mark.parametrize("max_depth", [True, 2.5, "64"])
 def test_a_depth_cap_that_is_not_an_int_is_rejected(max_depth):
     # True once passed as depth 1 and 2.5 as a cap between 2 and 3, and

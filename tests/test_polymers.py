@@ -29,6 +29,7 @@ from zeromix import (
     polymer_graph,
     polymer_weight,
 )
+from zeromix import polymers
 from helpers import brute_hom_Z, random_graph, series_quotient
 
 
@@ -210,6 +211,32 @@ def test_hom_ratio_series_rejects_pinned_vertex():
     g = path_graph(3)
     with pytest.raises(BoundaryError):
         hom_ratio_series(g, 0, 0, SpinBoundary({0: 1}, q=2), [[1, 1], [1, 2]], order=2)
+
+
+@pytest.mark.parametrize(
+    "g, q", [(cycle_graph(8), 2), (cycle_graph(8), 3), (grid_graph(2, 4), 2)], ids=["C8-q2", "C8-q3", "2x4"]
+)
+def test_polymer_structure_caches_keep_draws_apart(g, q):
+    # hom_Z_via_polymers keeps the polymers and their graph for the last
+    # graph and hom_ratio_series memoizes shape weights within a call; what a
+    # draw of (sigma, A, i) brings must not leak into the next draw,
+    # whichever comes first and whether the cache is warm
+    rng = np.random.default_rng(61)
+    draws = [
+        (SpinBoundary({5: int(rng.integers(q))}, q=q), box_matrix(rng, q, 0.2), int(rng.integers(q)))
+        for _ in range(2)
+    ]
+    cache = polymers._polymer_structure
+    assert cache.cache_info().maxsize is not None
+    for call in (
+        lambda sigma, A, i: hom_ratio_series(g, 1, i, sigma, A, order=4).coeffs,
+        lambda sigma, A, i: hom_Z_via_polymers(g, A, z=0.7 + 0.2j, sigma=sigma),
+    ):
+        first = [call(*d) for d in draws]
+        assert [call(*d) for d in reversed(draws)] == first[::-1]
+        cache.cache_clear()
+        assert [call(*d) for d in draws] == first
+        assert [call(*d) for d in draws] == first
 
 
 def test_delta_Delta_pinned_value():

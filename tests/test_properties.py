@@ -57,13 +57,12 @@ from zeromix import (
     ratio_series_cluster,
     ursell,
 )
-from zeromix.cluster import _blowup_ursell, _canonical_form, _pattern_bits
+from zeromix.cluster import _blowup_ursell, _canonical_form
 from zeromix.exact import (
     NEAR_ZERO_REL,
     _free_component,
     _hardcore_query,
     _near_zero,
-    _neighbor_masks,
     _ratio_polys,
     _ratios,
 )
@@ -78,6 +77,7 @@ from helpers import (
     brute_ind_poly,
     brute_multivariate_Z,
     disjoint_union,
+    pattern_bits,
     series_quotient,
 )
 
@@ -271,8 +271,8 @@ def test_canonical_key_ignores_vertex_labels(data):
     for u in range(h.n):
         moved_mults[perm[u]] = mults[u]
     every = tuple(range(h.n))
-    key, order = _canonical_form(_pattern_bits(_neighbor_masks(h), every), h.n)
-    moved_key, moved_order = _canonical_form(_pattern_bits(_neighbor_masks(moved), every), h.n)
+    key, order = _canonical_form(pattern_bits(h, every), h.n)
+    moved_key, moved_order = _canonical_form(pattern_bits(moved, every), h.n)
     assert moved_key == key
     want = ursell(big)
     assert _blowup_ursell(key, h.n, tuple(mults[u] for u in order)) == want
@@ -282,17 +282,37 @@ def test_canonical_key_ignores_vertex_labels(data):
 @PROPERTY
 @given(st.data())
 def test_cluster_series_ignore_vertex_labels(data):
-    # the terms come in another order, so the sums may differ in the last bits
+    # the terms come in another order, but each coefficient is summed
+    # exactly and rounded once, so not one bit moves
     g = data.draw(graphs(max_n=7).filter(lambda g: g.n > 0))
     perm = data.draw(st.permutations(range(g.n)))
     v = data.draw(st.integers(0, g.n - 1))
     order = data.draw(st.integers(0, 5))
     h = relabel(g, perm)
-    for got, want in (
-        (logZ_series(h, order), logZ_series(g, order)),
-        (ratio_series_cluster(h, perm[v], order), ratio_series_cluster(g, v, order)),
-    ):
-        assert np.allclose(got.coeffs, want.coeffs, rtol=0, atol=1e-12)
+    assert logZ_series(h, order).coeffs == logZ_series(g, order).coeffs
+    assert ratio_series_cluster(h, perm[v], order).coeffs == ratio_series_cluster(g, v, order).coeffs
+
+
+def _exact_quotient(num, den, order):
+    """series_quotient in Fractions, the inputs padded with exact zeros."""
+    pad = [Fraction(0)] * (order + 1)
+    return series_quotient([Fraction(c) for c in num] + pad, [Fraction(c) for c in den] + pad, order)
+
+
+@PROPERTY
+@given(st.data())
+def test_cluster_series_are_the_correctly_rounded_exact_series(data):
+    g = data.draw(graphs(max_n=7).filter(lambda g: g.n > 0))
+    v = data.draw(st.integers(0, g.n - 1))
+    order = data.draw(st.integers(0, 6))
+    den = brute_ind_poly(g)
+    rest, _ = induced_subgraph(g, [u for u in range(g.n) if u != v and not g.has_edge(u, v)])
+    ratio = _exact_quotient((0,) + brute_ind_poly(rest), den, order)
+    assert ratio_series_cluster(g, v, order).coeffs == tuple(complex(float(c)) for c in ratio)
+    # c_k = [x^(k-1)] (I'/I) / k
+    log_deriv = _exact_quotient([k * c for k, c in enumerate(den)][1:], den, order)
+    want = [0.0] + [float(c / k) for k, c in enumerate(log_deriv[:order], 1)]
+    assert logZ_series(g, order).coeffs == tuple(map(complex, want))
 
 
 SMALL_INT = st.integers(-3, 3)
