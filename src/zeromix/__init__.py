@@ -105,7 +105,6 @@ from .polymers import (
     hom_ratio_series,
     hom_ssm_experiment,
     polymer_graph,
-    polymer_weight,
 )
 from .series import PowerSeries
 

@@ -12,7 +12,8 @@ visits them.  Each graph gets one vertex order, cached, and a mask only
 filters it: each component is swept breadth first, or depth first where
 that makes the widest frontier narrower.  Homomorphism sums come from a
 frontier sweep along the vertex labels, which costs n q^(w+1) coefficient
-operations for frontier width w.  Integer
+operations for frontier width w; both sums of a conditional color ratio of
+v come from one sweep that leaves v's color axis open to the end.  Integer
 coefficients are exact (Python ints); complex evaluations are plain
 double-precision arithmetic.  Neither applies a size cap: both are
 exponential in the frontier width, and the caller decides what it can
@@ -368,22 +369,25 @@ def _as_xi(xi, n, q):
     return xi
 
 
-def _sweep(n, edges, q, mats, xi, fixed, L):
+def _sweep(n, edges, q, mats, xi, fixed, L, open_v=None):
     """Sum over colorings c of 0..n-1 extending `fixed` of prod_v xi[v, c_v]
     times prod_e mats[e][c_u, c_w] (L == 1), or times prod_e (1 + z
     mats[e][c_u, c_w]) as its first L coefficients in z (L > 1).  Every
-    edge (u, w) has u < w.
+    edge (u, w) has u < w.  With a free vertex open_v, an (L, q) array:
+    column c sums the colorings with c_{open_v} = c.
 
     Vertices join in label order as axes of a tensor whose first axis holds
     the coefficients; a pinned vertex's axis has length 1.  Each new axis
     takes the factors of its edges back to earlier vertices, and a vertex
-    is summed out once its last neighbor has joined.
+    other than open_v is summed out once its last neighbor has joined.
     """
     sl = [slice(None)] * n
     for v, c in fixed.items():
         sl[v] = slice(c, c + 1)
     back = [[] for _ in range(n)]
     last = list(range(n))
+    if open_v is not None:
+        last[open_v] = n
     for M, (u, w) in zip(mats, edges):
         back[w].append((u, M))
         last[u] = max(last[u], w)
@@ -460,18 +464,28 @@ def edge_matrix_Z(g, matrices, xi=None, sigma=None):
     return _hom_sum(g.n, edges, q, [mats[e] for e in edges], xi, fixed)
 
 
+def _hom_ratio_sums(g, v, i, M, sigma, xi=None, L=1):
+    """Numerator and denominator of the ratio of v -> i under sigma, from
+    one _sweep that leaves v's axis open: the sums of M on every edge and xi
+    on the vertices (L == 1), or their first L coefficients in z with J + z
+    M on every edge.  The inputs are trusted: _hom_query checks them."""
+    q = M.shape[0]
+    T = _sweep(g.n, g.edges(), q, [M] * g.num_edges(), xi, _pins(sigma, q), L, open_v=v)
+    return T[:, i], T.sum(axis=1)
+
+
 def hom_ratio(g, v, i, sigma, A, z, xi=None):
     """Conditional color ratio Z^{sigma, v->i}(J + z(A - J)) / Z^sigma(J + z(A - J)).
 
     At z = 1 and real nonnegative data this is the probability that v gets
-    color i given sigma; at z = 0 it is exactly 1/q.
+    color i given sigma; at z = 0 it is exactly 1/q.  Both sums come from
+    one sweep that leaves v's color open.
     """
     A = _hom_query(g, v, i, sigma, A)
     q = A.shape[0]
     M = np.ones((q, q), dtype=complex) + z * (A - np.ones((q, q)))
-    num = hom_Z(g, M, xi=xi, sigma=sigma.extended(v, i))
-    den = hom_Z(g, M, xi=xi, sigma=sigma)
-    return _checked_ratio(num, den, z)
+    num, den = _hom_ratio_sums(g, v, i, M, sigma, _as_xi(xi, g.n, q))
+    return _checked_ratio(complex(num[0]), complex(den[0]), z)
 
 
 def hom_Z_poly(g, A, sigma=None):

@@ -35,6 +35,7 @@ from .errors import (
 from .exact import (
     _as_matrix,
     _as_xi,
+    _hom_ratio_sums,
     _hom_query,
     _hom_sum,
     _near_zero,
@@ -43,7 +44,6 @@ from .exact import (
     edge_matrix_Z,
     eval_poly,
     hom_Z,
-    hom_Z_poly,
     multivariate_Z,
 )
 from .graphs import Graph, ball, dist_to_disagreement, from_edges
@@ -107,16 +107,14 @@ def enumerate_polymers(g, max_edges=DEFAULT_POLYMER_EDGES, within=None):
 
 
 def polymer_graph(polymers):
-    """Intersection graph of the given polymers."""
-    n = len(polymers)
-    vsets = [frozenset(p.vertices) for p in polymers]
-    edges = [
-        (a, b)
-        for a in range(n)
-        for b in range(a + 1, n)
-        if vsets[a] & vsets[b]
-    ]
-    return PolymerGraph(tuple(polymers), from_edges(n, edges))
+    """Intersection graph of the given polymers: a polymer's neighbors are
+    the polymers at its vertices, other than itself."""
+    at = {}
+    for a, p in enumerate(polymers):
+        for u in p.vertices:
+            at.setdefault(u, []).append(a)
+    adj = tuple(tuple(sorted(set().union(*map(at.get, p.vertices)) - {a})) for a, p in enumerate(polymers))
+    return PolymerGraph(tuple(polymers), Graph(len(polymers), adj))
 
 
 def _shape(polymer, pins):
@@ -128,8 +126,9 @@ def _shape(polymer, pins):
 
 
 def _shape_weight(C, k, edges, fixed, rows=None, z=1.0):
-    """polymer_weight of a polymer of the given _shape, from C = A - J and
-    xi's rows for its vertices (all ones when None)."""
+    """Weight w^sigma(H) of a polymer of the given _shape: z^|F| times its
+    (A - J)-sum over its free-vertex mass, from C = A - J and xi's rows for
+    its vertices (all ones when None)."""
     q, fixed = len(C), dict(fixed)
     if rows is None:
         norm = complex(q ** (k - len(fixed)))
@@ -141,17 +140,6 @@ def _shape_weight(C, k, edges, fixed, rows=None, z=1.0):
             "free-vertex mass vanishes", abs_denominator=abs(norm), point=z
         )
     return z ** len(edges) * num / norm
-
-
-def polymer_weight(polymer, A, z, sigma=None, xi=None):
-    """Weight w^sigma(H) = z^|F| Z^sigma_H(A - J, xi) / (free-vertex mass).
-
-    The normalization divides by sum_i xi_{u,i} for unpinned u in S and by
-    xi_{u,sigma(u)} for pinned u; with xi = 1 it is q^{#unpinned}.
-    """
-    A = _as_matrix(A)
-    rows = None if xi is None else np.asarray(xi, dtype=complex)[list(polymer.vertices)]
-    return _shape_weight(A - 1.0, *_shape(polymer, _pins(sigma, A.shape[0])), rows, z)
 
 
 @functools.lru_cache(maxsize=1)
@@ -238,9 +226,10 @@ class DeltaSpec:
     delta: float
 
 
+@functools.lru_cache(maxsize=64)
 def delta_Delta(degree):
     """Zero-free box radius for graphs of maximum degree `degree` (>= 3),
-    by golden-section maximization to 1e-12."""
+    by golden-section maximization to 1e-12; cached for every box check."""
     if degree < 3:
         raise ValueError(f"need degree >= 3, got {degree}")
 
@@ -289,6 +278,7 @@ def barvinok_zero_check(g, A, sigma=None, samples=0, seed=0):
 
     With samples > 0, also draws per-edge matrices uniformly in the same box
     and exercises the edge-matrix sum; the hypothesis covers that case too.
+    Each sample's radii and angles are one block of the stream, edge by edge.
     """
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
@@ -303,13 +293,12 @@ def barvinok_zero_check(g, A, sigma=None, samples=0, seed=0):
 
     min_edge = math.inf
     rng = np.random.default_rng(seed)
+    edges = g.edges()
     for _ in range(samples):
-        mats = {}
-        for e in g.edges():
-            radii = delta * np.sqrt(rng.uniform(size=(q, q)))
-            angles = rng.uniform(0.0, 2.0 * math.pi, size=(q, q))
-            mats[e] = 1.0 + radii * np.exp(1j * angles)
-        Ze = edge_matrix_Z(g, mats, sigma=sigma)
+        u = rng.random(size=(len(edges), 2, q, q))
+        radii = delta * np.sqrt(u[:, 0])
+        angles = 2.0 * math.pi * u[:, 1]
+        Ze = edge_matrix_Z(g, dict(zip(edges, 1.0 + radii * np.exp(1j * angles))), sigma=sigma)
         min_edge = min(min_edge, abs(Ze))
     return BarvinokReport(
         delta=delta,
@@ -334,14 +323,13 @@ def build_edge_matrices(g, A, z, xi):
     q = A.shape[0]
     M = np.ones((q, q), dtype=complex) + z * (A - np.ones((q, q)))
     xi = np.asarray(xi, dtype=complex)
-    powed = {}
-    for u in range(g.n):
-        d = g.degree(u)
-        if d:
-            powed[u] = np.exp(np.log(xi[u]) / d)
-    return {
-        (u, w): M * np.outer(powed[u], powed[w]) for u, w in g.edges()
-    }
+    deg = np.array([g.degree(u) for u in range(g.n)])
+    on = deg > 0
+    powed = np.ones((g.n, q), dtype=complex)
+    powed[on] = np.exp(np.log(xi[on]) / deg[on, None])
+    edges = g.edges()
+    u, w = np.array(edges, dtype=int).reshape(-1, 2).T
+    return dict(zip(edges, M * (powed[u, :, None] * powed[w, None, :])))
 
 
 @dataclass(frozen=True)
@@ -387,8 +375,7 @@ def bounded_ratio_check(
     box_limit = delta / ((1.0 + eps) ** deg * (1.0 + eta))
     hypothesis_ok = dev <= box_limit + 1e-15
 
-    den_poly = hom_Z_poly(g, A, sigma=sigma)
-    num_poly = hom_Z_poly(g, A, sigma=sigma.extended(v, i))
+    num_poly, den_poly = _hom_ratio_sums(g, v, i, A - 1.0, sigma, L=g.num_edges() + 1)
 
     rng = np.random.default_rng(seed)
     radius = 1.0 + eta
@@ -460,9 +447,7 @@ def hom_ssm_experiment(g, v, i, sigma, tau, A, eta, samples=64):
 
     d = dist_to_disagreement(g, v, sigma, tau)
     # (numerator, denominator) coefficients of the ratio under sigma and tau
-    pairs = [
-        (hom_Z_poly(g, A, sigma=b.extended(v, i)), hom_Z_poly(g, A, sigma=b)) for b in (sigma, tau)
-    ]
+    pairs = [_hom_ratio_sums(g, v, i, A - 1.0, b, L=g.num_edges() + 1) for b in (sigma, tau)]
     r = 1.0 / (1.0 - eta)
     M = max(_sampled_M(num, den, _circle(r, samples)) for num, den in pairs)
     at_one = [_ratios(num, den, 1.0).item() for num, den in pairs]

@@ -115,6 +115,33 @@ def brute_edge_matrix_Z(g, q, matrices, xi=None, sigma=None):
     return total
 
 
+def brute_polymer_weight(polymer, A, z, sigma=None, xi=None):
+    """Polymer weight z^|F| Z^sigma_H(A - J, xi) / (free-vertex mass) of
+    H = (S, F), by a direct sum over the colorings of S that agree with
+    sigma; the mass is prod over pinned u of xi[u][sigma(u)] times prod over
+    the other u of sum_c xi[u][c] (xi all ones when omitted)."""
+    A = np.asarray(A, dtype=complex)
+    q = A.shape[0]
+    fixed = dict(sigma.assignment) if sigma is not None else {}
+    if xi is None:
+        xi = np.ones((max(polymer.vertices) + 1, q))
+    total = 0.0 + 0.0j
+    for combo in itertools.product(range(q), repeat=len(polymer.vertices)):
+        col = dict(zip(polymer.vertices, combo))
+        if any(col[u] != c for u, c in fixed.items() if u in col):
+            continue
+        term = 1.0 + 0.0j
+        for u, w in polymer.edges:
+            term *= A[col[u], col[w]] - 1.0
+        for u in polymer.vertices:
+            term *= xi[u][col[u]]
+        total += term
+    mass = 1.0 + 0.0j
+    for u in polymer.vertices:
+        mass *= xi[u][fixed[u]] if u in fixed else sum(xi[u])
+    return z ** len(polymer.edges) * total / mass
+
+
 def grid_transfer_hom_Z(rows, cols, A):
     """Homomorphism sum of the rows x cols grid (vertex i*cols + j) by the
     row transfer matrix: a state is the coloring of one row, weighted by its

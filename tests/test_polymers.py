@@ -27,10 +27,9 @@ from zeromix import (
     hom_ratio,
     path_graph,
     polymer_graph,
-    polymer_weight,
 )
 from zeromix import polymers
-from helpers import brute_hom_Z, random_graph, series_quotient
+from helpers import brute_hom_Z, brute_polymer_weight, random_graph, series_quotient
 
 
 def box_matrix(rng, q, radius):
@@ -94,19 +93,34 @@ def test_polymer_graph_disjoint_polymers_not_adjacent():
     assert gamma.graph.has_edge(a, c)
 
 
+def polymer_weight(p, A, z, pins=None, xi=None):
+    """The weight both polymer routes use: _shape_weight of p's _shape."""
+    rows = None if xi is None else np.asarray(xi, dtype=complex)[list(p.vertices)]
+    C = np.asarray(A, dtype=complex) - 1.0
+    return polymers._shape_weight(C, *polymers._shape(p, pins or {}), rows, z)
+
+
 def test_polymer_weight_single_edge():
     p = Polymer.from_edge_set([(0, 1)])
     A = np.array([[1.0, 1.0], [1.0, 2.0]])
     w = polymer_weight(p, A, 0.3)
     assert abs(w - 0.3 * 1.0 / 4.0) <= 1e-15
+    assert abs(w - brute_polymer_weight(p, A, 0.3)) <= 1e-15
+    # a path polymer away from vertex 0, with a pin and vertex weights
+    p = Polymer.from_edge_set([(1, 2), (2, 4)])
+    A = np.array([[1.2, 0.9 + 0.1j, 1.0], [0.9 + 0.1j, 0.7, 1.3j], [1.0, 1.3j, 1.1]])
+    xi = 0.5 + np.arange(15).reshape(5, 3) / 7 + 0.2j
+    want = brute_polymer_weight(p, A, 0.4 - 0.2j, SpinBoundary({4: 2}, 3), xi)
+    got = polymer_weight(p, A, 0.4 - 0.2j, {4: 2}, xi)
+    assert abs(got - want) <= 1e-14 * abs(want)
 
 
 def test_polymer_weight_vanishes_at_J_and_z0():
     A = np.ones((2, 2))
     p = Polymer.from_edge_set([(0, 1)])
-    assert polymer_weight(p, A, 0.7) == 0
+    assert polymer_weight(p, A, 0.7) == 0 == brute_polymer_weight(p, A, 0.7)
     B = np.array([[1.0, 0.5], [0.5, 2.0]])
-    assert polymer_weight(p, B, 0.0) == 0
+    assert polymer_weight(p, B, 0.0) == 0 == brute_polymer_weight(p, B, 0.0)
 
 
 def test_hom_Z_via_polymers_identity_seeded():
@@ -279,6 +293,16 @@ def test_barvinok_zero_check_at_J():
     assert math.isnan(rep.min_edge_abs_Z)
 
 
+def test_barvinok_zero_check_edge_samples_are_pinned():
+    # the sampled matrices read the seeded stream edge by edge, q x q radii
+    # then q x q angles; any other order changes this value
+    g = grid_graph(3, 3)
+    A = 1.0 + 0.15 * np.array([[0.3, 0.5j, -0.4], [0.5j, -0.7, 0.1 + 0.2j], [-0.4, 0.1 + 0.2j, 0.6]])
+    rep = barvinok_zero_check(g, A, sigma=SpinBoundary({0: 2, 8: 1}, 3), samples=3, seed=2022)
+    assert rep.hypothesis_ok
+    assert repr(rep.min_edge_abs_Z) == "1947.9072030517561"
+
+
 def test_barvinok_zero_check_outside_box_reports_without_failing():
     g = cycle_graph(6)
     sigma = SpinBoundary({0: 0, 3: 1}, q=2)
@@ -304,6 +328,26 @@ def test_build_edge_matrices_telescopes():
         J = np.ones((q, q))
         want = brute_hom_Z(g, J + z * (A - J), xi=xi.tolist())
         assert abs(got - want) <= 1e-9 * (1 + abs(want))
+
+
+def test_build_edge_matrices_is_the_per_edge_formula():
+    # the triangle's vertex 3 is on no edge: its xi row, a 0 in it included,
+    # is never read
+    rng = np.random.default_rng(57)
+    cases = [(cycle_graph(5), 3), (from_edges(4, [(0, 1), (1, 2), (0, 2)]), 2)]
+    for g, q in cases:
+        A = box_matrix(rng, q, 0.3)
+        z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        xi = 0.5 + rng.uniform(size=(g.n, q)) + 0.3j * rng.uniform(size=(g.n, q))
+        if g.n == 4:
+            xi[3, 0] = 0.0
+        M = np.ones((q, q), dtype=complex) + z * (A - np.ones((q, q)))
+        roots = {u: np.exp(np.log(xi[u]) / g.degree(u)) for u in range(g.n) if g.degree(u)}
+        got = build_edge_matrices(g, A, z, xi)
+        assert list(got) == g.edges()
+        for u, w in g.edges():
+            assert np.array_equal(got[u, w], M * np.outer(roots[u], roots[w]))
+    assert build_edge_matrices(from_edges(2, []), np.ones((2, 2)), 0.5, np.ones((2, 2))) == {}
 
 
 def test_bounded_ratio_check_in_box():
@@ -409,16 +453,31 @@ def test_bad_hom_query_gets_one_error_from_every_entry_point(entry, v, i, error,
     assert str(e.value) == message
 
 
+def no_sums(*args, **kwargs):
+    raise AssertionError("summed before the inputs were checked")
+
+
 def test_bounded_ratio_check_rejects_an_isolated_vertex_before_sampling(monkeypatch):
-    from zeromix import polymers
-
-    def no_sums(*args, **kwargs):
-        raise AssertionError("sampled before the inputs were checked")
-
-    monkeypatch.setattr(polymers, "hom_Z_poly", no_sums)
+    monkeypatch.setattr(polymers, "_hom_ratio_sums", no_sums)
     lonely = from_edges(2, [])
     with pytest.raises(ValueError, match=r"^identity check needs deg\(0\) >= 1$"):
         bounded_ratio_check(lonely, 0, 0, SpinBoundary({}, q=2), np.ones((2, 2)), eta=0.5, eps=0.5)
+    # the patched route is the one a valid call sums through
+    with pytest.raises(AssertionError, match="summed before"):
+        bounded_ratio_check(path_graph(2), 0, 0, SpinBoundary({}, q=2), np.ones((2, 2)), eta=0.5, eps=0.5)
+
+
+def test_hom_ssm_experiment_checks_both_boundaries_before_summing(monkeypatch):
+    monkeypatch.setattr(polymers, "_hom_ratio_sums", no_sums)
+    g, A = path_graph(4), np.ones((2, 2))
+    sigma = SpinBoundary({3: 0}, q=2)
+    with pytest.raises(BoundaryError, match="^vertex 0 is pinned by the boundary$"):
+        hom_ssm_experiment(g, 0, 0, sigma, SpinBoundary({0: 1, 3: 1}, q=2), A, 0.5)
+    with pytest.raises(BoundaryError, match="^boundary has q=3, matrix has q=2$"):
+        hom_ssm_experiment(g, 0, 0, sigma, SpinBoundary({3: 1}, q=3), A, 0.5)
+    # the patched route is the one a valid call sums through
+    with pytest.raises(AssertionError, match="summed before"):
+        hom_ssm_experiment(g, 0, 0, sigma, SpinBoundary({3: 1}, q=2), A, 0.5)
 
 
 def test_hom_ssm_experiment_path():
@@ -472,7 +531,6 @@ def test_hom_ssm_at_J_gap_zero():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda g, A: polymer_weight(enumerate_polymers(g, 1)[0], A, 1.0),
         lambda g, A: hom_Z_via_polymers(g, A),
         lambda g, A: hom_ratio_series(g, 0, 0, SpinBoundary({}, 2), A, order=2),
         lambda g, A: barvinok_zero_check(g, A),
@@ -483,7 +541,6 @@ def test_hom_ssm_at_J_gap_zero():
         ),
     ],
     ids=[
-        "polymer_weight",
         "hom_Z_via_polymers",
         "hom_ratio_series",
         "barvinok_zero_check",

@@ -47,7 +47,9 @@ from zeromix import (
     from_edges,
     g_series,
     h_point,
+    hom_ratio,
     hom_ratio_series,
+    hom_Z,
     hom_Z_poly,
     ind_poly,
     induced_subgraph,
@@ -62,6 +64,7 @@ from zeromix.exact import (
     NEAR_ZERO_REL,
     _free_component,
     _hardcore_query,
+    _hom_ratio_sums,
     _near_zero,
     _ratio_polys,
     _ratios,
@@ -217,6 +220,37 @@ def test_hom_Z_poly_ignores_vertex_labels(data):
     scale = hom_Z_poly(g, J + np.abs(A - J), sigma=sigma).real
     diff = np.abs(hom_Z_poly(h, A, sigma=tau) - hom_Z_poly(g, A, sigma=sigma))
     assert np.all(diff <= 1e-12 * scale)
+
+
+@PROPERTY
+@given(st.data())
+def test_hom_ratio_sums_match_two_pinned_sweeps(data):
+    # one sweep with v's axis left open gives the pair of z-polynomials that
+    # hom_Z_poly gives with v pinned and unpinned
+    g = data.draw(graphs(max_n=8))
+    assume(g.n)
+    q = data.draw(st.integers(2, 3))
+    A = np.array(data.draw(st.lists(ENTRIES, min_size=q * q, max_size=q * q))).reshape(q, q)
+    A = (A + A.T) / 2
+    v = data.draw(st.integers(0, g.n - 1))
+    others = [u for u in range(g.n) if u != v]
+    pins = data.draw(st.dictionaries(st.sampled_from(others), st.integers(0, q - 1))) if others else {}
+    sigma = SpinBoundary(pins, q)
+    i = data.draw(st.integers(0, q - 1))
+    num, den = _hom_ratio_sums(g, v, i, A - 1.0, sigma, L=g.num_edges() + 1)
+    # coefficients of the same sums over |A - J| bound every cancellation
+    J = np.ones((q, q))
+    for got, b in ((num, sigma.extended(v, i)), (den, sigma)):
+        assert got.shape == (g.num_edges() + 1,)
+        scale = hom_Z_poly(g, J + np.abs(A - J), sigma=b).real
+        assert np.all(np.abs(got - hom_Z_poly(g, A, sigma=b)) <= 1e-12 * scale)
+    for z in (1.0, -0.6, 0.3 + 0.4j):
+        M = J + z * (A - J)
+        num, den = hom_Z(g, M, sigma=sigma.extended(v, i)), hom_Z(g, M, sigma=sigma)
+        # the summed magnitudes over |den| bound either route's rounding
+        mass = hom_Z(g, np.abs(M), sigma=sigma).real
+        assume(abs(den) > 1e-6 * mass and not _near_zero(num, den))
+        assert abs(hom_ratio(g, v, i, sigma, A, z) - num / den) <= 1e-12 * mass / abs(den) * (1 + abs(num / den))
 
 
 @PROPERTY
