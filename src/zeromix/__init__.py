@@ -77,16 +77,9 @@ from .interpolate import (
     SectorSpec,
     StripSpec,
     approx_cond_prob,
-    choose_strip_spec,
     estimate_M,
-    g_inverse,
-    g_point,
-    g_series,
     gap_bound_hardcore,
     gap_bound_hom,
-    h_inverse_candidates,
-    h_point,
-    h_series,
     tail_bound,
 )
 from .polymers import (

@@ -22,7 +22,7 @@ afford.
 
 import functools
 import itertools
-import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -273,6 +273,15 @@ def _check_activity(lam):
     real = isinstance(lam, (int, float)) and not isinstance(lam, bool)
     if not (real and 0 < lam <= sys.float_info.max):
         raise ValueError(f"activity must be a positive real, got {lam!r}")
+
+
+def _check_count(name, value):
+    """Raise ValueError unless value is an integer (not a bool) of at
+    least 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def _hardcore_query(g, v, sigma, lam):

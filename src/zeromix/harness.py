@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolationError, NearZeroDenominatorError
-from .exact import _check_activity, _hardcore_prob, _neighbor_masks, ind_poly, ratio_P, ratio_R
+from .exact import _check_activity, _check_count, _hardcore_prob, _neighbor_masks, ind_poly, ratio_P, ratio_R
 from .graphs import HardcoreBoundary, _all_vertices, _bfs, is_claw_free
 
 
@@ -210,15 +210,6 @@ def _spheres(g, v, max_distance):
         out.append((sorted(s), inner))
         inner |= sum(1 << u for u in s)
     return out
-
-
-def _check_count(name, value):
-    """Raise ValueError unless value is an integer (not a bool) of at
-    least 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def ssm_scan(

@@ -3,8 +3,8 @@
 If f is analytic and bounded by M on the closed disk of radius r > 1, its
 Taylor coefficients satisfy |a_k| <= M / r^k, so the partial sum through
 order N - 1 is within M / ((r - 1) r^N) of f(1).  We apply this to
-f(z) = P(lam * g(z)) where P is an occupation ratio and g maps the disk
-into a thin zero-free neighborhood of [0, 1]:
+f(z) = P(lam * map(z)) where P is an occupation ratio and the map takes the
+disk into a thin zero-free neighborhood of [0, 1]:
 
   strip map   g(z) = eps * log(1 / (1 - alpha z)),  alpha = 1 - e^(-1/eps),
               r = (1 - e^(-1 - 1/eps)) / (1 - e^(-1/eps));
@@ -15,9 +15,13 @@ into a thin zero-free neighborhood of [0, 1]:
               image avoids the real ray left of -3 delta / 4, so it suits
               graphs whose partition-function zeros are real and negative.
 
-Both maps send 0 to 0 and 1 to 1 and have positive Taylor coefficients, so
-composing P's positive numerator x I(H - N[v]) and denominator I(H) with
-lam * g cancels nothing; one long division then gives P(lam * g(z)).
+Each map is a spec, StripSpec or SectorSpec, that owns its formulas: the
+point map, its Taylor coefficients, the preimages of a point and r.  The
+certify kernel reads only those, so both maps run through the same rung
+walker.  Both maps send 0 to 0 and 1 to 1 and have positive Taylor
+coefficients, so composing P's positive numerator x I(H - N[v]) and
+denominator I(H) with lam * map cancels nothing; one long division then
+gives P(lam * map(z)).
 """
 
 import cmath
@@ -29,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationDepthError, ZeroRegionViolationError
-from .exact import IndPoly, _free_component, _hardcore_query, _ratio_polys, _ratios
+from .exact import IndPoly, _check_count, _free_component, _hardcore_query, _ratio_polys, _ratios
 from .graphs import HardcoreBoundary
-from .series import PowerSeries, _long_division
+from .series import _long_division
 
 DEFAULT_MAX_DEPTH = 64
 DEFAULT_SAMPLES = 256
@@ -67,6 +71,30 @@ class StripSpec:
     def r(self):
         return (1.0 - math.exp(-1.0 - 1.0 / self.eps)) / self.alpha
 
+    def point(self, z):
+        # 1 - alpha*z written as (1 - z) + z*e^{-1/eps}: forming alpha first
+        # cancels catastrophically near z = 1 for narrow strips
+        w = (1.0 - z) + z * math.exp(-1.0 / self.eps)
+        return -self.eps * np.log(np.asarray(w, dtype=complex))
+
+    def coeffs(self, order):
+        """Taylor coefficients 0..order: 0, then eps * alpha^k / k."""
+        a = self.alpha
+        return np.array([0.0] + [self.eps * a**k / k for k in range(1, order + 1)])
+
+    def preimages(self, w):
+        """The z with g(z) = w, by the closed-form inverse, or none."""
+        # the map takes the slit plane onto exactly this strip; outside it
+        # the closed-form inverse wraps w onto a false preimage
+        if not -math.pi * self.eps <= w.imag < math.pi * self.eps:
+            return ()
+        try:
+            return ((1.0 - cmath.exp(-w / self.eps)) / self.alpha,)
+        except OverflowError:
+            # exp(-w/eps) overflows only when the preimage is astronomically
+            # far outside the disk
+            return ()
+
 
 @dataclass(frozen=True)
 class SectorSpec:
@@ -85,6 +113,23 @@ class SectorSpec:
     def r(self):
         return 1.0 + math.sqrt(self.delta)
 
+    def point(self, z):
+        return self.delta / (1.0 - self.zeta * z) ** 2 - self.delta
+
+    def coeffs(self, order):
+        """Taylor coefficients 0..order: 0, then delta * (k + 1) * zeta^k."""
+        z = self.zeta
+        return np.array([0.0] + [self.delta * (k + 1) * z**k for k in range(1, order + 1)])
+
+    def preimages(self, w):
+        """Both z with h(z) = w, or none for w = -delta, the image of
+        infinity."""
+        d = w + self.delta
+        if d == 0:
+            return ()
+        s = cmath.sqrt(self.delta / d)
+        return ((1.0 - s) / self.zeta, (1.0 + s) / self.zeta)
+
 
 @dataclass(frozen=True)
 class ApproxResult:
@@ -96,43 +141,6 @@ class ApproxResult:
     depth_used: int
     bound_M: float
     rate_r: float
-
-
-def g_series(spec, order):
-    """Taylor coefficients of the strip map: eps * alpha^k / k."""
-    a = spec.alpha
-    cs = [0j] + [spec.eps * a**k / k for k in range(1, order + 1)]
-    return PowerSeries(tuple(cs))
-
-
-def g_point(spec, z):
-    # 1 - alpha*z written as (1 - z) + z*e^{-1/eps}: forming alpha first
-    # cancels catastrophically near z = 1 for narrow strips
-    w = (1.0 - z) + z * math.exp(-1.0 / spec.eps)
-    return -spec.eps * np.log(np.asarray(w, dtype=complex))
-
-
-def g_inverse(spec, w):
-    """Inverse of the strip map where defined: z with g(z) = w."""
-    return (1.0 - cmath.exp(-w / spec.eps)) / spec.alpha
-
-
-def h_series(spec, order):
-    """Taylor coefficients of the sector map: delta * (k + 1) * zeta^k for
-    k >= 1, constant term 0."""
-    z = spec.zeta
-    cs = [0j] + [spec.delta * (k + 1) * z**k for k in range(1, order + 1)]
-    return PowerSeries(tuple(cs))
-
-
-def h_point(spec, z):
-    return spec.delta / (1.0 - spec.zeta * z) ** 2 - spec.delta
-
-
-def h_inverse_candidates(spec, w):
-    """Both preimages of w under the sector map."""
-    s = cmath.sqrt(spec.delta / (w + spec.delta))
-    return ((1.0 - s) / spec.zeta, (1.0 + s) / spec.zeta)
 
 
 def tail_bound(M, r, n):
@@ -190,20 +198,11 @@ def _circle(r, samples):
     return r * np.exp(2j * np.pi * np.arange(samples) / samples)
 
 
-def _map_of(spec):
-    """The (point, series) pair of the map that spec parametrises."""
-    if isinstance(spec, StripSpec):
-        return g_point, g_series
-    if isinstance(spec, SectorSpec):
-        return h_point, h_series
-    raise TypeError(f"unsupported map spec {spec!r}")
-
-
 @functools.lru_cache(maxsize=64)
 def _circle_image(spec, samples=DEFAULT_SAMPLES):
     """The map's image of the circle |z| = spec.r, one read-only array per
     spec shared by every query."""
-    w = _map_of(spec)[0](spec, _circle(spec.r, samples))
+    w = spec.point(_circle(spec.r, samples))
     w.flags.writeable = False
     return w
 
@@ -221,7 +220,7 @@ def _power_table(spec, lam, rows, cols):
     magnitude of the Horner product it replaces; powers of the bare map,
     rescaled by lam^j afterwards, would underflow at narrow rungs and large
     j."""
-    b = lam * np.real(_map_of(spec)[1](spec, cols - 1).coeffs)
+    b = lam * spec.coeffs(cols - 1)
     T = np.zeros((rows, cols))
     T[0, 0] = 1.0
     for j in range(1, rows):
@@ -258,38 +257,12 @@ def estimate_M(g, v, lam, spec, samples=DEFAULT_SAMPLES):
     return _sampled_M(num, den, lam * _circle_image(spec, samples))
 
 
-def _zero_in_strip_disk(roots, spec, lam, margin):
-    """The first of the activity-space zeros `roots` that pulls back into
-    the closed disk of radius r * (1 + margin) under the strip map scaled
-    by lam, or None."""
-    r = spec.r * (1.0 + margin)
-    for rho in roots:
-        rho = complex(rho)
-        w = rho / lam
-        # the strip map takes the slit plane onto exactly this strip; outside
-        # it the closed-form inverse wraps w onto a false preimage
-        if not -math.pi * spec.eps <= w.imag < math.pi * spec.eps:
-            continue
-        try:
-            z = g_inverse(spec, w)
-        except OverflowError:
-            # exp(-w/eps) overflows only when the preimage is astronomically
-            # far outside the disk
-            continue
-        if abs(z) <= r:
-            return rho
-    return None
-
-
 def _check_target(eps_target, max_depth):
     """Raise ValueError unless the error target is positive and finite and
     the depth cap an int (not a bool) of at least 1."""
     if not 0 < eps_target < math.inf:
         raise ValueError(f"error target must be positive and finite, got {eps_target}")
-    if isinstance(max_depth, bool) or not isinstance(max_depth, numbers.Integral):
-        raise ValueError(f"max_depth must be an integer, got {max_depth!r}")
-    if max_depth < 1:
-        raise ValueError(f"max_depth must be >= 1, got {max_depth}")
+    _check_count("max_depth", max_depth)
 
 
 def _depth_for(M, r, eps_target):
@@ -302,31 +275,26 @@ def _depth_for(M, r, eps_target):
     return n
 
 
+# the strip widths of the default ladder, widest (fastest rate) first
 EPS_LADDER = (2.5, 2.0, 1.6, 1.25, 1.0, 0.8, 0.6, 0.45, 0.35, 0.25, 0.18, 0.12, 0.08, 0.05)
+_LADDER = tuple(StripSpec(eps) for eps in EPS_LADDER)
 # the ladder's disks must clear every zero by this fraction of r
 LADDER_MARGIN = 0.05
 
 
-def choose_strip_spec(g, v, lam, eps_target, max_depth=DEFAULT_MAX_DEPTH):
-    """Pick a strip width whose disk clears the zeros of Z on v's component
-    with margin and whose certified depth fits under max_depth.  Wider
-    strips give faster rates, so EPS_LADDER is walked widest-first."""
-    keep = _free_component(g, v, _hardcore_query(g, v, HardcoreBoundary({}), lam))
-    _check_target(eps_target, max_depth)
-    num, den = _ratio_polys(g, v, keep)
-    return _strip_and_M(num, den, lam, eps_target, max_depth, EPS_LADDER, LADDER_MARGIN)[0]
-
-
-def _strip_and_M(num, den, lam, eps_target, max_depth, ladder, margin):
-    """The first strip width of the ladder whose scaled disk, widened by
-    margin, holds no zero of den and whose certified depth fits under
-    max_depth, with its sampled bound M on num / den and that depth."""
-    roots = IndPoly(den).roots()
+def _rung_and_M(num, den, lam, eps_target, max_depth, rungs, margin):
+    """The first map spec of rungs whose disk, widened by margin, holds no
+    preimage of a zero of den scaled by 1 / lam and whose certified depth
+    fits under max_depth, with its sampled bound M on num / den and that
+    depth."""
+    roots = [complex(rho) for rho in IndPoly(den).roots()]
     best_required = None
     nearest = None
-    for eps in ladder:
-        spec = StripSpec(eps)
-        hit = _zero_in_strip_disk(roots, spec, lam, margin)
+    for spec in rungs:
+        r = spec.r * (1.0 + margin)
+        hit = next(
+            (rho for rho in roots if any(abs(z) <= r for z in spec.preimages(rho / lam))), None
+        )
         if hit is not None:
             nearest = hit
             continue
@@ -342,12 +310,12 @@ def _strip_and_M(num, den, lam, eps_target, max_depth, ladder, margin):
             best_required = n
     if best_required is not None:
         raise TruncationDepthError(
-            f"no strip width reaches the target within depth {max_depth}",
+            f"no candidate disk reaches the target within depth {max_depth}",
             required=best_required,
             cap=max_depth,
         )
     raise ZeroRegionViolationError(
-        "every candidate strip disk contains a partition-function zero",
+        "every candidate disk contains a partition-function zero",
         point=nearest,
     )
 
@@ -355,17 +323,20 @@ def _strip_and_M(num, den, lam, eps_target, max_depth, ladder, margin):
 def approx_cond_prob(g, v, sigma, lam, eps_target, spec=None, max_depth=DEFAULT_MAX_DEPTH):
     """Conditional occupation probability with a certified error bound.
 
-    Reduces by the boundary and cuts to v's component, verifies the scaled
-    strip image is zero-free (exactly, by pulling the zeros of that
-    component's Z back through the map), bounds
-    P(lam * g(z)) on |z| = r by sampling, takes the smallest depth n whose
-    tail bound meets eps_target, composes the component's numerator and
-    denominator, cut at n coefficients, with lam * g, long-divides them and
-    returns the partial sum at z = 1 with that bound.  Each composition is
-    one product with a cached table of the powers of lam * g for the rung
-    and lam, and the division runs in float64; every input is real and
-    every term of the compositions nonnegative.  A given spec is the
-    one-rung ladder (spec.eps,) with no margin.
+    Reduces by the boundary and cuts to v's component, then walks a ladder
+    of map specs and takes the first rung whose scaled image is zero-free
+    (exactly, by pulling the zeros of that component's Z back through the
+    map) and whose depth fits under max_depth: it bounds P(lam * map(z)) on
+    |z| = r by sampling, takes the smallest depth n whose tail bound meets
+    eps_target, composes the component's numerator and denominator, cut at
+    n coefficients, with lam * map, long-divides them and returns the
+    partial sum at z = 1 with that bound.  Each composition is one product
+    with a cached table of the powers of lam * map for the rung and lam,
+    and the division runs in float64; every input is real and every term of
+    the compositions nonnegative.  Without a spec the ladder is the strip
+    widths EPS_LADDER, whose disks must clear each zero by LADDER_MARGIN; a
+    given StripSpec or SectorSpec is the one-rung ladder (spec,) with no
+    margin.
 
     The graph enters only through the component's pair (x I(H - N[v]),
     I(H)), so everything after the cut to v's component is memoized on
@@ -378,8 +349,8 @@ def approx_cond_prob(g, v, sigma, lam, eps_target, spec=None, max_depth=DEFAULT_
     """
     keep = _free_component(g, v, _hardcore_query(g, v, sigma, lam))
     _check_target(eps_target, max_depth)
-    if spec is not None and not isinstance(spec, StripSpec):
-        raise TypeError("approx_cond_prob runs on the strip map; pass a StripSpec")
+    if spec is not None and not isinstance(spec, (StripSpec, SectorSpec)):
+        raise TypeError(f"spec must be a StripSpec or a SectorSpec, got {spec!r}")
     if keep is None:
         # v is adjacent to an occupied boundary vertex: exactly zero
         r = spec.r if spec is not None else 2.0
@@ -390,11 +361,11 @@ def approx_cond_prob(g, v, sigma, lam, eps_target, spec=None, max_depth=DEFAULT_
 @functools.lru_cache(maxsize=1024)
 def _certified(num, den, lam, eps_target, max_depth, spec):
     """The certified value of num / den at lam for checked arguments: the
-    strip of the ladder (spec None) or of spec, its sampled M and depth, the
-    compositions and the division.  It reads nothing but its arguments, so
-    queries whose components share the pair (num, den) share one entry."""
-    ladder, margin = (EPS_LADDER, LADDER_MARGIN) if spec is None else ((spec.eps,), 0.0)
-    spec, M, n = _strip_and_M(num, den, lam, eps_target, max_depth, ladder, margin)
+    rung of the ladder (spec None) or spec itself, its sampled M and depth,
+    the compositions and the division.  It reads nothing but its arguments,
+    so queries whose components share the pair (num, den) share one entry."""
+    rungs, margin = (_LADDER, LADDER_MARGIN) if spec is None else ((spec,), 0.0)
+    spec, M, n = _rung_and_M(num, den, lam, eps_target, max_depth, rungs, margin)
     top, bottom = _composed(spec, lam, n, num, den)
     value = float(_long_division(top, bottom, n - 1).sum())
     floor = 4 * 2.0**-52 * abs(value)  # rounding alone moves value this far

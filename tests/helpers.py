@@ -243,6 +243,36 @@ def series_quotient(num, den, order):
     return out
 
 
+def series_exp(coeffs):
+    """Taylor coefficients of exp(f) through f's order, f[0] == 0, by the
+    recurrence n e_n = sum_k k f_k e_(n-k) in complex float64."""
+    if coeffs[0] != 0:
+        raise ValueError("exp needs zero constant term")
+    ka = np.arange(len(coeffs)) * np.array(coeffs, dtype=complex)
+    out = np.zeros(len(coeffs), dtype=complex)
+    out[0] = 1.0
+    for n in range(1, len(coeffs)):
+        out[n] = np.dot(ka[1 : n + 1], out[n - 1 :: -1]) / n
+    return out
+
+
+def horner_compose(outer, inner):
+    """Taylor coefficients of outer(inner(x)) cut to len(inner), inner[0] ==
+    0, by Horner's rule in complex float64 from outer's last nonzero
+    coefficient (the zeros above it would only add exact zeros)."""
+    inner = np.array(inner, dtype=complex)
+    if inner[0] != 0:
+        raise ValueError(f"composition needs inner constant term 0, got {inner[0]}")
+    K = len(inner)
+    outer = [complex(c) for c in outer[:K]]
+    acc = np.zeros(K, dtype=complex)
+    top = max((k for k, c in enumerate(outer) if c), default=0)
+    for c in reversed(outer[: top + 1]):
+        acc = np.convolve(acc, inner)[:K]
+        acc[0] += c
+    return acc
+
+
 def pattern_bits(h, order):
     """The adjacency of h with its vertices relabeled by their position in
     `order`, packed row by row as zeromix.cluster reads patterns: the pair

@@ -14,20 +14,14 @@ from zeromix import (
     TruncationDepthError,
     ZeroRegionViolationError,
     approx_cond_prob,
-    choose_strip_spec,
     cond_prob_hardcore,
     cycle_graph,
+    eval_poly,
     estimate_M,
     from_edges,
-    g_inverse,
-    g_point,
-    g_series,
     gap_bound_hardcore,
     gap_bound_hom,
     grid_graph,
-    h_inverse_candidates,
-    h_point,
-    h_series,
     line_graph_of_random_regular,
     path_graph,
     shearer_radius,
@@ -90,42 +84,42 @@ def test_a_degenerate_map_spec_is_rejected(make, message):
 def test_strip_map_endpoints():
     for eps in (0.05, 0.1, 0.25, 0.5, 1.0, 2.5):
         spec = StripSpec(eps)
-        assert g_point(spec, 0) == 0
-        assert abs(g_point(spec, 1) - 1) <= 1e-12
+        assert spec.point(0) == 0
+        assert abs(spec.point(1) - 1) <= 1e-12
 
 
 def test_sector_map_endpoints():
     for delta in (0.05, 0.1, 0.5, 1.0):
         spec = SectorSpec(delta)
-        assert h_point(spec, 0) == 0
-        assert abs(h_point(spec, 1) - 1) <= 1e-12
+        assert spec.point(0) == 0
+        assert abs(spec.point(1) - 1) <= 1e-12
 
 
 def test_g_series_coefficients():
     spec = StripSpec(0.3)
-    s = g_series(spec, 5)
-    assert s.coeffs[0] == 0
+    s = spec.coeffs(5)
+    assert s.dtype == np.float64 and s.shape == (6,) and s[0] == 0
     for k in range(1, 6):
-        assert abs(s.coeffs[k] - spec.eps * spec.alpha**k / k) <= 1e-15
-    assert abs(s.coeffs[1] - spec.eps * spec.alpha) <= 1e-15
+        assert abs(s[k] - spec.eps * spec.alpha**k / k) <= 1e-15
+    assert abs(s[1] - spec.eps * spec.alpha) <= 1e-15
 
 
 def test_h_series_coefficients():
     spec = SectorSpec(0.4)
-    s = h_series(spec, 5)
-    assert s.coeffs[0] == 0
+    s = spec.coeffs(5)
+    assert s.dtype == np.float64 and s.shape == (6,) and s[0] == 0
     for k in range(1, 6):
-        assert abs(s.coeffs[k] - spec.delta * (k + 1) * spec.zeta**k) <= 1e-15
-    assert abs(s.coeffs[1] - 2 * spec.delta * spec.zeta) <= 1e-15
+        assert abs(s[k] - spec.delta * (k + 1) * spec.zeta**k) <= 1e-15
+    assert abs(s[1] - 2 * spec.delta * spec.zeta) <= 1e-15
 
 
 def test_series_converge_to_point_maps():
     rng = np.random.default_rng(40)
-    for spec, point in ((StripSpec(0.7), g_point), (SectorSpec(0.3), h_point)):
-        s = (g_series if isinstance(spec, StripSpec) else h_series)(spec, 80)
+    for spec in (StripSpec(0.7), SectorSpec(0.3)):
+        s = spec.coeffs(80)
         for _ in range(50):
             z = 0.8 * spec.r * math.sqrt(rng.uniform()) * cmath.exp(2j * math.pi * rng.uniform())
-            assert abs(s(z) - point(spec, z)) <= 1e-9
+            assert abs(eval_poly(s, z) - spec.point(z)) <= 1e-9
 
 
 def test_g_inverse_round_trip():
@@ -133,8 +127,9 @@ def test_g_inverse_round_trip():
     spec = StripSpec(0.6)
     for _ in range(100):
         z = spec.r * math.sqrt(rng.uniform()) * cmath.exp(2j * math.pi * rng.uniform())
-        w = g_point(spec, z)
-        assert abs(g_inverse(spec, w) - z) <= 1e-10 * (1 + abs(z))
+        w = complex(spec.point(z))
+        (pre,) = spec.preimages(w)
+        assert abs(pre - z) <= 1e-10 * (1 + abs(z))
 
 
 def test_h_inverse_candidates_forward_check():
@@ -142,11 +137,22 @@ def test_h_inverse_candidates_forward_check():
     spec = SectorSpec(0.8)
     for _ in range(50):
         z = spec.r * math.sqrt(rng.uniform()) * cmath.exp(2j * math.pi * rng.uniform())
-        w = h_point(spec, z)
-        cands = h_inverse_candidates(spec, w)
+        w = spec.point(z)
+        cands = spec.preimages(w)
         assert any(abs(c - z) <= 1e-8 * (1 + abs(z)) for c in cands)
         for c in cands:
-            assert abs(h_point(spec, c) - w) <= 1e-8 * (1 + abs(w))
+            assert abs(spec.point(c) - w) <= 1e-8 * (1 + abs(w))
+
+
+def test_the_sector_map_has_no_preimage_of_minus_delta():
+    # -delta is h(infinity); its preimage once divided by zero
+    assert SectorSpec(0.5).preimages(-0.5) == ()
+    assert SectorSpec(0.5).preimages(complex(-0.5)) == ()
+    # Z_{K_2} = 1 + 2 lam vanishes at -1/2, which is -delta at lam = 1; the
+    # sector image misses it, so the query certifies
+    k2 = from_edges(2, [(0, 1)])
+    res = approx_cond_prob(k2, 0, HardcoreBoundary({}), 1.0, 1e-3, spec=SectorSpec(0.5))
+    assert abs(res.value - 1 / 3) <= res.error_bound <= 1e-3
 
 
 def test_strip_image_containment_sampled():
@@ -157,7 +163,7 @@ def test_strip_image_containment_sampled():
         worst = 0.0
         for _ in range(2500):
             z = spec.r * math.sqrt(rng.uniform()) * cmath.exp(2j * math.pi * rng.uniform())
-            worst = max(worst, seg_dist(g_point(spec, z)))
+            worst = max(worst, seg_dist(spec.point(z)))
         assert worst <= 2 * eps + 1e-9
 
 
@@ -168,12 +174,12 @@ def test_sector_image_avoids_forbidden_ray_sampled():
         spec = SectorSpec(delta)
         for _ in range(1500):
             z = spec.r * math.sqrt(rng.uniform()) * cmath.exp(2j * math.pi * rng.uniform())
-            w = h_point(spec, z)
+            w = spec.point(z)
             if abs(w.imag) <= 1e-9:
                 assert w.real >= -0.75 * delta + 1e-9
         # the real diameter, where the image is exactly real
         for x in np.linspace(-spec.r, spec.r, 1000):
-            w = h_point(spec, complex(x))
+            w = spec.point(complex(x))
             assert abs(w.imag) <= 1e-12
             assert w.real >= -0.75 * delta + 1e-9
 
@@ -205,7 +211,7 @@ def test_estimate_M_is_an_upper_bound_on_resampled_points():
     # the 1.5 safety factor dominates a coarser resampling
     for j in range(57):
         z = spec.r * cmath.exp(2j * math.pi * j / 57)
-        w = lam * g_point(spec, z)
+        w = lam * spec.point(z)
         from zeromix import ind_poly, remove_vertices
 
         num = w * ind_poly(remove_vertices(g, {1, 2, 3})[0])(w)
@@ -245,11 +251,11 @@ def test_a_sample_count_that_is_not_an_int_is_rejected(samples):
 
 @pytest.mark.parametrize("lam", [0, -0.5, 1j, float("nan")])
 def test_strip_choice_and_M_reject_a_bad_activity(lam):
-    # as approx_cond_prob does, before any root finding or sampling: 0 once
-    # divided by zero in the strip test, and the others raised exit-2 errors
+    # before any root finding or sampling: 0 once divided by zero in the
+    # strip test, and the others raised exit-2 errors
     message = f"^activity must be a positive real, got {re.escape(repr(lam))}$"
     with pytest.raises(ValueError, match=message):
-        choose_strip_spec(path_graph(3), 0, lam, 1e-3)
+        approx_cond_prob(path_graph(3), 0, HardcoreBoundary({}), lam, 1e-3)
     with pytest.raises(ValueError, match=message):
         estimate_M(path_graph(3), 0, lam, StripSpec(0.5))
 
@@ -261,8 +267,6 @@ def test_nonpositive_max_depth_is_rejected(max_depth):
     for v, sigma in ((0, HardcoreBoundary({})), (1, HardcoreBoundary({0: 1}))):
         with pytest.raises(ValueError, match=message):
             approx_cond_prob(path_graph(3), v, sigma, 0.5, 1e-3, max_depth=max_depth)
-    with pytest.raises(ValueError, match=message):
-        choose_strip_spec(path_graph(3), 0, 0.5, 1e-3, max_depth=max_depth)
 
 
 def test_an_infinite_error_target_is_rejected():
@@ -270,8 +274,6 @@ def test_an_infinite_error_target_is_rejected():
     message = "^error target must be positive and finite, got inf$"
     with pytest.raises(ValueError, match=message):
         approx_cond_prob(path_graph(3), 0, HardcoreBoundary({}), 0.5, float("inf"))
-    with pytest.raises(ValueError, match=message):
-        choose_strip_spec(path_graph(3), 0, 0.5, float("inf"))
 
 
 def test_an_error_target_below_the_float64_floor_is_rejected():
@@ -295,8 +297,6 @@ def test_a_depth_cap_that_is_not_an_int_is_rejected(max_depth):
     for v, sigma in ((0, HardcoreBoundary({})), (1, HardcoreBoundary({0: 1}))):
         with pytest.raises(ValueError, match=message):
             approx_cond_prob(path_graph(3), v, sigma, 0.5, 1e-3, max_depth=max_depth)
-    with pytest.raises(ValueError, match=message):
-        choose_strip_spec(path_graph(3), 0, 0.5, 1e-3, max_depth=max_depth)
     # any Integral that is not a bool is a depth cap
     res = approx_cond_prob(path_graph(3), 0, HardcoreBoundary({}), 0.5, 1e-3, max_depth=np.int64(64))
     assert res.depth_used > 0
@@ -325,7 +325,7 @@ def test_sampled_M_bounds_the_points_and_stops_at_a_zero():
 def test_given_strip_matches_the_ladder(g, lam):
     v, sigma = g.n // 2, HardcoreBoundary({})
     res = approx_cond_prob(g, v, sigma, lam, 1e-4)
-    eps = choose_strip_spec(g, v, lam, 1e-4).eps
+    (eps,) = [eps for eps in EPS_LADDER if StripSpec(eps).r == res.rate_r]
     assert approx_cond_prob(g, v, sigma, lam, 1e-4, spec=StripSpec(eps)) == res
     assert abs(res.value - cond_prob_hardcore(g, v, sigma, lam)) <= res.error_bound
 
@@ -357,7 +357,6 @@ def test_approx_cond_prob_ignores_other_components():
     union = disjoint_union(path_graph(3), grid_graph(3, 3))
     want = approx_cond_prob(path_graph(3), 1, sigma, 0.5, 1e-4)
     assert repr(approx_cond_prob(union, 1, sigma, 0.5, 1e-4)) == repr(want)
-    assert choose_strip_spec(union, 1, 0.5, 1e-4) == choose_strip_spec(path_graph(3), 1, 0.5, 1e-4)
 
 
 def test_approx_cond_prob_sweeps_only_inside_a_pinned_sphere():
@@ -421,8 +420,8 @@ def test_approx_cond_prob_input_validation():
         approx_cond_prob(g, 0, HardcoreBoundary({}), 0.5, 0.0)
     with pytest.raises(BoundaryError):
         approx_cond_prob(g, 0, HardcoreBoundary({0: 1}), 0.5, 1e-3)
-    with pytest.raises(TypeError):
-        approx_cond_prob(g, 0, HardcoreBoundary({}), 0.5, 1e-3, spec=SectorSpec(0.5))
+    with pytest.raises(TypeError, match="^spec must be a StripSpec or a SectorSpec, got 0.5$"):
+        approx_cond_prob(g, 0, HardcoreBoundary({}), 0.5, 1e-3, spec=0.5)
 
 
 def test_zero_region_violation_with_explicit_wide_strip():
@@ -439,7 +438,7 @@ def test_ladder_exhausted_by_zeros():
     # at lam=20 even the narrowest strip's scaled image covers the zero
     k2 = from_edges(2, [(0, 1)])
     with pytest.raises(ZeroRegionViolationError):
-        choose_strip_spec(k2, 0, 20.0, 1e-3)
+        approx_cond_prob(k2, 0, HardcoreBoundary({}), 20.0, 1e-3)
 
 
 def test_truncation_depth_error_reports_requirement():
@@ -452,15 +451,16 @@ def test_truncation_depth_error_reports_requirement():
     assert e.value.cap == 3
 
 
-def test_choose_strip_spec_prefers_wide_strips():
-    spec = choose_strip_spec(path_graph(3), 1, 0.01, 1e-3)
-    assert spec.eps == EPS_LADDER[0]
+def test_the_ladder_prefers_wide_strips():
+    res = approx_cond_prob(path_graph(3), 1, HardcoreBoundary({}), 0.01, 1e-3)
+    assert res.rate_r == StripSpec(EPS_LADDER[0]).r
 
 
-def test_choose_strip_spec_narrows_as_activity_grows():
+def test_the_ladder_narrows_as_activity_grows():
+    # a narrower strip has a slower rate
     g = path_graph(3)
-    wide = choose_strip_spec(g, 1, 0.01, 1e-3).eps
-    mid = choose_strip_spec(g, 1, 0.2, 1e-3).eps
+    wide = approx_cond_prob(g, 1, HardcoreBoundary({}), 0.01, 1e-3).rate_r
+    mid = approx_cond_prob(g, 1, HardcoreBoundary({}), 0.2, 1e-3).rate_r
     assert mid <= wide
 
 
@@ -519,13 +519,16 @@ def test_queries_sharing_a_ratio_pair_share_one_certified_entry():
     _certified.cache_clear()
     cold = approx_cond_prob(*large, 0.3, 1e-8)
     assert repr(first) == repr(second) == repr(cold)
-    # each of lam, the target, the cap and the spec is part of the key
+    # each of lam, the target, the cap and the spec is part of the key; the
+    # two specs hash alike but are not equal
+    assert hash(StripSpec(1.6)) == hash(SectorSpec(1.6)) and StripSpec(1.6) != SectorSpec(1.6)
     for lam, target, cap, spec in ((0.31, 1e-8, 64, None), (0.3, 1e-9, 64, None),
-                                   (0.3, 1e-8, 63, None), (0.3, 1e-8, 64, StripSpec(1.6))):
+                                   (0.3, 1e-8, 63, None), (0.3, 1e-8, 64, StripSpec(1.6)),
+                                   (0.3, 1e-8, 64, SectorSpec(1.6))):
         approx_cond_prob(*large, lam, target, spec=spec, max_depth=cap)
-    assert _certified.cache_info().currsize == 5 and _certified.cache_info().hits == 0
+    assert _certified.cache_info().currsize == 6 and _certified.cache_info().hits == 0
     # a query that raises leaves no entry, and raises again
     for _ in range(2):
         with pytest.raises(TruncationDepthError):
             approx_cond_prob(*large, 0.3, 1e-8, max_depth=1)
-    assert _certified.cache_info().currsize == 5 and _certified.cache_info().hits == 0
+    assert _certified.cache_info().currsize == 6 and _certified.cache_info().hits == 0

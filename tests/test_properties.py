@@ -6,15 +6,16 @@ and pins against brute force; its z-polynomial against brute force and
 against a relabelled copy of the graph), the polymer series of the color
 ratio against division of those polynomials, the canonical key of the
 Ursell memo and the cluster series against a relabelled copy of the pattern
-or graph (and the key's Ursell value against the subset scan), PowerSeries
-arithmetic against exact integer and Fraction references, the array route that
-samples the tail bound M against per-point scalar evaluation, and the
-reduction of a graph by a hard-core boundary, which the sweep takes as a
-bit mask of kept vertices, against brute force and against the relabelled
-subgraph, the masked, radius-limited breadth-first search and the
-components built on it against networkx, every certified
-approx_cond_prob against cond_prob_hardcore within its error bound, and the
-generators ssm_scan seeds for its trials against np.random.default_rng."""
+or graph (and the key's Ursell value against the subset scan), series long
+division and the series oracles against exact integer and Fraction
+references, the array route that samples the tail bound M against per-point
+scalar evaluation, and the reduction of a graph by a hard-core boundary,
+which the sweep takes as a bit mask of kept vertices, against brute force
+and against the relabelled subgraph, the masked, radius-limited
+breadth-first search and the components built on it against networkx,
+every certified approx_cond_prob, on the strip ladder and on a given sector
+map, against cond_prob_hardcore within its error bound, and the generators
+ssm_scan seeds for its trials against np.random.default_rng."""
 
 import cmath
 import math
@@ -30,7 +31,6 @@ from hypothesis import strategies as st
 from zeromix import (
     HardcoreBoundary,
     IndPoly,
-    PowerSeries,
     SectorSpec,
     SpinBoundary,
     StripSpec,
@@ -45,8 +45,6 @@ from zeromix import (
     estimate_M,
     eval_poly,
     from_edges,
-    g_series,
-    h_point,
     hom_ratio,
     hom_ratio_series,
     hom_Z,
@@ -80,7 +78,9 @@ from helpers import (
     brute_ind_poly,
     brute_multivariate_Z,
     disjoint_union,
+    horner_compose,
     pattern_bits,
+    series_exp,
     series_quotient,
 )
 
@@ -371,34 +371,33 @@ def _ref_exp(a):
 @given(st.data())
 def test_power_series_matches_exact_reference(data):
     # integer coefficients in [-3, 3] up to order 8 keep every value far below
-    # 2^53, so mul, compose and reciprocal are exact in any summation order
+    # 2^53, so composition and division by a unit are exact in any summation
+    # order
     order = data.draw(st.integers(0, 8))
     a = _int_series(data, order)
-    b = _int_series(data, order)
     inner = _int_series(data, order, a0=st.just(0))
     unit = _int_series(data, order, a0=st.sampled_from([1, -1]))
-
-    assert PowerSeries(a).mul(PowerSeries(b)).coeffs == tuple(_ref_mul(a, b))
 
     composite = [0] * (order + 1)
     power = [1] + [0] * order
     for c in a:
         composite = [x + c * y for x, y in zip(composite, power)]
         power = _ref_mul(power, inner)
-    assert PowerSeries(a).compose(PowerSeries(inner)).coeffs == tuple(composite)
+    assert list(horner_compose(a, inner)) == composite
 
-    # 1/a0 = a0 for a0 = +-1
-    recip = [unit[0]]
-    for n in range(1, order + 1):
-        recip.append(-unit[0] * sum(unit[k] * recip[n - k] for k in range(1, n + 1)))
-    assert PowerSeries(unit).reciprocal().coeffs == tuple(recip)
+    # the reciprocal 1 / unit and a general quotient a / unit, in float64 and
+    # in complex arithmetic
+    for num in ((1,), a):
+        want = _exact_quotient(num, unit, order)
+        assert list(_long_division(num, unit, order)) == want
+        assert list(_long_division(np.array(num, dtype=complex), unit, order)) == want
 
     # exp is exact up to rounding of its divisions: compare relative to the
     # same series of |coefficients|, which bounds any cancellation
     tail = [0] + a[1:]
     want = _ref_exp(tail)
     scale = _ref_exp([abs(x) for x in tail])
-    got = PowerSeries(tail).exp().coeffs
+    got = series_exp(tail)
     for g, w, s in zip(got, want, scale):
         assert abs(g - float(w)) <= 1e-12 * float(s)
 
@@ -433,9 +432,9 @@ def test_power_table_composition_matches_horner(eps, lam, den, num, n):
     degree = len(den[:n]) - 1
     assert degree + 1 <= rows <= 2 * (degree + 1) and cols >= n
 
-    inner = g_series(spec, n - 1).scale(lam)
+    inner = lam * spec.coeffs(n - 1)
     for p, got in ((num, top), (den, bottom)):
-        want = np.real(PowerSeries.from_coeffs(p, n - 1).compose(inner).coeffs)
+        want = np.real(horner_compose(p, inner))
         assert got.dtype == np.float64 and got.shape == (n,)
         # every term is nonnegative, so both routes are accurate relative
         # to each coefficient
@@ -565,7 +564,7 @@ def test_estimate_M_on_the_sector_map_matches_each_point(family, n, lam, frac, s
     spec = SectorSpec(frac * 4.0 * nearest / (3.0 * lam))
     num, den = _ratio_polys(g, v)
     circle = [spec.r * cmath.exp(2j * math.pi * j / samples) for j in range(samples)]
-    ws = [lam * h_point(spec, z) for z in circle]
+    ws = [lam * spec.point(z) for z in circle]
     want = 1.5 * max(abs(eval_poly(num, w) / eval_poly(den, w)) for w in ws)
     assert abs(estimate_M(g, v, lam, spec, samples=samples) - want) <= 1e-12 * want
 
@@ -612,6 +611,34 @@ def test_approx_cond_prob_holds_its_bound_at_every_certified_vertex(g, lam, targ
         except (TruncationDepthError, ZeroRegionViolationError):
             continue
         assert abs(res.value - cond_prob_hardcore(g, v, sigma, lam)) <= res.error_bound
+
+
+def test_approx_cond_prob_on_the_sector_map_holds_its_bound():
+    # a given SectorSpec runs through the same rung walker as the strip
+    # ladder: each query certifies within its bound, up to the rounding of
+    # the value, or raises one of the two ladder errors
+    certified = []
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        graphs(),
+        st.floats(0.02, 4.0, exclude_min=True, exclude_max=True),
+        st.floats(0.01, 4.0),
+    )
+    def check(g, lam, delta):
+        sigma = HardcoreBoundary({})
+        for v in range(g.n):
+            try:
+                res = approx_cond_prob(g, v, sigma, lam, 1e-6, spec=SectorSpec(delta), max_depth=256)
+            except (TruncationDepthError, ZeroRegionViolationError):
+                continue
+            exact = cond_prob_hardcore(g, v, sigma, lam)
+            assert res.rate_r == SectorSpec(delta).r
+            assert abs(res.value - exact) <= res.error_bound + 4 * 2.0**-52 * abs(exact)
+            certified.append(v)
+
+    check()
+    assert certified
 
 
 @PROPERTY
