@@ -91,16 +91,17 @@ def _frontier_width(adj, order):
 
 
 @functools.lru_cache(maxsize=256)
-def _sweep_order(adj):
-    """Vertex order for the hard-core sweep.  Each component is walked
+def _sweep_order(g):
+    """Vertex order for the hard-core sweep of g.  Each component is walked
     breadth first from a least-degree vertex, taking neighbors in increasing
     degree (Cuthill-McKee), which keeps grids and lattices narrow.  Breadth
     first puts every neighbor of a hub on the frontier at once, so when its
     widest frontier holds more than one vertex the component is also walked
     depth first, which keeps trees and hubs narrow, and the narrower walk is
-    kept.  Returns a tuple, cached per adjacency: one order serves every
-    mask.
+    kept.  Returns a tuple, cached per graph, whose hash is computed once:
+    one order serves every mask.
     """
+    adj = g.adj
     deg = [len(a) for a in adj]
     nbrs = [sorted(a, key=deg.__getitem__) for a in adj]
     seen = [False] * len(adj)
@@ -142,7 +143,7 @@ def _hardcore_sweep(g, keep, one, occupy):
     frontier.  Dropping vertices only shrinks frontiers: a placed vertex has
     a kept neighbor to come only if it has one in g.
     """
-    order = [v for v in _sweep_order(g.adj) if keep >> v & 1]
+    order = [v for v in _sweep_order(g) if keep >> v & 1]
     pos = [len(order)] * g.n  # a dropped vertex is never placed
     for i, v in enumerate(order):
         pos[v] = i
@@ -260,10 +261,21 @@ def ratio_P(g, v, lam):
     return _checked_ratio(eval_poly(num, lam), eval_poly(den, lam), lam)
 
 
+def _odds_polys(g, v):
+    """Coefficients (constant first) of x * I(g - N[v]) and of I(g - v), the
+    numerator and denominator of the odds ratio of v.  I(g - v) comes from
+    the deletion identity I(g) = I(g - v) + x I(g - N[v]) on the integer
+    coefficients, less its vanishing top terms, so it costs no sweep."""
+    num, full = _ratio_polys(g, v)
+    den = [a - b for a, b in itertools.zip_longest(full, num, fillvalue=0)]
+    while not den[-1]:
+        den.pop()
+    return num, tuple(den)
+
+
 def ratio_R(g, v, lam):
     """Odds ratio lam * Z_{g - N[v]}(lam) / Z_{g - v}(lam); P = R / (1 + R)."""
-    num, _ = _ratio_polys(g, v)
-    den = _ind_poly_cached(g, _all_vertices(g) & ~(1 << v))
+    num, den = _odds_polys(g, v)
     return _checked_ratio(eval_poly(num, lam), eval_poly(den, complex(lam)), lam)
 
 
@@ -304,13 +316,10 @@ def _free_component(g, v, free):
     return _ball_mask(g, v, free) if free >> v & 1 else None
 
 
-def _hardcore_prob(g, v, free, lam):
+def _component_prob(g, v, keep, lam):
     """Occupation probability of v at activity lam in the subgraph of g
-    induced by the bit mask free, cut to v's component; 0.0 when v is not
-    free.  The inputs are trusted: cond_prob_hardcore checks them."""
-    keep = _free_component(g, v, free)
-    if keep is None:
-        return 0.0
+    induced by the bit mask keep, which holds v: the trusted tail of
+    cond_prob_hardcore, which checks the inputs, and of ssm_scan."""
     num, den = _ratio_polys(g, v, keep)
     lam = complex(lam)
     return _checked_ratio(eval_poly(num, lam), eval_poly(den, lam), lam).real
@@ -320,7 +329,8 @@ def cond_prob_hardcore(g, v, sigma, lam):
     """Probability that v is occupied under the hard-core measure at
     activity lam, conditioned on the boundary condition sigma: the
     occupation ratio of the boundary-reduced graph, cut to v's component."""
-    return _hardcore_prob(g, v, _hardcore_query(g, v, sigma, lam), lam)
+    keep = _free_component(g, v, _hardcore_query(g, v, sigma, lam))
+    return 0.0 if keep is None else _component_prob(g, v, keep, lam)
 
 
 # --- homomorphism sums ---------------------------------------------------

@@ -8,10 +8,12 @@ on bit masks of the graph (spheres, drawn in-sets, free vertices), and
 build boundary objects only when asked to.  Trial t reads exactly the
 stream of np.random.default_rng([seed, t]), but the seeds of a call's
 trials are derived in one vectorized pass and loaded into one shared
-generator; each probability is computed once per free ball in a call.
-zero_scan counts partition-function zeros per cell of a rectangle by
-winding numbers of Z'/Z.  The scans are exact per record; only the sampling
-is random, and it is fully determined by the seed.
+generator; each probability is computed once per free ball in a call,
+and that ball is v's component, so no search cuts it.  zero_scan counts
+partition-function zeros per cell of a rectangle by winding numbers of
+Z'/Z, evaluating every open cell's contour in one array pass per doubling
+round.  The scans are exact per record; only the sampling is random, and
+it is fully determined by the seed.
 """
 
 import math
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolationError, NearZeroDenominatorError
-from .exact import _check_activity, _check_count, _hardcore_prob, _neighbor_masks, ind_poly, ratio_P, ratio_R
+from .exact import _check_activity, _check_count, _component_prob, _neighbor_masks, ind_poly, ratio_P, ratio_R
 from .graphs import HardcoreBoundary, _all_vertices, _bfs, is_claw_free
 
 
@@ -61,6 +63,7 @@ AVOID_TOL = 1e-12
 PTS_PER_SIDE = 64
 MAX_DOUBLINGS = 4
 CONTOUR_TOL = 1e-9
+_BLOCK_POINTS = 1 << 16
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx) and PCG64 seeding
 # (pcg64.h), which _trial_rngs reproduces
@@ -232,10 +235,11 @@ def ssm_scan(
     bit masks: the spheres around v come from one breadth-first search per
     drawn (graph, vertex), and each draw's in-set is a mask tested for
     independence against the neighbor masks.  The sphere separates v from
-    the rest of the graph, so v's free component lies in the ball inside
-    it, less the vertices the in-set blocks there; each gap is the
-    difference of v's occupation probabilities on the two such free balls,
-    and each probability is computed once per free ball in a call.
+    the rest of the graph, and the in-set blocks only vertices next to it,
+    so when v is free its component is the ball inside the sphere less the
+    blocked vertices, with no search; each gap is the difference of v's
+    occupation probabilities on the two such free balls, and each
+    probability is computed once per free ball in a call.
     HardcoreBoundary objects are built only with collect_boundaries=True.
     seed must be a non-negative integer, trials and max_distance integers
     of at least 1.  Returns (records, fit); fit is None when fewer than two
@@ -285,7 +289,7 @@ def ssm_scan(
         for _, blocked in (first, second):
             key = k, v, inner & ~blocked
             if key not in probs:
-                probs[key] = _hardcore_prob(g, v, key[2], lam)
+                probs[key] = _component_prob(g, v, key[2], lam) if key[2] >> v & 1 else 0.0
             p.append(probs[key])
         gap = abs(p[0] - p[1])
         if collect_boundaries:
@@ -333,21 +337,26 @@ class ZeroScanReport:
     min_abs_Z: float
 
 
-def _cell_winding(poly, corners, pts_per_side):
-    """Winding integral of Z'/Z around the rectangle through `corners`
-    (counterclockwise), with the minimum sampled |Z|."""
-    total = 0j
-    min_abs = math.inf
-    mid = np.arange(pts_per_side) + 0.5
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        step = (b - a) / pts_per_side
-        z = a + mid * step
-        val = poly(z)
-        if (val == 0).any():
-            return None, 0.0
-        min_abs = min(min_abs, float(np.abs(val).min()))
-        total += complex((poly.derivative_at(z) / val).sum()) * step
-    return total / (2j * math.pi), min_abs
+def _windings(poly, corners, pts_per_side):
+    """The winding integral of Z'/Z around each cell, given by its four
+    corners counterclockwise, with the minimum sampled |Z|; (None, 0.0)
+    when Z vanishes at a sampled point.  Z and Z' are evaluated once on a
+    (cells, 4, points) array of side midpoints; each cell's sides are then
+    summed in order."""
+    starts = [a for cell in corners for a in cell]
+    steps = [(b - a) / pts_per_side for cell in corners for a, b in zip(cell, cell[1:] + cell[:1])]
+    step = np.array(steps).reshape(-1, 4, 1)
+    z = np.array(starts).reshape(-1, 4, 1) + (np.arange(pts_per_side) + 0.5) * step
+    val = poly(z)
+    zero = val == 0
+    mins = np.abs(val).min(axis=-1).tolist()
+    val[zero] = 1  # those cells are dropped; the others' division must not warn
+    sums = (poly.derivative_at(z) / val).sum(axis=-1).tolist()
+    for c, hit in enumerate(zero.any(axis=(1, 2)).tolist()):
+        total = 0j
+        for s, h in zip(sums[c], steps[4 * c : 4 * c + 4]):
+            total += s * h
+        yield (None, 0.0) if hit else (total / (2j * math.pi), min(math.inf, *mins[c]))
 
 
 def zero_scan(g, rect, resolution):
@@ -359,7 +368,9 @@ def zero_scan(g, rect, resolution):
     side.  When |Z| dips below CONTOUR_TOL on a contour or the integral is
     not close to an integer, the point count is doubled up to MAX_DOUBLINGS
     times; cells that never settle are flagged inconclusive (count -1)
-    rather than guessed.
+    rather than guessed.  Each doubling round evaluates the contours of all
+    cells still open in one array pass, in blocks of at most
+    _BLOCK_POINTS points, so memory does not grow with the resolution.
     """
     re_min, re_max, im_min, im_max = rect
     if not (re_min < re_max and im_min < im_max):
@@ -374,40 +385,38 @@ def zero_scan(g, rect, resolution):
     dx = (re_max - re_min) / n_re
     dy = (im_max - im_min) / n_im
     counts = [[0] * n_im for _ in range(n_re)]
-    inconclusive = []
     overall_min = math.inf
-    for i in range(n_re):
-        for j in range(n_im):
-            x0, x1 = re_min + i * dx, re_min + (i + 1) * dx
-            y0, y1 = im_min + j * dy, im_min + (j + 1) * dy
-            corners = [
-                complex(x0, y0),
-                complex(x1, y0),
-                complex(x1, y1),
-                complex(x0, y1),
-            ]
-            pts = PTS_PER_SIDE
-            settled = False
-            for _ in range(MAX_DOUBLINGS + 1):
-                winding, min_abs = _cell_winding(poly, corners, pts)
+    left = [(i, j) for i in range(n_re) for j in range(n_im)]
+    pts = PTS_PER_SIDE
+    for _ in range(MAX_DOUBLINGS + 1):
+        block = max(1, _BLOCK_POINTS // (4 * pts))
+        still = []
+        for b in range(0, len(left), block):
+            cells = left[b : b + block]
+            corners = []
+            for i, j in cells:
+                x0, x1 = re_min + i * dx, re_min + (i + 1) * dx
+                y0, y1 = im_min + j * dy, im_min + (j + 1) * dy
+                corners.append([complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)])
+            for (i, j), (winding, min_abs) in zip(cells, _windings(poly, corners, pts)):
                 overall_min = min(overall_min, min_abs)
                 if winding is not None and min_abs > CONTOUR_TOL:
                     rounded = round(winding.real)
                     if abs(winding - rounded) <= 0.2 and rounded >= 0:
                         counts[i][j] = int(rounded)
-                        settled = True
-                        break
-                pts *= 2
-            if not settled:
-                counts[i][j] = -1
-                inconclusive.append((i, j))
+                        continue
+                still.append((i, j))
+        left = still
+        pts *= 2
+    for i, j in left:
+        counts[i][j] = -1
     total = sum(c for row in counts for c in row if c >= 0)
     return ZeroScanReport(
         rect=tuple(rect),
         resolution=(n_re, n_im),
         counts=tuple(tuple(row) for row in counts),
         total=total,
-        inconclusive=tuple(inconclusive),
+        inconclusive=tuple(left),
         min_abs_Z=overall_min,
     )
 

@@ -2,15 +2,19 @@
 
 These deliberately avoid the package's own recursions: independent sets come
 from itertools scans, homomorphism sums from explicit coloring products, and
-connectivity from union-find.  Slow and obviously correct.
+connectivity from union-find.  Slow and obviously correct.  The scans'
+oracles are their direct routes: a fresh generator and a whole-graph
+conditioning per ssm_scan trial, and zero_scan's contours cell by cell.
 """
 
 import itertools
+import math
 
 import numpy as np
 
-from zeromix import HardcoreBoundary, bfs_distances, cond_prob_hardcore, from_edges, grid_graph
-from zeromix.harness import MAX_BOUNDARY_ATTEMPTS, SPHERE_IN_PROB, SSMRecord
+from zeromix import HardcoreBoundary, bfs_distances, cond_prob_hardcore, from_edges, grid_graph, ind_poly
+from zeromix import harness
+from zeromix.harness import MAX_BOUNDARY_ATTEMPTS, SPHERE_IN_PROB, SSMRecord, ZeroScanReport
 
 
 def random_graph(rng, n, p=0.4, max_degree=None):
@@ -359,3 +363,72 @@ def per_trial_ssm_records(graphs, lam, trials, max_distance, seed):
         gap = abs(cond_prob_hardcore(g, v, first, lam) - cond_prob_hardcore(g, v, second, lam))
         records.append(SSMRecord(f"g{k}", v, d, gap, sigma=first, tau=second))
     return records, skipped
+
+
+def cell_winding(poly, corners, pts_per_side):
+    """Winding integral of Z'/Z around the rectangle through `corners`
+    (counterclockwise), with the minimum sampled |Z|."""
+    total = 0j
+    min_abs = math.inf
+    mid = np.arange(pts_per_side) + 0.5
+    for a, b in zip(corners, corners[1:] + corners[:1]):
+        step = (b - a) / pts_per_side
+        z = a + mid * step
+        val = poly(z)
+        if (val == 0).any():
+            return None, 0.0
+        min_abs = min(min_abs, float(np.abs(val).min()))
+        total += complex((poly.derivative_at(z) / val).sum()) * step
+    return total / (2j * math.pi), min_abs
+
+
+def cell_corners(rect, resolution):
+    """The corners, counterclockwise from the lower left, of each cell (i, j)
+    of the rectangle at the resolution (n_re, n_im), in row-major order."""
+    re_min, re_max, im_min, im_max = rect
+    n_re, n_im = resolution
+    dx = (re_max - re_min) / n_re
+    dy = (im_max - im_min) / n_im
+    out = {}
+    for i in range(n_re):
+        for j in range(n_im):
+            x0, x1 = re_min + i * dx, re_min + (i + 1) * dx
+            y0, y1 = im_min + j * dy, im_min + (j + 1) * dy
+            out[i, j] = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
+    return out
+
+
+def per_cell_zero_scan(g, rect, resolution):
+    """zero_scan's report by the per-cell route: each cell's contour is
+    evaluated side by side with 64-point arrays, and its point count doubled
+    until it settles, before the next cell starts.  Reads PTS_PER_SIDE,
+    MAX_DOUBLINGS and CONTOUR_TOL from the harness module at call time."""
+    n_re, n_im = (resolution, resolution) if isinstance(resolution, int) else resolution
+    poly = ind_poly(g)
+    counts = [[0] * n_im for _ in range(n_re)]
+    inconclusive = []
+    overall_min = math.inf
+    for (i, j), corners in cell_corners(rect, (n_re, n_im)).items():
+        pts = harness.PTS_PER_SIDE
+        settled = False
+        for _ in range(harness.MAX_DOUBLINGS + 1):
+            winding, min_abs = cell_winding(poly, corners, pts)
+            overall_min = min(overall_min, min_abs)
+            if winding is not None and min_abs > harness.CONTOUR_TOL:
+                rounded = round(winding.real)
+                if abs(winding - rounded) <= 0.2 and rounded >= 0:
+                    counts[i][j] = int(rounded)
+                    settled = True
+                    break
+            pts *= 2
+        if not settled:
+            counts[i][j] = -1
+            inconclusive.append((i, j))
+    return ZeroScanReport(
+        rect=tuple(rect),
+        resolution=(n_re, n_im),
+        counts=tuple(tuple(row) for row in counts),
+        total=sum(c for row in counts for c in row if c >= 0),
+        inconclusive=tuple(inconclusive),
+        min_abs_Z=overall_min,
+    )

@@ -45,7 +45,7 @@ from helpers import (
     random_graph,
     tree_ind_poly,
 )
-from zeromix.exact import _frontier_width, _sweep_order
+from zeromix.exact import _frontier_width, _odds_polys, _sweep_order
 
 J2 = [[1, 1], [1, 1]]
 
@@ -91,10 +91,17 @@ def test_ind_poly_trees_match_rooted_recursion(parents):
     # breadth first puts every neighbor of a hub on the frontier at once;
     # the sweep must walk these trees in a narrow order
     g = from_edges(len(parents) + 1, [(u, v + 1) for v, u in enumerate(parents)])
-    assert _frontier_width(g.adj, _sweep_order(g.adj)) <= 12
+    assert _frontier_width(g.adj, _sweep_order(g)) <= 12
     assert ind_poly(g).coeffs == tree_ind_poly(parents)
     lam = 0.3 + 0.1j
     assert multivariate_Z(g, [lam] * g.n) == pytest.approx(ind_poly(g)(lam), rel=1e-12)
+
+
+def test_odds_polys_drop_the_cancelled_top_coefficient():
+    # I(P3) = 1 + 3x + x^2 and x I(P3 - N[0]) = x + x^2: the top terms
+    # cancel, and I(P3 - 0) = I(P2) = 1 + 2x has degree 1
+    assert _odds_polys(path_graph(3), 0) == ((0, 1, 1), (1, 2))
+    assert ratio_R(path_graph(3), 0, 0.5) == 0.5 * 1.5 / 2.0
 
 
 def test_tree_ind_poly_spider_closed_form():

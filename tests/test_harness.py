@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from zeromix import (
 )
 from zeromix import harness
 from zeromix.harness import GAP_FLOOR, MIN_RECORDS_PER_DISTANCE
-from helpers import disjoint_union, per_trial_ssm_records
+from helpers import disjoint_union, per_cell_zero_scan, per_trial_ssm_records
 
 K2 = from_edges(2, [(0, 1)])
 K1 = from_edges(1, [])
@@ -248,6 +249,33 @@ def test_zero_scan_flags_inconclusive_cells(monkeypatch):
     assert rep.total == 0
     assert len(rep.inconclusive) == 4
     assert all(c == -1 for row in rep.counts for c in row)
+
+
+def test_zero_scan_exact_zero_on_a_contour():
+    # the first midpoint of the bottom side of cell (0, 0) is exactly -1,
+    # the zero of 1 + lam: that cell reads (None, 0.0), and its doublings
+    # straddle the zero, so it never settles.  Cell (0, 1) shares its array
+    # pass and must neither warn nor change
+    rect = (-1.0078125, -0.0078125, 0.0, 1.0)
+    rep = zero_scan(K1, rect, (1, 2))
+    assert rep.counts == ((-1, 0),)
+    assert rep.inconclusive == ((0, 0),)
+    assert rep.min_abs_Z == 0.0
+    assert repr(rep) == repr(per_cell_zero_scan(K1, rect, (1, 2)))
+
+
+def test_zero_scan_memory_does_not_grow_with_the_resolution():
+    # 10 000 cells: a doubling round is evaluated in blocks of at most 2^16
+    # contour points, not in one array of all 2.56 million
+    g = cycle_graph(5)
+    tracemalloc.start()
+    try:
+        rep = zero_scan(g, (-1.4, -0.3, -0.5, 0.5), 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rep.counts) == 100 and all(len(row) == 100 for row in rep.counts)
+    assert peak < 16 * 2**20
 
 
 def test_zero_scan_validates_input():

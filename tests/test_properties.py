@@ -14,8 +14,12 @@ which the sweep takes as a bit mask of kept vertices, against brute force
 and against the relabelled subgraph, the masked, radius-limited
 breadth-first search and the components built on it against networkx,
 every certified approx_cond_prob, on the strip ladder and on a given sector
-map, against cond_prob_hardcore within its error bound, and the generators
-ssm_scan seeds for its trials against np.random.default_rng."""
+map, against cond_prob_hardcore within its error bound, the generators
+ssm_scan seeds for its trials against np.random.default_rng, the odds
+ratio's deletion identity against a sweep of g - v, and the two scans
+against their direct routes in helpers.py: ssm_scan on random trees,
+cycles, cubic graphs and unions, and zero_scan's batched contours, through
+its doubling and inconclusive paths."""
 
 import cmath
 import math
@@ -25,7 +29,7 @@ from unittest import mock
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from zeromix import (
@@ -55,7 +59,9 @@ from zeromix import (
     multivariate_Z,
     path_graph,
     ratio_series_cluster,
+    ssm_scan,
     ursell,
+    zero_scan,
 )
 from zeromix.cluster import _blowup_ursell, _canonical_form
 from zeromix.exact import (
@@ -63,11 +69,13 @@ from zeromix.exact import (
     _free_component,
     _hardcore_query,
     _hom_ratio_sums,
+    _ind_poly_cached,
     _near_zero,
+    _odds_polys,
     _ratio_polys,
     _ratios,
 )
-from zeromix.graphs import _bfs, _hardcore_keep
+from zeromix.graphs import _all_vertices, _bfs, _hardcore_keep
 from zeromix import harness, interpolate
 from zeromix.interpolate import EPS_LADDER, _sampled_M
 from zeromix.series import _long_division
@@ -77,9 +85,13 @@ from helpers import (
     brute_hom_Z,
     brute_ind_poly,
     brute_multivariate_Z,
+    cell_corners,
+    cell_winding,
     disjoint_union,
     horner_compose,
     pattern_bits,
+    per_cell_zero_scan,
+    per_trial_ssm_records,
     series_exp,
     series_quotient,
 )
@@ -725,3 +737,98 @@ def test_trial_rngs_match_default_rng(seed, t):
         assert rng.integers(7) == want.integers(7)
         assert rng.integers(1, 2**40) == want.integers(1, 2**40)
         assert rng.random(5).tolist() == want.random(5).tolist()
+
+
+@PROPERTY
+@given(graphs(max_n=12))
+def test_odds_polys_follow_the_deletion_identity(g):
+    # I(g - v) = I(g) - x I(g - N[v]) on the integer coefficients, top
+    # zeros dropped: the polynomial a sweep of g - v gives
+    for v in range(g.n):
+        num, den = _odds_polys(g, v)
+        assert num == _ratio_polys(g, v)[0]
+        assert den == _ind_poly_cached(g, _all_vertices(g) & ~(1 << v))
+
+
+# the smallest size of each kind of graph scan_pieces draws
+PIECE_MIN = {"tree": 1, "cycle": 3, "cubic": 4}
+
+
+@st.composite
+def scan_pieces(draw, max_n):
+    """A random tree, a cycle or a random cubic graph of at most max_n
+    vertices."""
+    kind = draw(st.sampled_from([k for k, m in PIECE_MIN.items() if m <= max_n]))
+    n = draw(st.integers(PIECE_MIN[kind], max_n))
+    if kind == "cycle":
+        return cycle_graph(n)
+    if kind == "cubic":
+        n -= n % 2
+        return from_edges(n, nx.random_regular_graph(3, n, seed=draw(st.integers(0, 2**16))).edges())
+    return from_edges(n, [(draw(st.integers(0, v - 1)), v) for v in range(1, n)])
+
+
+@st.composite
+def scan_graphs(draw, max_n=12):
+    """A scan_pieces graph, or the disjoint union of two, of at most max_n
+    vertices."""
+    g = draw(scan_pieces(max_n))
+    if g.n < max_n and draw(st.booleans()):
+        g = disjoint_union(g, draw(scan_pieces(max_n - g.n)))
+    return g
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    st.lists(scan_graphs(), min_size=1, max_size=2),
+    st.floats(0.05, 4.0),
+    st.integers(1, 6),
+    st.integers(0, 2**40),
+)
+def test_ssm_scan_matches_the_per_trial_route_on_random_graphs(scanned, lam, max_distance, seed):
+    # the scan conditions on each free ball inside the sphere with no
+    # component search; the records must be those of a whole-graph
+    # conditioning per draw
+    records, fit = ssm_scan(scanned, lam, 40, max_distance, seed=seed, collect_boundaries=True)
+    want, skipped = per_trial_ssm_records(scanned, lam, 40, max_distance, seed)
+    assert repr(records) == repr(want)
+    assert fit is None or fit.n_skipped_trials == skipped
+
+
+@st.composite
+def zero_scan_cases(draw):
+    """A graph, a rectangle and a resolution of at most 6 x 6; half of the
+    rectangles are drawn around a zero of the graph's Z."""
+    g = draw(graphs())
+    roots = [complex(r) for r in ind_poly(g).roots()]
+    if roots and draw(st.booleans()):
+        c = draw(st.sampled_from(roots))
+    else:
+        c = complex(draw(st.floats(-3.0, 1.0)), draw(st.floats(-2.0, 2.0)))
+    a, b, d, e = (draw(st.floats(0.01, 2.0)) for _ in range(4))
+    resolution = draw(st.integers(1, 6) | st.tuples(st.integers(1, 6), st.integers(1, 6)))
+    return g, (c.real - a, c.real + b, c.imag - d, c.imag + e), resolution
+
+
+# the cell (0, 0) has the zero -1 of 1 + lam as the first midpoint of its
+# bottom side: an exact zero on a contour, next to a cell without one
+@example((from_edges(1, []), (-1.0078125, -0.0078125, 0.0, 1.0), (1, 2)), harness.CONTOUR_TOL, harness.MAX_DOUBLINGS)
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    zero_scan_cases(),
+    st.sampled_from([harness.CONTOUR_TOL, 1e-2, 0.5, 1e9]),
+    st.integers(0, harness.MAX_DOUBLINGS),
+)
+def test_zero_scan_matches_the_per_cell_route(case, tol, doublings):
+    # the scan evaluates the open cells of a doubling round in one array
+    # pass; a large CONTOUR_TOL forces cells through the doublings and few
+    # doublings leave them inconclusive.  The windings themselves, which the
+    # report only rounds, match the per-cell integrals bit for bit
+    with mock.patch.object(harness, "CONTOUR_TOL", tol), mock.patch.object(harness, "MAX_DOUBLINGS", doublings):
+        assert repr(zero_scan(*case)) == repr(per_cell_zero_scan(*case))
+    g, rect, resolution = case
+    poly = ind_poly(g)
+    corners = list(cell_corners(rect, resolution if isinstance(resolution, tuple) else (resolution,) * 2).values())
+    pts = harness.PTS_PER_SIDE << doublings
+    want = [cell_winding(poly, c, pts) for c in corners]
+    assert repr(list(harness._windings(poly, corners, pts))) == repr(want)
