@@ -9,7 +9,6 @@ from .cluster import (
     ratio_series_cluster,
     ratio_series_division,
     shearer_radius,
-    ursell,
     weitz_lambda_c,
 )
 from .errors import (

@@ -36,46 +36,6 @@ from .exact import _neighbor_masks, _ratio_polys
 from .series import PowerSeries, _long_division
 
 DEFAULT_CLUSTER_ORDER = 8
-URSELL_SCAN_EDGE_LIMIT = 20
-
-
-def ursell(h):
-    """Ursell function phi(h) = sum over edge subsets F with (V, F) connected
-    of (-1)^|F|, by exhaustive subset scan.
-
-    Zero whenever h is disconnected.  Limited to |E| <= 20.
-    """
-    edges = h.edges()
-    m = len(edges)
-    if m > URSELL_SCAN_EDGE_LIMIT:
-        raise SizeLimitError(f"subset scan limited to {URSELL_SCAN_EDGE_LIMIT} edges, got {m}")
-    if h.n == 0:
-        raise ValueError("Ursell function of the empty graph is undefined")
-    if h.n == 1:
-        return 1
-    total = 0
-    for fmask in range(1 << m):
-        parent = list(range(h.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        nparts = h.n
-        fm = fmask
-        while fm:
-            b = fm & -fm
-            fm ^= b
-            u, w = edges[b.bit_length() - 1]
-            ru, rw = find(u), find(w)
-            if ru != rw:
-                parent[ru] = rw
-                nparts -= 1
-        if nparts == 1:
-            total += -1 if fmask.bit_count() & 1 else 1
-    return total
 
 
 def _refine(adj, cells, width):

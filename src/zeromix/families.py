@@ -76,6 +76,13 @@ def _check_params(kind, params):
         if not all(isinstance(x, int) and not isinstance(x, bool) for x in values):
             what = "a list of integers" if key == "sizes" else "an integer"
             raise ValueError(f"{kind} family: {key!r} must be {what}, got {value!r}; {accepted}")
+    if "degree" in required:
+        degree, n = params["degree"], params["n"]
+        if not 0 <= degree < n or n * degree % 2:
+            raise ValueError(
+                f"{kind} family: 'degree' and 'n' need 0 <= degree < n and n * degree even,"
+                f" got degree {degree} and n {n}"
+            )
 
 
 def generate_family(kind, params, seed=0):
@@ -88,8 +95,9 @@ def generate_family(kind, params, seed=0):
                     {"degree": int, "n": int, "count": int (default 1)}
 
     Randomized kinds derive instance j from (seed + j), so a fixed seed
-    reproduces the family.  Raises ValueError for an unknown kind, or for
-    params that are not an object holding the kind's integer keys.
+    reproduces the family.  Raises ValueError for an unknown kind, for
+    params that are not an object holding the kind's integer keys, or for a
+    regular kind with no graph of that degree and n.
     """
     _check_params(kind, params)
     if kind in ("path", "cycle"):

@@ -5,11 +5,12 @@ ssm_scan draws random boundary-condition pairs on distance spheres and
 records the gap between the two conditional occupation probabilities; the
 fit of log gap against distance estimates the decay rate.  Its trials run
 on bit masks of the graph (spheres, drawn in-sets, free vertices), and
-build boundary objects only when asked to.  Trial t reads exactly the
-stream of np.random.default_rng([seed, t]), but the seeds of a call's
-trials are derived in one vectorized pass and loaded into one shared
-generator; each probability is computed once per free ball in a call,
-and that ball is v's component, so no search cuts it.  zero_scan counts
+build boundary objects only when asked to.  A call draws from three
+streams spawned from np.random.SeedSequence(seed): one vectorized draw of
+every trial's vertex, one of every trial's distance, and the in-set
+uniforms read in order, so its records are prefix-stable in the trial
+count.  Each probability is computed once per free ball in a call, and
+that ball is v's component, so no search cuts it.  zero_scan counts
 partition-function zeros per cell of a rectangle by winding numbers of
 Z'/Z, evaluating every open cell's contour in one array pass per doubling
 round.  The scans are exact per record; only the sampling is random, and
@@ -65,120 +66,33 @@ MAX_DOUBLINGS = 4
 CONTOUR_TOL = 1e-9
 _BLOCK_POINTS = 1 << 16
 
-# numpy's SeedSequence (numpy/random/bit_generator.pyx) and PCG64 seeding
-# (pcg64.h), which _trial_rngs reproduces
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-# trials seeded per vectorized pass; a power of two, so the trial numbers of
-# one block all split into the same number of 32-bit words
-_SEED_BLOCK = 1024
+# uniforms an ssm_scan call draws per refill of its in-set stream; the block
+# size changes no value read
+_UNIFORM_BLOCK = 256
 
 
-def _uint32_words(n):
-    """The 32-bit words of the non-negative int n, least significant first,
-    as SeedSequence splits its entropy (0 is one word)."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
+def _uniforms(rng):
+    """The uniform floats of rng in stream order, drawn _UNIFORM_BLOCK at a
+    time."""
+    while True:
+        yield from rng.random(_UNIFORM_BLOCK).tolist()
 
 
-def _hashmix(value, const):
-    """SeedSequence's hashmix of the uint32 array value; returns it with
-    the next hash constant."""
-    nxt = const * _MULT_A & _MASK32
-    value = (value ^ np.uint32(const)) * np.uint32(nxt)
-    return value ^ value >> np.uint32(16), nxt
-
-
-def _mix(x, y):
-    """SeedSequence's mix of the uint32 arrays x and y."""
-    out = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-    return out ^ out >> np.uint32(16)
-
-
-def _pcg64_seeds(entropy):
-    """SeedSequence(e).generate_state(4, np.uint64) for every entropy row e,
-    given as a list of uint32 columns, one per word: the four columns of
-    uint64 words as lists of Python ints."""
-    n = len(entropy[0])
-    const = _INIT_A
-    pool = []
-    for i in range(_POOL_SIZE):
-        word, const = _hashmix(entropy[i] if i < len(entropy) else np.zeros(n, np.uint32), const)
-        pool.append(word)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                word, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], word)
-    for src in range(_POOL_SIZE, len(entropy)):
-        for dst in range(_POOL_SIZE):
-            word, const = _hashmix(entropy[src], const)
-            pool[dst] = _mix(pool[dst], word)
-    const = _INIT_B
-    halves = []
-    for i in range(8):
-        word = pool[i % _POOL_SIZE] ^ np.uint32(const)
-        const = const * _MULT_B & _MASK32
-        word = word * np.uint32(const)
-        halves.append((word ^ word >> np.uint32(16)).astype(np.uint64))
-    return [(halves[2 * k] | halves[2 * k + 1] << np.uint64(32)).tolist() for k in range(4)]
-
-
-def _trial_rngs(seed, trials):
-    """An iterator over `trials` generators: the t-th is one shared
-    np.random.Generator set to the state of np.random.default_rng([seed, t]),
-    so it draws the same stream.  The seeds come from one vectorized
-    SeedSequence pass per block of trials; each is loaded into the shared
-    PCG64 as numpy's pcg_setseq_128_srandom does, through its state, whose
-    buffered 32-bit word is cleared.  Raises ValueError unless seed is a
-    non-negative integer (not a bool)."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    return _reseeded(_uint32_words(int(seed)), trials)
-
-
-def _reseeded(seed_words, trials):
-    """The iterator behind _trial_rngs, given the seed's 32-bit words."""
-    rng = np.random.Generator(np.random.PCG64())
-    bitgen = rng.bit_generator
-    for start in range(0, trials, _SEED_BLOCK):
-        t = np.arange(start, min(start + _SEED_BLOCK, trials), dtype=np.uint64)
-        entropy = [np.full(len(t), w, np.uint32) for w in seed_words]
-        for j in range(len(_uint32_words(start))):
-            entropy.append((t >> np.uint64(32 * j)).astype(np.uint32))
-        for s_hi, s_lo, i_hi, i_lo in zip(*_pcg64_seeds(entropy)):
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-            state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-            bitgen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            yield rng
-
-
-def _sample_in_set(rng, sphere, nbr):
+def _sample_in_set(uniforms, sphere, nbr):
     """Rejection-sample an independent in-set on the sphere (a vertex list)
     as a bit mask, given the graph's neighbor masks nbr; returns it with the
     mask of the vertices it blocks (its in-vertices' neighbors).  An attempt
-    draws one number per sphere vertex, in list order, and takes the vertex
-    when it is below p; p starts at SPHERE_IN_PROB and is halved after every
-    50 failed attempts so dense spheres stay feasible.  None when all
-    fail."""
+    reads the next number of the iterator uniforms for each sphere vertex,
+    in list order, and takes the vertex when it is below p; p starts at
+    SPHERE_IN_PROB and is halved after every 50 failed attempts so dense
+    spheres stay feasible.  None when all fail."""
     p = SPHERE_IN_PROB
     for attempt in range(MAX_BOUNDARY_ATTEMPTS):
         if attempt and attempt % 50 == 0:
             p /= 2.0
         ins = blocked = 0
-        for u, x in zip(sphere, rng.random(len(sphere)).tolist()):
+        # sphere first: zip stops at its end without reading one more number
+        for u, x in zip(sphere, uniforms):
             if x < p:
                 ins |= 1 << u
                 blocked |= nbr[u]
@@ -227,11 +141,15 @@ def ssm_scan(
     """Sample boundary-condition pairs on distance spheres and record the
     conditional-probability gaps.
 
-    Trial t draws from exactly the stream of np.random.default_rng([seed,
-    t]): pick the graph round-robin, a uniform vertex v and distance d, take
-    the full distance-d sphere as the boundary region, and draw two
+    Trial t picks the graph round-robin, a uniform vertex v and distance d,
+    takes the full distance-d sphere as the boundary region, and draws two
     independent occupancy assignments on it (the second redrawn until it
-    differs, so the disagreement distance is exactly d).  A trial runs on
+    differs, so the disagreement distance is exactly d).  The draws come
+    from three generators spawned from np.random.SeedSequence(seed): v is
+    element t of one integers draw over each trial's graph size, d element
+    t of one integers(1, max_distance + 1, size=trials) draw, and the
+    in-set attempts read the third stream's uniforms in order.  So the
+    first T records of a longer run are the T-trial run's.  A trial runs on
     bit masks: the spheres around v come from one breadth-first search per
     drawn (graph, vertex), and each draw's in-set is a mask tested for
     independence against the neighbor masks.  The sphere separates v from
@@ -252,6 +170,13 @@ def ssm_scan(
     for gid, g in zip(graph_ids, graphs):
         if not g.n:
             raise ValueError(f"graph {gid} has no vertex to scan")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    streams = np.random.SeedSequence(int(seed)).spawn(3)
+    vertex_rng, distance_rng, in_rng = map(np.random.default_rng, streams)
+    vertices = vertex_rng.integers(np.resize([g.n for g in graphs], trials)).tolist()
+    distances = distance_rng.integers(1, max_distance + 1, size=trials).tolist()
+    uniforms = _uniforms(in_rng)
     records = []
     skipped = 0
     # neighbor masks per graph, spheres per drawn (graph, vertex) and
@@ -259,11 +184,9 @@ def ssm_scan(
     nbrs = {}
     spheres = {}
     probs = {}
-    for t, rng in enumerate(_trial_rngs(seed, trials)):
+    for t, (v, d) in enumerate(zip(vertices, distances)):
         k = t % len(graphs)
         g = graphs[k]
-        v = int(rng.integers(g.n))
-        d = int(rng.integers(1, max_distance + 1))
         if k not in nbrs:
             nbrs[k] = _neighbor_masks(g)
         if (k, v) not in spheres:
@@ -272,13 +195,13 @@ def ssm_scan(
             skipped += 1
             continue
         sphere, inner = spheres[k, v][d]
-        first = _sample_in_set(rng, sphere, nbrs[k])
+        first = _sample_in_set(uniforms, sphere, nbrs[k])
         if first is None:
             skipped += 1
             continue
         second = None
         for _ in range(MAX_BOUNDARY_ATTEMPTS):
-            cand = _sample_in_set(rng, sphere, nbrs[k])
+            cand = _sample_in_set(uniforms, sphere, nbrs[k])
             if cand is not None and cand[0] != first[0]:
                 second = cand
                 break

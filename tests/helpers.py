@@ -1,10 +1,11 @@
 """Shared brute-force oracles for the test suite.
 
 These deliberately avoid the package's own recursions: independent sets come
-from itertools scans, homomorphism sums from explicit coloring products, and
-connectivity from union-find.  Slow and obviously correct.  The scans'
-oracles are their direct routes: a fresh generator and a whole-graph
-conditioning per ssm_scan trial, and zero_scan's contours cell by cell.
+from itertools scans, homomorphism sums from explicit coloring products,
+Ursell functions from edge-subset scans, and connectivity from union-find.
+Slow and obviously correct.  The scans' oracles are their direct routes:
+scalar draws from fresh generators and a whole-graph conditioning per
+ssm_scan trial, and zero_scan's contours cell by cell.
 """
 
 import itertools
@@ -12,7 +13,15 @@ import math
 
 import numpy as np
 
-from zeromix import HardcoreBoundary, bfs_distances, cond_prob_hardcore, from_edges, grid_graph, ind_poly
+from zeromix import (
+    HardcoreBoundary,
+    SizeLimitError,
+    bfs_distances,
+    cond_prob_hardcore,
+    from_edges,
+    grid_graph,
+    ind_poly,
+)
 from zeromix import harness
 from zeromix.harness import MAX_BOUNDARY_ATTEMPTS, SPHERE_IN_PROB, SSMRecord, ZeroScanReport
 
@@ -289,6 +298,48 @@ def pattern_bits(h, order):
     return bits
 
 
+URSELL_SCAN_EDGE_LIMIT = 20
+
+
+def ursell(h):
+    """Ursell function phi(h) = sum over edge subsets F with (V, F) connected
+    of (-1)^|F|, by exhaustive subset scan.
+
+    Zero whenever h is disconnected.  Limited to |E| <= 20.
+    """
+    edges = h.edges()
+    m = len(edges)
+    if m > URSELL_SCAN_EDGE_LIMIT:
+        raise SizeLimitError(f"subset scan limited to {URSELL_SCAN_EDGE_LIMIT} edges, got {m}")
+    if h.n == 0:
+        raise ValueError("Ursell function of the empty graph is undefined")
+    if h.n == 1:
+        return 1
+    total = 0
+    for fmask in range(1 << m):
+        parent = list(range(h.n))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        nparts = h.n
+        fm = fmask
+        while fm:
+            b = fm & -fm
+            fm ^= b
+            u, w = edges[b.bit_length() - 1]
+            ru, rw = find(u), find(w)
+            if ru != rw:
+                parent[ru] = rw
+                nparts -= 1
+        if nparts == 1:
+            total += -1 if fmask.bit_count() & 1 else 1
+    return total
+
+
 def blowup_ursell(h, mults):
     """Ursell function of the blowup of h with vertex u copied mults[u]
     times (copies of one vertex, or of adjacent ones, are joined), by the
@@ -328,32 +379,34 @@ def blowup_ursell(h, mults):
 
 def per_trial_ssm_records(graphs, lam, trials, max_distance, seed):
     """ssm_scan's records, with boundaries, and its count of skipped trials,
-    by the direct route: a fresh np.random.default_rng([seed, t]) per trial,
-    the sphere read off bfs_distances, in-sets drawn as vertex sets, and
-    each gap from cond_prob_hardcore on the whole graph."""
+    by the direct route: fresh generators from SeedSequence(seed).spawn(3),
+    a scalar vertex and distance draw per trial from the first two, one
+    random(len(sphere)) call per in-set attempt from the third, the sphere
+    read off bfs_distances, in-sets drawn as vertex sets, and each gap from
+    cond_prob_hardcore on the whole graph."""
+    vertex_rng, distance_rng, in_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(3))
     records, skipped = [], 0
 
-    def draw(rng, g, sphere):
+    def draw(g, sphere):
         p = SPHERE_IN_PROB
         for attempt in range(MAX_BOUNDARY_ATTEMPTS):
             if attempt and attempt % 50 == 0:
                 p /= 2.0
-            ins = {u for u, x in zip(sphere, rng.random(len(sphere))) if x < p}
+            ins = {u for u, x in zip(sphere, in_rng.random(len(sphere))) if x < p}
             if not any(g.has_edge(u, w) for u in ins for w in ins):
                 return HardcoreBoundary({u: int(u in ins) for u in sphere})
         return None
 
     for t in range(trials):
-        rng = np.random.default_rng([seed, t])
         k = t % len(graphs)
         g = graphs[k]
-        v = int(rng.integers(g.n))
-        d = int(rng.integers(1, max_distance + 1))
+        v = int(vertex_rng.integers(g.n))
+        d = int(distance_rng.integers(1, max_distance + 1))
         sphere = [u for u, du in enumerate(bfs_distances(g, v)) if du == d]
-        first = draw(rng, g, sphere) if sphere else None
+        first = draw(g, sphere) if sphere else None
         second = None
         for _ in range(MAX_BOUNDARY_ATTEMPTS if first is not None else 0):
-            cand = draw(rng, g, sphere)
+            cand = draw(g, sphere)
             if cand is not None and cand != first:
                 second = cand
                 break

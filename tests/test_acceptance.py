@@ -44,12 +44,11 @@ from zeromix import (
     ratio_series_division,
     shearer_radius,
     ssm_scan,
-    ursell,
     weitz_lambda_c,
 )
 from zeromix.cluster import _canonical_form
 from zeromix.interpolate import StripSpec
-from helpers import brute_hom_Z, random_graph, series_exp, series_quotient
+from helpers import brute_hom_Z, random_graph, series_exp, series_quotient, ursell
 
 
 def _report(num, ok, detail):

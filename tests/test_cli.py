@@ -425,6 +425,11 @@ def test_out_of_range_vertex_is_usage_error(files, capsys):
     ("path", "[3]"),
     ("path", '{"n": "3"}'),
     ("grid", '{"rows": 2, "cols": 2.5}'),
+    # no such regular graph: these once died in networkx with a traceback
+    ("random_regular", '{"degree": 3, "n": 5}'),
+    ("random_regular", '{"degree": 7, "n": 4}'),
+    ("line_graph_of_random_regular", '{"degree": 3, "n": 5}'),
+    ("line_graph_of_random_regular", '{"degree": 7, "n": 4}'),
 ])
 def test_bad_family_params_is_usage_error(capsys, command, family, params):
     assert main(command + ["--family", family, "--params", params]) == 1
@@ -432,6 +437,7 @@ def test_bad_family_params_is_usage_error(capsys, command, family, params):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {family} family: ")
     assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("command", [

@@ -20,7 +20,6 @@ from zeromix import (
     ratio_series_cluster,
     ratio_series_division,
     shearer_radius,
-    ursell,
     weitz_lambda_c,
 )
 from zeromix.cluster import _blowup_ursell, _canonical_form
@@ -32,6 +31,7 @@ from helpers import (
     pattern_bits,
     random_graph,
     series_exp,
+    ursell,
 )
 
 

@@ -21,7 +21,7 @@ from zeromix import (
     zero_scan,
 )
 from zeromix import harness
-from zeromix.harness import GAP_FLOOR, MIN_RECORDS_PER_DISTANCE
+from zeromix.harness import GAP_FLOOR, MIN_RECORDS_PER_DISTANCE, SSMRecord
 from helpers import disjoint_union, per_cell_zero_scan, per_trial_ssm_records
 
 K2 = from_edges(2, [(0, 1)])
@@ -72,39 +72,37 @@ def test_ssm_records_recompute_exactly():
 
 
 # (vertex, distance, repr(gap)) of ssm_scan([g], 1.0, 40, 3, seed=17): pins
-# how the trials consume each generator's stream, which comparing a scan
-# with itself cannot catch
+# how the trials consume the three streams spawned from SeedSequence(17),
+# which comparing a scan with itself cannot catch
 GOLDEN_GRID_4X4 = [
-    (11, 3, "0.05555555555555555"), (2, 2, "0.0"), (12, 2, "0.0"), (4, 2, "0.0"),
-    (13, 1, "0.0"), (8, 1, "0.0"), (10, 1, "0.0"), (3, 1, "0.0"),
-    (9, 3, "0.09956709956709955"), (4, 3, "0.033333333333333354"), (14, 2, "0.0"),
-    (1, 2, "0.0"), (7, 3, "0.1965811965811966"), (10, 3, "0.09956709956709955"),
-    (10, 3, "0.056216216216216225"), (9, 2, "0.0"), (10, 3, "0.12530712530712532"),
-    (2, 2, "0.16666666666666669"), (3, 2, "0.3"), (5, 2, "0.0"),
-    (4, 3, "0.06766917293233082"), (1, 2, "0.3"), (5, 3, "0.057142857142857134"),
-    (5, 2, "0.16666666666666669"), (4, 3, "0.07586206896551723"),
-    (5, 3, "0.04242424242424242"), (10, 2, "0.3"), (7, 1, "0.0"),
-    (3, 2, "0.16666666666666669"), (7, 1, "0.5"), (6, 3, "0.030476190476190462"),
-    (13, 1, "0.0"), (14, 2, "0.3"), (11, 3, "0.16475095785440613"), (0, 2, "0.0"),
-    (11, 3, "0.16475095785440613"), (3, 2, "0.0"), (2, 1, "0.5"),
-    (14, 3, "0.06766917293233082"), (7, 2, "0.3"),
+    (14, 2, "0.0"), (11, 1, "0.0"), (13, 2, "0.3"), (8, 1, "0.0"),
+    (14, 2, "0.3888888888888889"), (1, 1, "0.0"), (8, 3, "0.09941520467836257"),
+    (12, 3, "0.0"), (4, 2, "0.16666666666666669"), (12, 2, "0.0"),
+    (3, 3, "0.18095238095238092"), (0, 3, "0.08571428571428569"), (7, 2, "0.0"),
+    (12, 1, "0.5"), (7, 3, "0.023809523809523808"), (13, 2, "0.16666666666666669"),
+    (1, 2, "0.3888888888888889"), (2, 3, "0.14102564102564105"),
+    (11, 3, "0.0888888888888889"), (1, 2, "0.16666666666666669"), (9, 3, "0.0"),
+    (0, 2, "0.0"), (1, 2, "0.1333333333333333"), (4, 3, "0.09941520467836257"),
+    (2, 1, "0.0"), (1, 1, "0.0"), (4, 1, "0.0"), (1, 3, "0.0888888888888889"),
+    (6, 3, "0.09956709956709955"), (5, 2, "0.3"), (13, 2, "0.3"), (2, 1, "0.0"),
+    (5, 2, "0.3"), (0, 1, "0.5"), (5, 1, "0.0"), (14, 1, "0.0"), (12, 1, "0.0"),
+    (7, 3, "0.14102564102564105"), (3, 1, "0.0"), (13, 3, "0.0"),
 ]
 GOLDEN_CUBIC_LINE_12 = [
-    (13, 3, "0.050724637681159424"), (2, 2, "0.1333333333333333"),
-    (14, 2, "0.08333333333333334"), (4, 2, "0.08333333333333331"), (15, 1, "0.0"),
-    (9, 1, "0.0"), (12, 1, "0.0"), (3, 1, "0.0"), (10, 3, "0.02882882882882884"),
-    (4, 3, "0.05052631578947367"), (16, 2, "0.1333333333333333"),
-    (1, 2, "0.16666666666666669"), (8, 3, "0.07194550872711791"),
-    (12, 3, "0.03787375415282393"), (11, 3, "0.04596273291925465"), (10, 2, "0.25"),
-    (11, 3, "0.009803921568627472"), (2, 2, "0.1333333333333333"),
-    (4, 2, "0.08333333333333334"), (5, 2, "0.0"), (4, 3, "0.009523809523809518"),
-    (2, 2, "0.19047619047619047"), (6, 3, "0.04482758620689656"),
-    (6, 2, "0.35714285714285715"), (4, 3, "0.06280193236714976"), (5, 3, "0.0"),
-    (12, 2, "0.1333333333333333"), (7, 1, "0.0"), (3, 2, "0.25"), (8, 1, "0.0"),
-    (6, 3, "0.017241379310344834"), (15, 1, "0.0"), (16, 2, "0.0"),
-    (13, 3, "0.06114130434782608"), (0, 2, "0.1333333333333333"), (13, 3, "0.0"),
-    (4, 2, "0.08333333333333334"), (2, 1, "0.0"), (16, 3, "0.03220035778175312"),
-    (8, 2, "0.2333333333333333"),
+    (16, 2, "0.1333333333333333"), (13, 1, "0.0"), (15, 2, "0.19047619047619047"),
+    (9, 1, "0.0"), (16, 2, "0.0"), (1, 1, "0.0"), (9, 3, "0.05522914218566391"),
+    (14, 3, "0.0024844720496894346"), (4, 2, "0.16666666666666669"),
+    (13, 2, "0.35714285714285715"), (3, 3, "0.10990990990990993"),
+    (0, 3, "0.016470588235294126"), (8, 2, "0.19047619047619047"), (13, 1, "0.0"),
+    (8, 3, "0.030772065597936243"), (15, 2, "0.04999999999999999"), (1, 2, "0.4"),
+    (3, 3, "0.0380952380952381"), (13, 3, "0.09375"), (1, 2, "0.0"),
+    (11, 3, "0.006892230576441116"), (0, 2, "0.19047619047619047"),
+    (1, 2, "0.08333333333333331"), (4, 3, "0.05034013605442178"), (2, 1, "0.0"),
+    (1, 1, "0.0"), (4, 1, "0.0"), (2, 3, "0.0038461538461538602"),
+    (7, 3, "0.023809523809523808"), (6, 2, "0.0"), (15, 2, "0.1333333333333333"),
+    (2, 1, "0.0"), (6, 2, "0.1333333333333333"), (0, 1, "0.0"), (6, 1, "0.0"),
+    (16, 1, "0.0"), (13, 1, "0.0"), (8, 3, "0.10987654320987653"), (4, 1, "0.0"),
+    (15, 3, "0.04714016341923319"),
 ]
 
 
@@ -119,6 +117,8 @@ GOLDEN_CUBIC_LINE_12 = [
 def test_ssm_scan_golden_records(g, want):
     records, _ = ssm_scan([g], 1.0, 40, 3, seed=17)
     assert [(rec.vertex, rec.distance, repr(rec.gap)) for rec in records] == want
+    direct, _ = per_trial_ssm_records([g], 1.0, 40, 3, 17)
+    assert [(rec.vertex, rec.distance, repr(rec.gap)) for rec in direct] == want
 
 
 # a disconnected graph; a path; the 4x4 grid, whose spheres past distance 4
@@ -135,9 +135,10 @@ PER_TRIAL_CASES = [
     "graphs, max_distance", PER_TRIAL_CASES, ids=["disconnected", "path 10", "grid 4x4", "cubic line graph n=12"]
 )
 def test_ssm_scan_matches_the_per_trial_route(graphs, max_distance):
-    # the scan seeds all trials in one pass and conditions once per free
-    # ball; the records and skipped trials must be those of a fresh
-    # generator per trial and a whole-graph conditioning per draw.  Two
+    # the scan draws every vertex and distance in one pass each, reads the
+    # in-set uniforms in blocks and conditions once per free ball; the
+    # records and skipped trials must be those of scalar draws, one random
+    # call per attempt and a whole-graph conditioning per draw.  Two
     # activities in a row: each call equals a fresh one
     blocking = 0
     for lam, seed in ((1.0, 5), (0.4, 2**64 + 5)):
@@ -150,6 +151,44 @@ def test_ssm_scan_matches_the_per_trial_route(graphs, max_distance):
             blocking += rec.distance == 1 and bool(ins & set(graphs[0].adj[rec.vertex]))
     # distance-1 draws that block v are among them
     assert blocking
+
+
+def test_ssm_scan_records_are_prefix_stable_in_trials():
+    # trial t's draws do not depend on the trial count, so the first records
+    # of a longer run are a shorter run's, skipped trials included (the path
+    # has no sphere at distance 4 around most vertices); without boundaries
+    # the records are the same
+    graphs = [path_graph(6), grid_graph(4, 4)]
+    short, _ = ssm_scan(graphs, 1.0, 40, 4, seed=9, collect_boundaries=True)
+    long, fit = ssm_scan(graphs, 1.0, 120, 4, seed=9, collect_boundaries=True)
+    assert repr(long[: len(short)]) == repr(short)
+    assert len(long) > len(short) and fit.n_skipped_trials > 0
+    bare, _ = ssm_scan(graphs, 1.0, 120, 4, seed=9)
+    assert bare == [SSMRecord(rec.graph_id, rec.vertex, rec.distance, rec.gap) for rec in long]
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_ssm_scan_records_do_not_depend_on_the_uniform_block(monkeypatch, block):
+    # the in-set uniforms are read in stream order, whatever the block the
+    # scan draws them in; spheres of the 5x5 grid hold up to 8 vertices
+    graphs = [grid_graph(5, 5)]
+    want = ssm_scan(graphs, 1.0, 120, 4, seed=4, collect_boundaries=True)
+    monkeypatch.setattr(harness, "_UNIFORM_BLOCK", block)
+    assert repr(ssm_scan(graphs, 1.0, 120, 4, seed=4, collect_boundaries=True)) == repr(want)
+
+
+def test_ssm_scan_draws_each_vertex_below_its_own_graph_size():
+    # the vertex draw runs over each trial's graph size, round robin: the
+    # 3-vertex path never gets a grid vertex, and the grid gets vertices
+    # past 2
+    graphs = [path_graph(3), grid_graph(5, 5)]
+    records, _ = ssm_scan(graphs, 1.0, 200, 2, seed=6, collect_boundaries=True)
+    for k, g in enumerate(graphs):
+        drawn = {rec.vertex for rec in records if rec.graph_id == f"g{k}"}
+        assert drawn and max(drawn) < g.n
+    assert max(rec.vertex for rec in records) >= 3
+    want, _ = per_trial_ssm_records(graphs, 1.0, 200, 2, 6)
+    assert repr(records) == repr(want)
 
 
 def test_ssm_scan_builds_no_sphere_past_the_last_one():

@@ -14,12 +14,11 @@ which the sweep takes as a bit mask of kept vertices, against brute force
 and against the relabelled subgraph, the masked, radius-limited
 breadth-first search and the components built on it against networkx,
 every certified approx_cond_prob, on the strip ladder and on a given sector
-map, against cond_prob_hardcore within its error bound, the generators
-ssm_scan seeds for its trials against np.random.default_rng, the odds
-ratio's deletion identity against a sweep of g - v, and the two scans
-against their direct routes in helpers.py: ssm_scan on random trees,
-cycles, cubic graphs and unions, and zero_scan's batched contours, through
-its doubling and inconclusive paths."""
+map, against cond_prob_hardcore within its error bound, the odds ratio's
+deletion identity against a sweep of g - v, and the two scans against
+their direct routes in helpers.py: ssm_scan on random trees, cycles, cubic
+graphs and unions, and zero_scan's batched contours, through its doubling
+and inconclusive paths."""
 
 import cmath
 import math
@@ -60,7 +59,6 @@ from zeromix import (
     path_graph,
     ratio_series_cluster,
     ssm_scan,
-    ursell,
     zero_scan,
 )
 from zeromix.cluster import _blowup_ursell, _canonical_form
@@ -94,6 +92,7 @@ from helpers import (
     per_trial_ssm_records,
     series_exp,
     series_quotient,
+    ursell,
 )
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
@@ -717,26 +716,6 @@ def test_masked_bfs_matches_networkx_on_the_induced_subgraph(data):
     whole.add_nodes_from(range(g.n))
     want = sorted(map(sorted, nx.connected_components(whole)))
     assert sorted(map(sorted, connected_components(g))) == want
-
-
-# seeds of 1 to 5 uint32 words: SeedSequence mixes a fifth word into its
-# 4-word pool in a separate pass
-SEEDS = st.integers(1, 5).flatmap(lambda k: st.integers(1 << 32 * (k - 1) if k > 1 else 0, (1 << 32 * k) - 1))
-
-
-@PROPERTY
-@given(SEEDS, st.integers(0, 5000))
-def test_trial_rngs_match_default_rng(seed, t):
-    for u, rng in enumerate(harness._trial_rngs(seed, t + 1)):
-        if u < t:
-            # leaves a buffered 32-bit word in the shared generator
-            rng.integers(5)
-    want = np.random.default_rng([seed, t])
-    assert rng.bit_generator.state == want.bit_generator.state
-    for _ in range(3):
-        assert rng.integers(7) == want.integers(7)
-        assert rng.integers(1, 2**40) == want.integers(1, 2**40)
-        assert rng.random(5).tolist() == want.random(5).tolist()
 
 
 @PROPERTY
