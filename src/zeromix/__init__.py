@@ -13,6 +13,7 @@ from .cluster import (
 )
 from .errors import (
     BoundaryError,
+    FloatRangeError,
     GraphParseError,
     HypothesisViolationError,
     NearZeroDenominatorError,

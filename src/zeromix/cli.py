@@ -141,7 +141,8 @@ def _csv_row(row):
 
 def _emit(args, payload, rows, fieldnames):
     if args.output == "json":
-        text = json.dumps(payload, indent=2, default=_json_default) + "\n"
+        # compact, on one line: with indent set, json cannot use its C encoder
+        text = json.dumps(payload, default=_json_default) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=fieldnames)

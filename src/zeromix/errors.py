@@ -27,6 +27,10 @@ class SizeLimitError(ZeromixError):
     """Input exceeds a configured brute-force limit."""
 
 
+class FloatRangeError(ZeromixError, OverflowError):
+    """A value or an exact coefficient lies beyond the float64 range."""
+
+
 class NearZeroDenominatorError(ZeromixError):
     """A ratio's denominator is zero to working precision.
 

@@ -12,23 +12,30 @@ visits them.  Each graph gets one vertex order, cached, and a mask only
 filters it: each component is swept breadth first, or depth first where
 that makes the widest frontier narrower.  Homomorphism sums come from a
 frontier sweep along the vertex labels, which costs n q^(w+1) coefficient
-operations for frontier width w; both sums of a conditional color ratio of
-v come from one sweep that leaves v's color axis open to the end.  Integer
+operations for frontier width w.  A ratio at v takes both its sums from
+one sweep that leaves v open to the end, in either chain.  The hard-core
+sweep keeps v's frontier bit and returns the sums over the independent
+sets without and with v, I(H - v) and x I(H - N[v]); by the deletion
+identity I(H) = I(H - v) + x I(H - N[v]) they give the occupation ratio's
+denominator and the odds ratio's.  The homomorphism sweep keeps v's color
+axis, whose column i and total are a color ratio's two sums.  Integer
 coefficients are exact (Python ints); complex evaluations are plain
 double-precision arithmetic.  Neither applies a size cap: both are
 exponential in the frontier width, and the caller decides what it can
 afford.
 """
 
+import cmath
 import functools
 import itertools
 import numbers
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .errors import BoundaryError, NearZeroDenominatorError
+from .errors import BoundaryError, FloatRangeError, NearZeroDenominatorError
 from .graphs import _all_vertices, _ball_mask, _check_vertex, _hardcore_keep
 
 NEAR_ZERO_REL = 1e-12
@@ -65,7 +72,10 @@ class IndPoly:
         companion matrix, built without np.roots' trimming and stacking,
         15-20 % of its time at degrees 8 and 11.  A constant or a zero
         end coefficient goes through np.roots itself."""
-        p = np.array([float(c) for c in reversed(self.coeffs)])
+        try:
+            p = np.array([float(c) for c in reversed(self.coeffs)])
+        except OverflowError:
+            raise _beyond_float64(self.coeffs) from None
         if p.size < 2 or p[0] == 0 or p[-1] == 0:
             return np.roots(p)
         A = np.diag(np.ones(p.size - 2), -1)
@@ -130,10 +140,12 @@ def _sweep_order(g):
     return tuple(order)
 
 
-def _hardcore_sweep(g, keep, one, occupy):
+def _hardcore_sweep(g, keep, one, occupy, open_v=None):
     """Sum over the independent sets I of the subgraph of g induced by the
     bit mask keep of the product of the weights of the vertices in I, over a
-    ring given by its unit and occupy(p, v) = p times the weight of v.
+    ring given by its unit and occupy(p, v) = p times the weight of v.  With
+    a kept vertex open_v, which holds its frontier bit to the end, the pair
+    of sums over the I without and with open_v.
 
     The kept vertices join in g's _sweep_order.  The frontier is the placed
     vertices that still have a kept neighbor to come; each holds one bit,
@@ -152,6 +164,10 @@ def _hardcore_sweep(g, keep, one, occupy):
         for w in g.adj[v]:
             if pos[w] < i:
                 last[w] = i
+    if open_v is not None:
+        if not keep >> open_v & 1:  # its bit would stay 0: the sum with it would be all of Z
+            raise ValueError(f"open vertex {open_v} is not kept")
+        last[open_v] = len(order)
     bits = [0] * g.n
     used = 0
     states = {0: one}
@@ -180,23 +196,38 @@ def _hardcore_sweep(g, keep, one, occupy):
                 q = get(T)
                 new[T] = p if q is None else q + p
         states = new
-    return states[0]
+    return states[0] if open_v is None else (states[0], states[bits[open_v]])
+
+
+def _unpack(packed, B):
+    """The coefficients (constant first) of a polynomial packed in one int,
+    B bits apart.  The sweeps below pack them B = k + 1 bits apart, for k
+    kept vertices, and occupying a vertex shifts by B: each coefficient
+    counts independent sets of the placed vertices, so it stays below 2^k."""
+    coeffs = []
+    while packed:
+        coeffs.append(packed & ((1 << B) - 1))
+        packed >>= B
+    return tuple(coeffs)
 
 
 @functools.lru_cache(maxsize=512)
 def _ind_poly_cached(g, keep):
     """Coefficients of the independence polynomial of the subgraph of g
     induced by the bit mask keep."""
-    # the coefficients sit B = k + 1 bits apart in one int, for k kept
-    # vertices; each counts independent sets of the placed vertices, so it
-    # stays below 2^k
     B = keep.bit_count() + 1
-    packed = _hardcore_sweep(g, keep, 1, lambda p, v: p << B)
-    coeffs = []
-    while packed:
-        coeffs.append(packed & ((1 << B) - 1))
-        packed >>= B
-    return tuple(coeffs)
+    return _unpack(_hardcore_sweep(g, keep, 1, lambda p, _: p << B), B)
+
+
+@functools.lru_cache(maxsize=512)
+def _open_polys(g, v, keep):
+    """Coefficients (constant first) of I(H - v), x * I(H - N[v]) and I(H),
+    H the subgraph of g induced by the bit mask keep, which holds v: the two
+    sums of one sweep that leaves v open, and their sum, the deletion
+    identity, which carries nothing as I(H)'s coefficients are below 2^k."""
+    B = keep.bit_count() + 1
+    out, inn = _hardcore_sweep(g, keep, 1, lambda p, _: p << B, v)
+    return _unpack(out, B), _unpack(inn, B), _unpack(out + inn, B)
 
 
 def ind_poly(g):
@@ -205,11 +236,13 @@ def ind_poly(g):
 
 
 def eval_Z(g, lam):
-    """Partition function Z_g(lam) = sum over independent sets of lam^|I|."""
-    p = ind_poly(g)
-    if isinstance(lam, complex):
-        return p(lam)
-    return complex(p(complex(lam)))
+    """Partition function Z_g(lam) = sum over independent sets of lam^|I|.
+    Raises FloatRangeError when Z_g(lam) or a coefficient of Z passes the
+    float64 range."""
+    z = complex(ind_poly(g)(complex(lam)))
+    if not cmath.isfinite(z):
+        raise FloatRangeError(f"Z({lam}) is beyond the float64 range (below 2^1024)")
+    return z
 
 
 def multivariate_Z(g, weights):
@@ -238,10 +271,7 @@ def _ratio_polys(g, v, keep=None):
     numerator and denominator of the occupation ratio of v in the subgraph H
     of g induced by the bit mask keep (all of g when None), which holds v."""
     _check_vertex(g, v)
-    if keep is None:
-        keep = _all_vertices(g)
-    closed = sum(1 << w for w in g.adj[v]) | 1 << v
-    return (0,) + _ind_poly_cached(g, keep & ~closed), _ind_poly_cached(g, keep)
+    return _open_polys(g, v, _all_vertices(g) if keep is None else keep)[1:]
 
 
 def _ratios(num, den, points):
@@ -263,14 +293,9 @@ def ratio_P(g, v, lam):
 
 def _odds_polys(g, v):
     """Coefficients (constant first) of x * I(g - N[v]) and of I(g - v), the
-    numerator and denominator of the odds ratio of v.  I(g - v) comes from
-    the deletion identity I(g) = I(g - v) + x I(g - N[v]) on the integer
-    coefficients, less its vanishing top terms, so it costs no sweep."""
-    num, full = _ratio_polys(g, v)
-    den = [a - b for a, b in itertools.zip_longest(full, num, fillvalue=0)]
-    while not den[-1]:
-        den.pop()
-    return num, tuple(den)
+    numerator and denominator of the odds ratio of v, from the sweep that
+    gives the occupation ratio's."""
+    return _ratio_polys(g, v)[0], _open_polys(g, v, _all_vertices(g))[0]
 
 
 def ratio_R(g, v, lam):
@@ -319,10 +344,21 @@ def _free_component(g, v, free):
 def _component_prob(g, v, keep, lam):
     """Occupation probability of v at activity lam in the subgraph of g
     induced by the bit mask keep, which holds v: the trusted tail of
-    cond_prob_hardcore, which checks the inputs, and of ssm_scan."""
+    cond_prob_hardcore, which checks the inputs, and of ssm_scan.  Where
+    complex Horner passes the float64 range, both polynomials are evaluated
+    by Horner on Fractions at the exact rational value of the real lam, and
+    the quotient is rounded once."""
     num, den = _ratio_polys(g, v, keep)
-    lam = complex(lam)
-    return _checked_ratio(eval_poly(num, lam), eval_poly(den, lam), lam).real
+    z = complex(lam)
+    try:
+        a, b = eval_poly(num, z), eval_poly(den, z)
+        if cmath.isfinite(a) and cmath.isfinite(b):
+            return _checked_ratio(a, b, z).real
+    except OverflowError:
+        pass
+    x = Fraction(lam)
+    a, b = (functools.reduce(lambda acc, c: acc * x + c, reversed(p)) for p in (num, den))
+    return float(a / b)
 
 
 def cond_prob_hardcore(g, v, sigma, lam):
@@ -521,10 +557,20 @@ def hom_Z_poly(g, A, sigma=None):
     return _sweep(g.n, g.edges(), q, [C] * m, None, fixed, m + 1)
 
 
+def _beyond_float64(coeffs):
+    """The FloatRangeError for integer coefficients past the float64 range."""
+    bits = max(abs(c).bit_length() for c in coeffs if isinstance(c, int))
+    return FloatRangeError(f"a coefficient near 2^{bits - 1} is beyond the float64 range (below 2^1024)")
+
+
 def eval_poly(coeffs, z):
     """Horner evaluation of a coefficient sequence (constant first), at one
-    point or elementwise at an array of points."""
+    point or elementwise at an array of points.  Raises FloatRangeError
+    when an integer coefficient passes the float64 range."""
     acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * z + c
+    try:
+        for c in reversed(coeffs):
+            acc = acc * z + c
+    except OverflowError:
+        raise _beyond_float64(coeffs) from None
     return acc

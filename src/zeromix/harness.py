@@ -160,11 +160,14 @@ def ssm_scan(
     probability is computed once per free ball in a call.
     HardcoreBoundary objects are built only with collect_boundaries=True.
     seed must be a non-negative integer, trials and max_distance integers
-    of at least 1.  Returns (records, fit); fit is None when fewer than two
-    distances have enough usable records.
+    of at least 1, and max_distance at most 2^63 - 1.  Returns (records,
+    fit); fit is None when fewer than two distances have enough usable
+    records.
     """
     graph_ids = _graph_ids(graphs, graph_ids)
     _check_count("max_distance", max_distance)
+    if max_distance > np.iinfo(np.int64).max:  # the distances are drawn as int64
+        raise ValueError(f"max_distance must be <= {np.iinfo(np.int64).max}, got {max_distance}")
     _check_count("trials", trials)
     _check_activity(lam)
     for gid, g in zip(graph_ids, graphs):

@@ -10,6 +10,7 @@ ssm_scan trial, and zero_scan's contours cell by cell.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -220,6 +221,36 @@ def tree_ind_poly(parents):
         empty[u] = mul(empty[u], add(empty[v], occupied[v]))
         occupied[u] = mul(occupied[u], empty[v])
     return tuple(add(empty[0], occupied[0]))
+
+
+def path_occupation(n, v, lam):
+    """The exact probability, a Fraction, that vertex v of the path
+    0 - 1 - ... - n-1 is occupied at activity lam: lam Z(P_{v-1})
+    Z(P_{n-v-2}) / Z(P_n), Z(P_k) from the transfer recursion
+    Z(P_k) = Z(P_{k-1}) + lam Z(P_{k-2}) on Fractions."""
+    lam = Fraction(lam)
+    Z = [1, 1 + lam]
+    for _ in range(2, n + 1):
+        Z.append(Z[-1] + lam * Z[-2])
+    return lam * Z[max(v - 1, 0)] * Z[max(n - v - 2, 0)] / Z[n]
+
+
+def binary_tree(depth):
+    """The complete binary tree of the given depth: 2^(depth+1) - 1
+    vertices, edges (i, 2i+1) and (i, 2i+2), root 0."""
+    inner = 2**depth - 1
+    return from_edges(2 * inner + 1, [(i, c) for i in range(inner) for c in (2 * i + 1, 2 * i + 2)])
+
+
+def binary_tree_root_occupation(depth, lam):
+    """The exact probability, a Fraction, that the root of the complete
+    binary tree of the given depth is occupied at activity lam, from the
+    odds-ratio recursion R <- lam / (1 + R)^2 up from the leaves' R = lam."""
+    lam = Fraction(lam)
+    R = lam
+    for _ in range(depth):
+        R = lam / (1 + R) ** 2
+    return R / (1 + R)
 
 
 def brute_connected(g, subset):

@@ -472,9 +472,12 @@ def test_negative_order_is_usage_error(files, capsys, command):
           "--trials", "-5", "--output", "json"], "trials must be >= 1, got -5"),
         (["ssm-scan", "--family", "path", "--params", '{"n": 5}', "--activity", "0.5",
           "--trials", "0"], "trials must be >= 1, got 0"),
+        (["ssm-scan", "--family", "path", "--params", '{"n": 5}', "--activity", "0.5",
+          "--max-distance", str(2**63)], f"max_distance must be <= {2**63 - 1}, got {2**63}"),
     ],
     ids=["hom-check --samples -3", "approx-prob --max-depth -5", "approx-prob --max-depth 0",
-         "ssm-scan --max-distance 0", "ssm-scan --trials -5", "ssm-scan --trials 0"],
+         "ssm-scan --max-distance 0", "ssm-scan --trials -5", "ssm-scan --trials 0",
+         "ssm-scan --max-distance 2^63"],
 )
 def test_bad_count_is_usage_error_naming_it(files, capsys, argv, message):
     paths = {"G": files("g.txt", P3), "B": files("b.txt", "0 1\n"),
@@ -483,6 +486,27 @@ def test_bad_count_is_usage_error_naming_it(files, capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact-z", "--graph", "G", "--activity", "1"],
+        ["approx-prob", "--graph", "G", "--vertex", "750", "--boundary", "B", "--activity", "1",
+         "--eps-target", "1e-6", "--output", "json"],
+    ],
+    ids=["exact-z", "approx-prob"],
+)
+def test_a_value_past_the_float64_range_is_one_error_line(files, capsys, argv):
+    # the coefficients of Z(P1500) pass 2^1024; this was an OverflowError
+    # traceback
+    p1500 = "1500\n" + "".join(f"{u} {u + 1}\n" for u in range(1499))
+    paths = {"G": files("g.txt", p1500), "B": files("b.txt", "")}
+    assert main([paths.get(a, a) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "beyond the float64 range" in captured.err
 
 
 def test_negative_seed_is_usage_error_naming_it(capsys):

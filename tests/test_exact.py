@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from zeromix import (
+    FloatRangeError,
     HardcoreBoundary,
     NearZeroDenominatorError,
     SpinBoundary,
@@ -33,6 +34,8 @@ from zeromix import (
     ratio_series_division,
 )
 from helpers import (
+    binary_tree,
+    binary_tree_root_occupation,
     brute_cond_prob,
     brute_hom_Z,
     brute_ind_poly,
@@ -41,6 +44,7 @@ from helpers import (
     disjoint_union,
     grid_transfer_hom_Z,
     grid_transfer_ind_poly,
+    path_occupation,
     pinned_grid_centre,
     random_graph,
     tree_ind_poly,
@@ -263,6 +267,19 @@ def test_cond_prob_rejects_a_non_finite_or_bool_activity(lam):
     message = f"^activity must be a positive real, got {re.escape(repr(lam))}$"
     with pytest.raises(ValueError, match=message):
         cond_prob_hardcore(path_graph(3), 0, HardcoreBoundary({}), lam)
+
+
+def test_cond_prob_past_the_float_range_is_exact():
+    # Z(10) of the depth-8 tree passes 2^1024, so float Horner gave NaN;
+    # the coefficients of Z(P1500) pass it, and Horner raised OverflowError
+    tree, path = binary_tree(8), path_graph(1500)
+    for g, lam in ((tree, 10.0), (path, 1)):
+        with pytest.raises(FloatRangeError, match="float64 range"):
+            eval_Z(g, lam)
+    want = binary_tree_root_occupation(8, 10.0)
+    assert cond_prob_hardcore(tree, 0, HardcoreBoundary({}), 10.0) == float(want)
+    want = path_occupation(1500, 750, 1)
+    assert cond_prob_hardcore(path, 750, HardcoreBoundary({}), 1) == float(want)
 
 
 def test_hom_Z_hand_values():

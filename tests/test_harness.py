@@ -434,6 +434,17 @@ def test_ssm_scan_names_a_bad_max_distance(max_distance):
         ssm_scan([path_graph(5)], 0.5, 4, max_distance)
 
 
+def test_ssm_scan_names_a_max_distance_past_int64(monkeypatch):
+    # the distances are drawn as int64: 2^63 - 1 still draws, and one more
+    # is refused by name, with the limit, before any stream is seeded
+    records, _ = ssm_scan([path_graph(5)], 0.5, 4, 2**63 - 1)
+    assert len(records) <= 4
+    monkeypatch.setattr(np.random, "SeedSequence", None)
+    message = f"^max_distance must be <= {2**63 - 1}, got {2**63}$"
+    with pytest.raises(ValueError, match=message):
+        ssm_scan([path_graph(5)], 0.5, 4, 2**63)
+
+
 @pytest.mark.parametrize("trials", [0, -5])
 def test_ssm_scan_names_a_bad_trial_count(trials):
     with pytest.raises(ValueError, match=f"^trials must be >= 1, got {trials}$"):

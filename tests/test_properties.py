@@ -15,7 +15,8 @@ and against the relabelled subgraph, the masked, radius-limited
 breadth-first search and the components built on it against networkx,
 every certified approx_cond_prob, on the strip ladder and on a given sector
 map, against cond_prob_hardcore within its error bound, the odds ratio's
-deletion identity against a sweep of g - v, and the two scans against
+deletion identity against a sweep of g - v, the three polynomials of the
+sweep that leaves v open against one sweep each, and the two scans against
 their direct routes in helpers.py: ssm_scan on random trees, cycles, cubic
 graphs and unions, and zero_scan's batched contours, through its doubling
 and inconclusive paths."""
@@ -70,6 +71,7 @@ from zeromix.exact import (
     _ind_poly_cached,
     _near_zero,
     _odds_polys,
+    _open_polys,
     _ratio_polys,
     _ratios,
 )
@@ -727,6 +729,34 @@ def test_odds_polys_follow_the_deletion_identity(g):
         num, den = _odds_polys(g, v)
         assert num == _ratio_polys(g, v)[0]
         assert den == _ind_poly_cached(g, _all_vertices(g) & ~(1 << v))
+
+
+@PROPERTY
+@given(st.data())
+def test_open_sweep_matches_the_two_sweeps(data):
+    # one sweep with v open gives x I(H - N[v]), I(H) and I(H - v), which
+    # once took a sweep each; v may also be isolated in g or in the mask
+    g = data.draw(graphs(max_n=12).filter(lambda g: g.n >= 1))
+    v = data.draw(st.integers(0, g.n - 1))
+    keep = data.draw(st.integers(0, (1 << g.n) - 1)) | 1 << v
+    mode = data.draw(st.sampled_from(["mask", "isolated in g", "neighbors masked out"]))
+    if mode == "isolated in g":
+        g = from_edges(g.n, [e for e in g.edges() if v not in e])
+    closed = sum(1 << w for w in g.adj[v]) | 1 << v
+    if mode == "neighbors masked out":
+        keep &= ~closed | 1 << v
+    num, den = _ratio_polys(g, v, keep)
+    assert (num, den) == ((0,) + _ind_poly_cached(g, keep & ~closed), _ind_poly_cached(g, keep))
+    assert _open_polys(g, v, keep) == (_ind_poly_cached(g, keep & ~(1 << v)), num, den)
+    whole = _all_vertices(g)
+    want = (0,) + _ind_poly_cached(g, whole & ~closed), _ind_poly_cached(g, whole & ~(1 << v))
+    assert _odds_polys(g, v) == want
+
+
+def test_open_sweep_refuses_a_vertex_outside_the_mask():
+    # its frontier bit would stay 0, and the sum with v would be all of Z
+    with pytest.raises(ValueError, match="^open vertex 0 is not kept$"):
+        _ratio_polys(path_graph(3), 0, 0b110)
 
 
 # the smallest size of each kind of graph scan_pieces draws
