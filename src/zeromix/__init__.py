@@ -4,7 +4,6 @@ certified truncation through conformal maps, polymer representations, and a
 scan harness for spatial-mixing and zero-location experiments."""
 
 from .cluster import (
-    connected_subsets,
     logZ_series,
     ratio_series_cluster,
     ratio_series_division,
@@ -49,17 +48,12 @@ from .graphs import (
     Graph,
     HardcoreBoundary,
     SpinBoundary,
-    apply_hardcore_boundary,
     ball,
-    bfs_distances,
-    connected_components,
     dist_to_disagreement,
     format_graph,
     from_edges,
-    induced_subgraph,
     is_claw_free,
     parse_graph,
-    remove_vertices,
 )
 from .harness import (
     ClawfreeRootReport,
@@ -77,7 +71,6 @@ from .interpolate import (
     SectorSpec,
     StripSpec,
     approx_cond_prob,
-    estimate_M,
     gap_bound_hardcore,
     gap_bound_hom,
     tail_bound,
@@ -88,7 +81,6 @@ from .polymers import (
     DeltaSpec,
     HomSSMReport,
     Polymer,
-    PolymerGraph,
     barvinok_zero_check,
     bounded_ratio_check,
     build_edge_matrices,

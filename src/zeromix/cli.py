@@ -55,7 +55,6 @@ def _helped(spec, text):
 
 
 _COMMON = (
-    _arg("--seed", type=int, default=0, help="seed for randomized steps"),
     _arg("--output", choices=("csv", "json"), default="csv"),
     _arg("--out-file", default=None, help="write output here instead of stdout"),
 )
@@ -66,6 +65,7 @@ _MATRIX = _arg("--matrix", required=True)
 _SPIN_BOUNDARY = _arg("--boundary", default=None)
 _FAMILY = _arg("--family", choices=FAMILY_KINDS, required=True)
 _PARAMS = _arg("--params", required=True)
+_SEED = _arg("--seed", type=int, default=0, help="seed for randomized steps")
 
 
 def _read_text(path):
@@ -325,6 +325,7 @@ _COMMANDS = (
         _arg("--activity", type=float, required=True),
         _arg("--trials", type=int, default=100),
         _arg("--max-distance", type=int, default=5),
+        _SEED,
     ),
     (
         ("zero-scan", "per-cell zero counts in a rectangle", _zero_scan),
@@ -338,6 +339,7 @@ _COMMANDS = (
         _FAMILY,
         _PARAMS,
         _arg("--activities", required=True, help="comma-separated complex literals"),
+        _SEED,
     ),
     (
         ("hom-prob", "conditional color ratio at one z", _hom_prob),
@@ -368,6 +370,7 @@ _COMMANDS = (
         _arg("--eta", type=float, default=0.5),
         _arg("--eps", type=float, default=0.1),
         _arg("--samples", type=int, default=16),
+        _SEED,
     ),
 )
 

@@ -245,13 +245,6 @@ def _connected_sets(g, budget, sizes=None, containing=None, max_count=None):
                         stack.append((T, size + sizes[w], members + (w,), bits | row << shift))
 
 
-def connected_subsets(g, max_size, containing=None):
-    """All connected induced vertex subsets of size <= max_size, as sorted
-    tuples; restricted to subsets containing `containing` when given."""
-    found = _connected_sets(g, max_size, containing=None if containing is None else (containing,))
-    return [tuple(sorted(members)) for members, _ in found]
-
-
 @functools.lru_cache(maxsize=None)
 def _graded_compositions(weights, order):
     """(mults, grade, prod m!) for each composition mults of len(weights)

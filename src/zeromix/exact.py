@@ -53,9 +53,6 @@ class IndPoly:
 
     coeffs: tuple
 
-    def degree(self):
-        return len(self.coeffs) - 1
-
     def __call__(self, z):
         return eval_poly(self.coeffs, z)
 
@@ -239,6 +236,7 @@ def eval_Z(g, lam):
     """Partition function Z_g(lam) = sum over independent sets of lam^|I|.
     Raises FloatRangeError when Z_g(lam) or a coefficient of Z passes the
     float64 range."""
+    _check_finite("activity", complex(lam))
     z = complex(ind_poly(g)(complex(lam)))
     if not cmath.isfinite(z):
         raise FloatRangeError(f"Z({lam}) is beyond the float64 range (below 2^1024)")
@@ -310,6 +308,12 @@ def _check_activity(lam):
     real = isinstance(lam, (int, float)) and not isinstance(lam, bool)
     if not (real and 0 < lam <= sys.float_info.max):
         raise ValueError(f"activity must be a positive real, got {lam!r}")
+
+
+def _check_finite(name, value):
+    """Raise ValueError unless the real or complex value is finite."""
+    if not cmath.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _check_count(name, value):
@@ -536,6 +540,7 @@ def hom_ratio(g, v, i, sigma, A, z, xi=None):
     color i given sigma; at z = 0 it is exactly 1/q.  Both sums come from
     one sweep that leaves v's color open.
     """
+    _check_finite("z", z)
     A = _hom_query(g, v, i, sigma, A)
     q = A.shape[0]
     M = np.ones((q, q), dtype=complex) + z * (A - np.ones((q, q)))

@@ -1,10 +1,8 @@
 """Finite simple graphs and boundary conditions.
 
-Vertices are always the dense range 0..n-1.  Operations that delete vertices
-return both the new graph and the old->new index mapping, so callers can
-track a distinguished vertex through the relabeling.  The hard-core
-routines reduce a graph without relabeling: a bit mask of kept vertices
-(bit v for vertex v) on the original graph stands for the reduced graph.
+Vertices are always the dense range 0..n-1.  A graph is reduced without
+relabeling: a bit mask of kept vertices (bit v for vertex v) on the
+original graph stands for the reduced graph.
 """
 
 import functools
@@ -34,12 +32,6 @@ class Graph:
 
     def num_edges(self):
         return sum(len(a) for a in self.adj) // 2
-
-    def has_edge(self, u, w):
-        return w in self.adj[u]
-
-    def neighbors(self, v):
-        return self.adj[v]
 
     @functools.cached_property
     def _hash(self):
@@ -116,26 +108,6 @@ def format_graph(g):
     return "\n".join(out) + "\n"
 
 
-def induced_subgraph(g, keep):
-    """Induced subgraph on the vertex set `keep`, relabeled to 0..k-1 in
-    sorted old-index order.  Returns (subgraph, mapping old->new)."""
-    kept = sorted(keep)
-    mapping = {v: i for i, v in enumerate(kept)}
-    edges = [
-        (mapping[u], mapping[w])
-        for u in kept
-        for w in g.adj[u]
-        if u < w and w in mapping
-    ]
-    return from_edges(len(kept), edges), mapping
-
-
-def remove_vertices(g, drop):
-    """Delete a vertex set; returns (subgraph, mapping old->new)."""
-    drop = set(drop)
-    return induced_subgraph(g, (v for v in range(g.n) if v not in drop))
-
-
 def _all_vertices(g):
     """Bit mask of every vertex of g."""
     return (1 << g.n) - 1
@@ -170,24 +142,9 @@ def _ball_mask(g, v, keep, radius=None):
     return sum(1 << u for u in _bfs(g, v, keep, radius))
 
 
-def bfs_distances(g, source):
-    """Distances from source (list; unreachable vertices get math.inf)."""
-    dist = _bfs(g, source, _all_vertices(g))
-    return [dist.get(u, math.inf) for u in range(g.n)]
-
-
 def ball(g, v, radius):
     """Vertex set at graph distance <= radius from v."""
     return set(_bfs(g, v, _all_vertices(g), radius))
-
-
-def connected_components(g):
-    """List of vertex sets, one per connected component."""
-    comps, left = [], _all_vertices(g)
-    while left:  # each component is walked from its least vertex
-        comps.append(set(_bfs(g, (left & -left).bit_length() - 1, left)))
-        left &= ~sum(1 << u for u in comps[-1])
-    return comps
 
 
 class _Boundary:
@@ -254,14 +211,6 @@ class SpinBoundary(_Boundary):
             if not (0 <= c < self.q):
                 raise BoundaryError(f"color at vertex {v} must lie in 0..{self.q - 1}, got {c!r}")
 
-    def extended(self, v, c):
-        """New boundary also pinning vertex v to color c."""
-        if v in self.assignment:
-            raise BoundaryError(f"vertex {v} is already pinned")
-        new = dict(self.assignment)
-        new[v] = c
-        return SpinBoundary(new, self.q)
-
 
 def _hardcore_keep(g, region, ins):
     """Bit mask of the vertices an occupancy boundary leaves free, from the
@@ -275,19 +224,6 @@ def _hardcore_keep(g, region, ins):
             drop |= 1 << w
         ins ^= low
     return _all_vertices(g) & ~drop
-
-
-def apply_hardcore_boundary(g, sigma):
-    """Reduce a graph by an occupancy boundary.
-
-    Deletes the boundary region, then additionally deletes every remaining
-    vertex adjacent (in g) to an in-vertex: those sites are blocked.  Returns
-    (reduced graph, mapping old->new); blocked vertices are absent from the
-    mapping.
-    """
-    sigma.validate(g)
-    keep = _hardcore_keep(g, *sigma._masks())
-    return induced_subgraph(g, (v for v in range(g.n) if keep >> v & 1))
 
 
 def dist_to_disagreement(g, v, sigma, tau):

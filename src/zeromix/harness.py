@@ -24,7 +24,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolationError, NearZeroDenominatorError
-from .exact import _check_activity, _check_count, _component_prob, _neighbor_masks, ind_poly, ratio_P, ratio_R
+from .exact import (
+    _check_activity,
+    _check_count,
+    _check_finite,
+    _component_prob,
+    _neighbor_masks,
+    ind_poly,
+    ratio_P,
+    ratio_R,
+)
 from .graphs import HardcoreBoundary, _all_vertices, _bfs, is_claw_free
 
 
@@ -299,6 +308,8 @@ def zero_scan(g, rect, resolution):
     _BLOCK_POINTS points, so memory does not grow with the resolution.
     """
     re_min, re_max, im_min, im_max = rect
+    for name, x in zip(("re_min", "re_max", "im_min", "im_max"), rect):
+        _check_finite(f"rect {name}", x)
     if not (re_min < re_max and im_min < im_max):
         raise ValueError(f"degenerate rectangle {rect}")
     if isinstance(resolution, int):
@@ -397,6 +408,9 @@ def ratio_bound_scan(graphs, activities, graph_ids=None):
     denominator Z_g or Z_{g - v} vanishing.
     """
     graph_ids = _graph_ids(graphs, graph_ids)
+    activities = [complex(lam) for lam in activities]
+    for lam in activities:
+        _check_finite("activity", lam)
     best = 0.0
     witness = None
     violations = []
@@ -404,7 +418,6 @@ def ratio_bound_scan(graphs, activities, graph_ids=None):
     for gid, g in zip(graph_ids, graphs):
         for v in range(g.n):
             for lam in activities:
-                lam = complex(lam)
                 n_eval += 1
                 try:
                     p = ratio_P(g, v, lam)

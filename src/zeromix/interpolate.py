@@ -34,7 +34,6 @@ import numpy as np
 
 from .errors import TruncationDepthError, ZeroRegionViolationError
 from .exact import IndPoly, _check_count, _free_component, _hardcore_query, _ratio_polys, _ratios
-from .graphs import HardcoreBoundary
 from .series import _long_division
 
 DEFAULT_MAX_DEPTH = 64
@@ -242,19 +241,6 @@ def _composed(spec, lam, n, *polys):
     cols = max(64, _pow2_ceil(n))
     T = _power_table(spec, lam, min(_pow2_ceil(max(map(len, polys))), cols), cols)
     return [p @ T[: len(p), :n] for p in polys]
-
-
-def estimate_M(g, v, lam, spec, samples=DEFAULT_SAMPLES):
-    """Empirical bound on |P_{g,v}(lam * map(z))| over |z| = r.
-
-    Samples the circle uniformly and returns 1.5x the observed maximum.
-    Raises ZeroRegionViolationError if Z of v's component vanishes to
-    working precision at a sampled point.
-    """
-    keep = _free_component(g, v, _hardcore_query(g, v, HardcoreBoundary({}), lam))
-    _check_samples(samples)
-    num, den = _ratio_polys(g, v, keep)
-    return _sampled_M(num, den, lam * _circle_image(spec, samples))
 
 
 def _check_target(eps_target, max_depth):

@@ -74,14 +74,6 @@ class Polymer:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
-class PolymerGraph:
-    """Polymers plus their intersection graph (vertex sets sharing a vertex)."""
-
-    polymers: tuple
-    graph: Graph
-
-
 def enumerate_polymers(g, max_edges=DEFAULT_POLYMER_EDGES, within=None):
     """All polymers of g with at most max_edges edges, optionally restricted
     to the vertex set `within`.  Deterministic order; SizeLimitError past
@@ -114,7 +106,7 @@ def polymer_graph(polymers):
         for u in p.vertices:
             at.setdefault(u, []).append(a)
     adj = tuple(tuple(sorted(set().union(*map(at.get, p.vertices)) - {a})) for a, p in enumerate(polymers))
-    return PolymerGraph(tuple(polymers), Graph(len(polymers), adj))
+    return Graph(len(polymers), adj)
 
 
 def _shape(polymer, pins):
@@ -147,7 +139,7 @@ def _polymer_structure(g):
     """Every polymer of g and their polymer graph, kept for the last graph
     only (21 MiB on K5), which is what repeated draws on one graph reuse."""
     polys = tuple(enumerate_polymers(g, max_edges=g.num_edges()))
-    return polys, polymer_graph(polys).graph
+    return polys, polymer_graph(polys)
 
 
 def hom_Z_via_polymers(g, A, z=1.0, sigma=None, xi=None):
@@ -201,7 +193,7 @@ def hom_ratio_series(g, v, i, sigma, A, order=DEFAULT_SERIES_ORDER):
 
     coeffs = [0j] * (order + 1)
     coeffs[0] = 1.0 / q
-    clusters = _cluster_terms(polymer_graph(polys).graph, order, [p.size for p in polys], through)
+    clusters = _cluster_terms(polymer_graph(polys), order, [p.size for p in polys], through)
     for support, terms in clusters:
         ws = [w[a] for a in support]
         ds = [(pos, dw[a]) for pos, a in enumerate(support) if a in dw]

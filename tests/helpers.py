@@ -5,26 +5,67 @@ from itertools scans, homomorphism sums from explicit coloring products,
 Ursell functions from edge-subset scans, and connectivity from union-find.
 Slow and obviously correct.  The scans' oracles are their direct routes:
 scalar draws from fresh generators and a whole-graph conditioning per
-ssm_scan trial, and zero_scan's contours cell by cell.
+ssm_scan trial, and zero_scan's contours cell by cell.  Reduced graphs and
+distances, which the package reads off bit masks, come from networkx.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 
 from zeromix import (
     HardcoreBoundary,
     SizeLimitError,
-    bfs_distances,
     cond_prob_hardcore,
     from_edges,
     grid_graph,
     ind_poly,
 )
 from zeromix import harness
+from zeromix.exact import _free_component, _hardcore_query, _ratio_polys
+from zeromix.interpolate import DEFAULT_SAMPLES, _circle_image, _sampled_M
 from zeromix.harness import MAX_BOUNDARY_ATTEMPTS, SPHERE_IN_PROB, SSMRecord, ZeroScanReport
+
+
+def to_nx(g):
+    """g as a networkx graph on the vertices 0..n-1."""
+    h = nx.Graph(g.edges())
+    h.add_nodes_from(range(g.n))
+    return h
+
+
+def nx_induced(g, keep):
+    """The subgraph of g induced by the vertex set keep, relabeled to
+    0..k-1 in sorted old-index order, and the old->new mapping."""
+    kept = sorted(keep)
+    mapping = {u: a for a, u in enumerate(kept)}
+    sub = to_nx(g).subgraph(kept)
+    return from_edges(len(kept), [(mapping[u], mapping[w]) for u, w in sub.edges()]), mapping
+
+
+def nx_distances(g, v):
+    """Distances from v as a list, math.inf where v cannot reach."""
+    dist = nx.single_source_shortest_path_length(to_nx(g), v)
+    return [dist.get(u, math.inf) for u in range(g.n)]
+
+
+def hardcore_reduced(g, sigma):
+    """g reduced by the occupancy boundary sigma, relabeled as by
+    nx_induced, with the mapping: the region goes, and so does every
+    neighbor of an in-vertex."""
+    ins = sigma.in_vertices()
+    return nx_induced(g, [u for u in range(g.n) if u not in sigma.region and not ins & set(g.adj[u])])
+
+
+def component_M(g, v, lam, spec, samples=DEFAULT_SAMPLES):
+    """The sampled bound M on v's occupation ratio over lam times the
+    map's circle, as the certify ladder takes it: _sampled_M on the ratio
+    pair of v's component of g."""
+    keep = _free_component(g, v, _hardcore_query(g, v, HardcoreBoundary({}), lam))
+    return _sampled_M(*_ratio_polys(g, v, keep), lam * _circle_image(spec, samples))
 
 
 def random_graph(rng, n, p=0.4, max_degree=None):
@@ -62,7 +103,7 @@ def brute_independent_sets(g):
     for k in range(g.n + 1):
         for comb in itertools.combinations(range(g.n), k):
             s = set(comb)
-            if all(not g.has_edge(u, w) for u in comb for w in comb if u < w):
+            if all(w not in g.adj[u] for u in comb for w in comb if u < w):
                 out.append(frozenset(s))
     return out
 
@@ -324,7 +365,7 @@ def pattern_bits(h, order):
     bits = 0
     for p, u in enumerate(order):
         for j in range(p):
-            if h.has_edge(u, order[j]):
+            if order[j] in h.adj[u]:
                 bits |= 1 << (p * (p - 1) // 2 + j)
     return bits
 
@@ -384,7 +425,7 @@ def blowup_ursell(h, mults):
         sum(
             1 << b
             for b in range(k)
-            if b != a and (copies[a] == copies[b] or h.has_edge(copies[a], copies[b]))
+            if b != a and (copies[a] == copies[b] or copies[b] in h.adj[copies[a]])
         )
         for a in range(k)
     ]
@@ -413,7 +454,7 @@ def per_trial_ssm_records(graphs, lam, trials, max_distance, seed):
     by the direct route: fresh generators from SeedSequence(seed).spawn(3),
     a scalar vertex and distance draw per trial from the first two, one
     random(len(sphere)) call per in-set attempt from the third, the sphere
-    read off bfs_distances, in-sets drawn as vertex sets, and each gap from
+    read off nx_distances, in-sets drawn as vertex sets, and each gap from
     cond_prob_hardcore on the whole graph."""
     vertex_rng, distance_rng, in_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(3))
     records, skipped = [], 0
@@ -424,7 +465,7 @@ def per_trial_ssm_records(graphs, lam, trials, max_distance, seed):
             if attempt and attempt % 50 == 0:
                 p /= 2.0
             ins = {u for u, x in zip(sphere, in_rng.random(len(sphere))) if x < p}
-            if not any(g.has_edge(u, w) for u in ins for w in ins):
+            if not any(w in g.adj[u] for u in ins for w in ins):
                 return HardcoreBoundary({u: int(u in ins) for u in sphere})
         return None
 
@@ -433,7 +474,7 @@ def per_trial_ssm_records(graphs, lam, trials, max_distance, seed):
         g = graphs[k]
         v = int(vertex_rng.integers(g.n))
         d = int(distance_rng.integers(1, max_distance + 1))
-        sphere = [u for u, du in enumerate(bfs_distances(g, v)) if du == d]
+        sphere = [u for u, du in enumerate(nx_distances(g, v)) if du == d]
         first = draw(g, sphere) if sphere else None
         second = None
         for _ in range(MAX_BOUNDARY_ATTEMPTS if first is not None else 0):

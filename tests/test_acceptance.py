@@ -15,17 +15,14 @@ from zeromix import (
     HardcoreBoundary,
     SectorSpec,
     SpinBoundary,
-    apply_hardcore_boundary,
     approx_cond_prob,
     barvinok_zero_check,
-    bfs_distances,
     bounded_ratio_check,
     clawfree_root_check,
     cond_prob_hardcore,
     cycle_graph,
     delta_Delta,
     dist_to_disagreement,
-    estimate_M,
     from_edges,
     gap_bound_hardcore,
     grid_graph,
@@ -48,7 +45,16 @@ from zeromix import (
 )
 from zeromix.cluster import _canonical_form
 from zeromix.interpolate import StripSpec
-from helpers import brute_hom_Z, random_graph, series_exp, series_quotient, ursell
+from helpers import (
+    brute_hom_Z,
+    component_M,
+    hardcore_reduced,
+    nx_distances,
+    random_graph,
+    series_exp,
+    series_quotient,
+    ursell,
+)
 
 
 def _report(num, ok, detail):
@@ -176,7 +182,7 @@ def test_criterion_3_locality():
         t += 1
         v = int(rng.integers(g.n))
         d = int(rng.integers(2, 7))
-        dist = bfs_distances(g, v)
+        dist = nx_distances(g, v)
         sphere = [u for u in range(g.n) if dist[u] == d]
         if not sphere:
             continue
@@ -193,8 +199,8 @@ def test_criterion_3_locality():
             continue
         sigma, tau = HardcoreBoundary(first), HardcoreBoundary(second)
         assert dist_to_disagreement(g, v, sigma, tau) == d
-        h1, m1 = apply_hardcore_boundary(g, sigma)
-        h2, m2 = apply_hardcore_boundary(g, tau)
+        h1, m1 = hardcore_reduced(g, sigma)
+        h2, m2 = hardcore_reduced(g, tau)
         s1 = ratio_series_division(h1, m1[v], order=d - 1, ball_radius=d - 2)
         s2 = ratio_series_division(h2, m2[v], order=d - 1, ball_radius=d - 2)
         if s1.coeffs != s2.coeffs:  # exact: the two are identical computations
@@ -394,9 +400,9 @@ def test_criterion_7_clawfree_pipeline():
             g = graphs[int(rec.graph_id)]
             M = 0.0
             for boundary in (rec.sigma, rec.tau):
-                h, mapping = apply_hardcore_boundary(g, boundary)
+                h, mapping = hardcore_reduced(g, boundary)
                 if rec.vertex in mapping:
-                    M = max(M, estimate_M(h, mapping[rec.vertex], lam, spec))
+                    M = max(M, component_M(h, mapping[rec.vertex], lam, spec))
             if rec.gap > gap_bound_hardcore(M, spec.r, rec.distance):
                 bound_failures += 1
             n_records += 1
@@ -478,7 +484,7 @@ def test_criterion_9_hom_series():
         L = int(rng.integers(1, 5))
         s = hom_ratio_series(g, v, i, sigma, A, order=L)
         const_worst = max(const_worst, abs(s.coeffs[0] - 1 / q))
-        num = hom_Z_poly(g, A, sigma=sigma.extended(v, i))
+        num = hom_Z_poly(g, A, sigma=SpinBoundary({**sigma.assignment, v: i}, sigma.q))
         den = hom_Z_poly(g, A, sigma=sigma)
         oracle = series_quotient(num, den, L)
         coeff_worst = max(
@@ -551,7 +557,7 @@ def test_criterion_10_barvinok_region():
         ang = rng.uniform(0, 2 * math.pi, size=(q, q))
         A = 1.0 + rad * np.exp(1j * ang)
         A = (A + A.T) / 2
-        far = max(range(g.n), key=lambda u: (bfs_distances(g, v)[u], u))
+        far = max(range(g.n), key=lambda u: (nx_distances(g, v)[u], u))
         sigma = SpinBoundary({far: 0} if far != v else {}, q=q)
         rep = bounded_ratio_check(
             g, v, int(rng.integers(q)), sigma, A, eta=0.5, eps=0.5, samples=200, seed=k
@@ -607,7 +613,7 @@ def test_criterion_11_hom_ssm():
             A = 1.0 + box * rng.uniform(-1, 1, size=(2, 2))
         A = (A + A.T) / 2
         v = int(rng.integers(g.n))
-        dist = bfs_distances(g, v)
+        dist = nx_distances(g, v)
         far = max(range(g.n), key=lambda u: (dist[u], u))
         if far == v:
             continue

@@ -1,7 +1,10 @@
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -509,6 +512,31 @@ def test_a_value_past_the_float64_range_is_one_error_line(files, capsys, argv):
     assert "beyond the float64 range" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ratio-scan", "--family", "path", "--params", '{"n": 3}', "--activities", "nan"],
+         "activity must be finite, got (nan+0j)"),
+        (["ratio-scan", "--family", "path", "--params", '{"n": 3}', "--activities", "0.5,inf"],
+         "activity must be finite, got (inf+0j)"),
+        (["hom-prob", "--graph", "G", "--vertex", "0", "--color", "0", "--matrix", "M", "--z", "nan"],
+         "z must be finite, got (nan+0j)"),
+        (["zero-scan", "--graph", "G", "--rect=-inf,0,-1,1"], "rect re_min must be finite, got -inf"),
+        (["zero-scan", "--graph", "G", "--rect=-1,0,-1,inf"], "rect im_max must be finite, got inf"),
+        (["exact-z", "--graph", "G", "--activity", "nan"], "activity must be finite, got (nan+0j)"),
+    ],
+    ids=["ratio-scan-nan", "ratio-scan-inf", "hom-prob", "zero-scan-re_min", "zero-scan-im_max", "exact-z"],
+)
+def test_a_non_finite_input_is_one_error_line_naming_it(files, capsys, argv, message):
+    # these exited 0 with NaN or a clean sweep, warned and failed on a NaN
+    # cast, or blamed the float64 range
+    paths = {"G": files("g.txt", P3), "M": files("m.json", "[[2, 1], [1, 1]]")}
+    assert main([paths.get(a, a) for a in argv + ["--output", "json"]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_negative_seed_is_usage_error_naming_it(capsys):
     argv = ["ssm-scan", "--family", "path", "--params", '{"n": 5}', "--activity", "0.5",
             "--seed", "-1"]
@@ -574,6 +602,74 @@ def test_importing_the_package_loads_neither_scipy_nor_sympy():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout == "[]\n"
+
+
+# public names that nothing inside the package calls, and why each stays
+KEPT_WITHOUT_A_CALLER = {
+    "format_graph": "the bench writes its graph files with it",
+    "hom_Z_poly": "the bench calls it",
+    "hom_ssm_experiment": "the bench calls it",
+    "cond_prob_hardcore": "the exact probability that approx_cond_prob is certified against",
+    "logZ_series": "the paper's own formula, kept against the fast routes",
+    "hom_Z_via_polymers": "the paper's own formula, kept against the fast routes",
+    "shearer_radius": "ROADMAP item 10 gives it a caller",
+    "weitz_lambda_c": "ROADMAP item 6 gives it a caller",
+    "gap_bound_hardcore": "ROADMAP item 3 gives it a caller",
+}
+
+
+def _names_read_in_the_package():
+    """Every name the package's modules but __init__ read, each outside its
+    own definition."""
+    read = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if isinstance(node, (ast.Name, ast.Attribute)) and name not in inside:
+            read.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    for path in pathlib.Path(zeromix.__file__).parent.glob("*.py"):
+        if path.name != "__init__.py":
+            visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    return read
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    read = _names_read_in_the_package()
+    public = {n for n in zeromix.__all__ if not isinstance(getattr(zeromix, n), types.ModuleType)}
+    uncalled = public - read
+    assert uncalled - set(KEPT_WITHOUT_A_CALLER) == set()
+    # and the list holds no name that is gone or has found a caller
+    assert set(KEPT_WITHOUT_A_CALLER) <= uncalled
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ssm-scan", "--family", "path", "--params", '{"n": 4}', "--activity", "0.5", "--trials", "3"],
+        ["ratio-scan", "--family", "path", "--params", '{"n": 4}', "--activities", "0.5"],
+        ["hom-check", "--mode", "zero", "--graph", "G", "--matrix", "M", "--samples", "2"],
+    ],
+    ids=["ssm-scan", "ratio-scan", "hom-check"],
+)
+def test_the_commands_that_draw_take_a_seed(files, capsys, argv):
+    paths = {"G": files("g.txt", P3), "M": files("m.json", "[[1.0, 0.9], [0.9, 1.0]]")}
+    argv = [paths.get(a, a) for a in argv]
+    first = run(capsys, argv + ["--seed", "3"])
+    assert first[0] == 0
+    assert run(capsys, argv + ["--seed", "3"]) == first
+
+
+def test_a_command_that_draws_nothing_refuses_a_seed(files, capsys):
+    g = files("g.txt", P3)
+    assert main(["exact-z", "--graph", g, "--activity", "1", "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: unrecognized arguments: --seed 1\n")
 
 
 # "inf" and "1e400" once made approx-prob exit 2, as if every strip disk held

@@ -8,7 +8,6 @@ import pytest
 
 from zeromix import (
     SpinBoundary,
-    connected_subsets,
     cycle_graph,
     eval_poly,
     from_edges,
@@ -22,12 +21,13 @@ from zeromix import (
     shearer_radius,
     weitz_lambda_c,
 )
-from zeromix.cluster import _blowup_ursell, _canonical_form
+from zeromix.cluster import _blowup_ursell, _canonical_form, _connected_sets
 from zeromix.series import _padded
 from helpers import (
     blowup_ursell,
     brute_connected,
     horner_compose,
+    nx_induced,
     pattern_bits,
     random_graph,
     series_exp,
@@ -54,7 +54,7 @@ def seq_blowup_ursell(g, seq):
         (a, b)
         for a in range(k)
         for b in range(a + 1, k)
-        if seq[a] == seq[b] or g.has_edge(seq[a], seq[b])
+        if seq[a] == seq[b] or seq[b] in g.adj[seq[a]]
     ]
     return ursell(from_edges(k, edges))
 
@@ -204,6 +204,11 @@ def test_cluster_series_of_clique_and_star_at_order_9():
     assert time.perf_counter() - start < 10
 
 
+def connected_subsets(g, max_size, containing=None):
+    """The subsets _connected_sets grows, as sorted tuples."""
+    return [tuple(sorted(members)) for members, _ in _connected_sets(g, max_size, containing=containing)]
+
+
 def test_connected_subsets_counts():
     p3 = path_graph(3)
     subs = connected_subsets(p3, 2)
@@ -231,23 +236,27 @@ def test_connected_subsets_containing():
     for _ in range(10):
         g = random_graph(rng, 7, p=0.4)
         v = int(rng.integers(7))
-        got = set(connected_subsets(g, 4, containing=v))
+        got = set(connected_subsets(g, 4, containing=(v,)))
         want = {s for s in connected_subsets(g, 4) if v in s}
         assert got == want
+        # grown from their least member in the set given, each set once
+        pair = (v, (v + 3) % 7)
+        got = connected_subsets(g, 4, containing=pair)
+        assert sorted(got) == sorted({s for s in connected_subsets(g, 4) if set(s) & set(pair)})
 
 
 def test_connected_subsets_rejects_vertices_outside_the_graph():
     p4 = path_graph(4)
     for v in (-1, 4, 9):
         with pytest.raises(ValueError, match=f"vertex {v} not in graph with n=4"):
-            connected_subsets(p4, 3, containing=v)
+            connected_subsets(p4, 3, containing=(v,))
 
 
 @pytest.mark.parametrize("max_size", [0, -1])
 def test_connected_subsets_of_nonpositive_size_is_empty(max_size):
     p4 = path_graph(4)
     assert connected_subsets(p4, max_size) == []
-    assert connected_subsets(p4, max_size, containing=2) == []
+    assert connected_subsets(p4, max_size, containing=(2,)) == []
 
 
 @pytest.mark.parametrize(
@@ -363,7 +372,7 @@ def test_ratio_series_methods_agree_small():
 
 def test_ratio_series_coefficient_locality():
     # coefficient k only sees the radius-(k-1) ball around v
-    from zeromix import ball, induced_subgraph
+    from zeromix import ball
 
     rng = np.random.default_rng(36)
     for _ in range(10):
@@ -372,7 +381,7 @@ def test_ratio_series_coefficient_locality():
         order = 4
         full = ratio_series_cluster(g, v, order=order)
         for k in range(1, order + 1):
-            sub, mapping = induced_subgraph(g, sorted(ball(g, v, k - 1)))
+            sub, mapping = nx_induced(g, ball(g, v, k - 1))
             local = ratio_series_cluster(sub, mapping[v], order=k)
             assert abs(full.coeffs[k] - local.coeffs[k]) <= 1e-12
 

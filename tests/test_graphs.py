@@ -8,23 +8,18 @@ from zeromix import (
     GraphParseError,
     HardcoreBoundary,
     SpinBoundary,
-    apply_hardcore_boundary,
     ball,
-    bfs_distances,
-    connected_components,
     cycle_graph,
     dist_to_disagreement,
     format_graph,
     from_edges,
     grid_graph,
-    induced_subgraph,
     is_claw_free,
     parse_graph,
     path_graph,
-    remove_vertices,
 )
 from zeromix.exact import _ind_poly_cached
-from zeromix.graphs import _all_vertices, _bfs
+from zeromix.graphs import _all_vertices, _ball_mask, _bfs, _hardcore_keep
 from helpers import random_graph
 
 
@@ -87,35 +82,15 @@ def test_degrees_and_neighbors():
     assert g.degree(1) == 3
     assert g.degree(0) == 1
     assert g.max_degree() == 3
-    assert g.neighbors(1) == (0, 2, 3)
-    assert g.has_edge(3, 1)
-    assert not g.has_edge(0, 2)
+    assert g.adj[1] == (0, 2, 3)
+    assert 1 in g.adj[3]
+    assert 2 not in g.adj[0]
     assert g.num_edges() == 3
-
-
-def test_induced_subgraph_mapping():
-    g = path_graph(5)
-    h, mapping = induced_subgraph(g, [3, 1, 2])
-    assert h.n == 3
-    assert mapping == {1: 0, 2: 1, 3: 2}
-    assert h.edges() == [(0, 1), (1, 2)]
-
-
-def test_remove_vertices_inverse_of_induce():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        g = random_graph(rng, 8)
-        drop = {int(v) for v in rng.choice(8, size=3, replace=False)}
-        keep = sorted(set(range(8)) - drop)
-        h1, m1 = remove_vertices(g, drop)
-        h2, m2 = induced_subgraph(g, keep)
-        assert h1 == h2
-        assert m1 == m2
 
 
 def test_bfs_and_ball_on_path():
     g = path_graph(3)
-    assert bfs_distances(g, 0) == [0, 1, 2]
+    assert _bfs(g, 0, _all_vertices(g)) == {0: 0, 1: 1, 2: 2}
     assert ball(g, 0, 1) == {0, 1}
     assert ball(g, 0, 5) == {0, 1, 2}
 
@@ -127,14 +102,16 @@ def test_ball_on_cycle():
 
 def test_bfs_unreachable_is_inf():
     g = from_edges(3, [(0, 1)])
-    d = bfs_distances(g, 0)
-    assert d[2] == math.inf
+    assert 2 not in _bfs(g, 0, _all_vertices(g))
+    s, t = HardcoreBoundary({2: 1}), HardcoreBoundary({2: 0})
+    assert dist_to_disagreement(g, 0, s, t) == math.inf
 
 
 def test_connected_components():
+    # with no radius the walk spans v's component, the cut approx_cond_prob makes
     g = from_edges(6, [(0, 1), (2, 3), (3, 4)])
-    comps = connected_components(g)
-    assert sorted(sorted(c) for c in comps) == [[0, 1], [2, 3, 4], [5]]
+    comps = {_ball_mask(g, v, _all_vertices(g)) for v in range(6)}
+    assert comps == {0b11, 0b11100, 0b100000}
 
 
 SPIN_PAIR = (SpinBoundary({5: 0}, q=2), SpinBoundary({5: 1}, q=2))
@@ -144,14 +121,12 @@ SPIN_PAIR = (SpinBoundary({5: 0}, q=2), SpinBoundary({5: 1}, q=2))
 @pytest.mark.parametrize(
     "call",
     [
-        lambda g, v: bfs_distances(g, v),
         lambda g, v: ball(g, v, 1),
         lambda g, v: dist_to_disagreement(g, v, *SPIN_PAIR),
         lambda g, v: dist_to_disagreement(g, v, SPIN_PAIR[0], SPIN_PAIR[0]),
-        # connected_components takes no source: this is the walk it runs
         lambda g, v: _bfs(g, v, _all_vertices(g)),
     ],
-    ids=["bfs_distances", "ball", "dist_to_disagreement", "dist_to_agreement", "_bfs"],
+    ids=["ball", "dist_to_disagreement", "dist_to_agreement", "_bfs"],
 )
 def test_out_of_range_source_is_rejected(call, source):
     # -1 read distances from vertex n - 1, and ball(g, -1, 1) held -1
@@ -175,26 +150,22 @@ def test_hardcore_boundary_validation():
         HardcoreBoundary({5: 1}).validate(g)
 
 
+def _kept(g, sigma):
+    """The vertices the occupancy boundary sigma leaves free in g."""
+    keep = _hardcore_keep(g, *sigma._masks())
+    return [u for u in range(g.n) if keep >> u & 1]
+
+
 def test_apply_boundary_in_vertex_blocks_neighbor():
-    g = path_graph(3)
-    h, mapping = apply_hardcore_boundary(g, HardcoreBoundary({0: 1}))
-    assert h.n == 1
-    assert mapping == {2: 0}
+    assert _kept(path_graph(3), HardcoreBoundary({0: 1})) == [2]
 
 
 def test_apply_boundary_out_vertex_only_removes_itself():
-    g = path_graph(3)
-    h, mapping = apply_hardcore_boundary(g, HardcoreBoundary({0: 0}))
-    assert h.n == 2
-    assert h.edges() == [(0, 1)]
-    assert mapping == {1: 0, 2: 1}
+    assert _kept(path_graph(3), HardcoreBoundary({0: 0})) == [1, 2]
 
 
 def test_apply_boundary_can_empty_the_graph():
-    g = cycle_graph(4)
-    h, mapping = apply_hardcore_boundary(g, HardcoreBoundary({0: 1, 2: 1}))
-    assert h.n == 0
-    assert mapping == {}
+    assert _kept(cycle_graph(4), HardcoreBoundary({0: 1, 2: 1})) == []
 
 
 def test_dist_to_disagreement():
@@ -226,13 +197,11 @@ def test_dist_to_disagreement_region_mismatch():
 
 def test_spin_boundary():
     b = SpinBoundary({0: 1}, q=3)
-    b2 = b.extended(2, 0)
-    assert b2.assignment == {0: 1, 2: 0}
-    assert b.assignment == {0: 1}
+    assert b.region == frozenset({0})
     with pytest.raises(BoundaryError):
         SpinBoundary({0: 3}, q=3)
     with pytest.raises(BoundaryError):
-        b.extended(0, 2)
+        SpinBoundary({}, q=0)
 
 
 def test_claw_free_detection():

@@ -17,18 +17,18 @@ from zeromix import (
     cond_prob_hardcore,
     cycle_graph,
     eval_poly,
-    estimate_M,
     from_edges,
     gap_bound_hardcore,
     gap_bound_hom,
     grid_graph,
+    ind_poly,
     line_graph_of_random_regular,
     path_graph,
     shearer_radius,
     tail_bound,
 )
-from zeromix.interpolate import EPS_LADDER, _certified, _sampled_M
-from helpers import disjoint_union, pinned_grid_centre
+from zeromix.interpolate import EPS_LADDER, _certified, _check_samples, _circle_image, _sampled_M
+from helpers import component_M, disjoint_union, pinned_grid_centre, random_graph
 
 
 def seg_dist(w):
@@ -207,14 +207,12 @@ def test_estimate_M_is_an_upper_bound_on_resampled_points():
     g = path_graph(5)
     lam = 0.1
     spec = StripSpec(1.0)
-    M = estimate_M(g, 2, lam, spec, samples=256)
+    M = component_M(g, 2, lam, spec, samples=256)
     # the 1.5 safety factor dominates a coarser resampling
     for j in range(57):
         z = spec.r * cmath.exp(2j * math.pi * j / 57)
         w = lam * spec.point(z)
-        from zeromix import ind_poly, remove_vertices
-
-        num = w * ind_poly(remove_vertices(g, {1, 2, 3})[0])(w)
+        num = w * ind_poly(from_edges(2, []))(w)  # P5 - N[2] is two lone vertices
         den = ind_poly(g)(w)
         assert abs(num / den) <= M
 
@@ -222,22 +220,21 @@ def test_estimate_M_is_an_upper_bound_on_resampled_points():
 def test_estimate_M_shearer_disk_bound():
     # inside the Shearer disk the ratio stays below Delta/(Delta-1)
     rng = np.random.default_rng(45)
-    from helpers import random_graph
-
     for _ in range(10):
         g = random_graph(rng, 8, p=0.4, max_degree=3)
         v = int(rng.integers(8))
         lam = 0.25 * shearer_radius(3)
-        M = estimate_M(g, v, lam, StripSpec(0.25), samples=64)
+        M = component_M(g, v, lam, StripSpec(0.25), samples=64)
         assert M <= 1.5 * 3 / 2
 
 
 def test_estimate_M_rejects_zero_samples():
-    with pytest.raises(ValueError):
-        estimate_M(path_graph(3), 0, 0.1, StripSpec(0.5), samples=0)
-    # the message reports the count passed, not the points it makes
+    num, den = (0, 1), (1, 1)
+    with pytest.raises(ValueError, match="^need at least one sample, got 0$"):
+        _sampled_M(num, den, 0.1 * _circle_image(StripSpec(0.5), 0))
+    # the check reports the count it is given
     with pytest.raises(ValueError, match="^need at least one sample, got -1$"):
-        estimate_M(path_graph(3), 0, 0.1, StripSpec(0.5), samples=-1)
+        _check_samples(-1)
 
 
 @pytest.mark.parametrize("samples", [2.5, True, "8"])
@@ -245,8 +242,8 @@ def test_a_sample_count_that_is_not_an_int_is_rejected(samples):
     # 2.5 once sampled 3 points and True one
     message = f"^samples must be an integer, got {re.escape(repr(samples))}$"
     with pytest.raises(ValueError, match=message):
-        estimate_M(path_graph(3), 0, 0.1, StripSpec(0.5), samples=samples)
-    assert estimate_M(path_graph(3), 0, 0.1, StripSpec(0.5), samples=np.int64(8)) > 0
+        _check_samples(samples)
+    _check_samples(np.int64(8))
 
 
 @pytest.mark.parametrize("lam", [0, -0.5, 1j, float("nan")])
@@ -256,8 +253,6 @@ def test_strip_choice_and_M_reject_a_bad_activity(lam):
     message = f"^activity must be a positive real, got {re.escape(repr(lam))}$"
     with pytest.raises(ValueError, match=message):
         approx_cond_prob(path_graph(3), 0, HardcoreBoundary({}), lam, 1e-3)
-    with pytest.raises(ValueError, match=message):
-        estimate_M(path_graph(3), 0, lam, StripSpec(0.5))
 
 
 @pytest.mark.parametrize("max_depth", [0, -5])
