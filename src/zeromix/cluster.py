@@ -16,13 +16,16 @@ polymer series of polymers.hom_ratio_series: there the graph is the polymer
 graph and a polymer's size is its edge count.
 
 Subsets grow as bit masks that carry their pattern bits, one row per added
-vertex.  The hard-core series count subsets per pattern and sum each
-pattern's terms once, exactly, over order!, so every coefficient is
+vertex, and their neighbourhood mask: a set grows by the vertices of its
+neighbourhood that are free and still fit the budget, so each candidate is
+met once per set.  The hard-core series count subsets per pattern and sum
+each pattern's terms once, exactly, over order!, so every coefficient is
 correctly rounded.  Three memos, emptied by their cache_clear, carry the
 rest: each pattern's terms, which canonicalizes the bare pattern once; phi
 by multiplicity vector per canonical pattern; and the compositions of each
 tuple of sizes.  polymers.hom_ratio_series weighs each polymer shape
-(local edges and pins) once a call.
+(local edges and pins) once a call, a polymer through v with one sweep
+that leaves v's colour axis open.
 """
 
 import collections
@@ -199,6 +202,12 @@ def _connected_sets(g, budget, sizes=None, containing=None, max_count=None):
     budget, as (members in the order they joined, pattern bits of the
     members in that order as in _unpack).
 
+    Each set S carries its neighbourhood mask `hood`, the union of its
+    members' neighbour masks, and grows by the vertices of
+    hood & ~(S | below) & fits[budget - size(S)], where fits[r] holds the
+    vertices of size at most r: each candidate is met once per set.  A new
+    member's pattern row is read off the set bits of its neighbours in S.
+
     With `containing` (a collection of vertices of g) only the subsets
     meeting it are grown, each from its least member there; otherwise each
     subset is grown from its least vertex.  SizeLimitError past max_count
@@ -206,10 +215,8 @@ def _connected_sets(g, budget, sizes=None, containing=None, max_count=None):
     """
     if sizes is None:
         sizes = [1] * g.n
-    # neighbors by increasing size (a stable sort keeps the order of equal
-    # sizes), so a scan stops at the first one past the budget
-    adj = [sorted(nbrs, key=sizes.__getitem__) for nbrs in g.adj]
     nbr = _neighbor_masks(g)
+    fits = [sum(1 << u for u, s in enumerate(sizes) if s <= r) for r in range(budget + 1)]
     if containing is None:
         anchors = range(g.n)
     else:
@@ -217,32 +224,38 @@ def _connected_sets(g, budget, sizes=None, containing=None, max_count=None):
         for u in anchors:
             _check_vertex(g, u)
     barrier = sum(1 << u for u in anchors)
+    pos = [0] * g.n
     count = 0
     for anchor in anchors:
         if sizes[anchor] > budget:
             continue
         below = barrier & ((1 << anchor) - 1)
         visited = {1 << anchor}
-        stack = [(1 << anchor, sizes[anchor], (anchor,), 0)]
+        stack = [(1 << anchor, nbr[anchor], sizes[anchor], (anchor,), 0)]
         while stack:
-            S, size, members, bits = stack.pop()
+            S, hood, size, members, bits = stack.pop()
             yield members, bits
             count += 1
             if max_count is not None and count > max_count:
                 raise SizeLimitError(f"more than {max_count} connected sets")
-            if size >= budget:
-                continue
-            taken = S | below
+            grow = hood & ~(S | below) & fits[budget - size]
             shift = len(members) * (len(members) - 1) // 2
-            for u in members:
-                for w in adj[u]:
-                    if size + sizes[w] > budget:
-                        break
-                    T = S | 1 << w
-                    if not taken >> w & 1 and T not in visited:
-                        visited.add(T)
-                        row = sum(1 << p for p, x in enumerate(members) if nbr[w] >> x & 1)
-                        stack.append((T, size + sizes[w], members + (w,), bits | row << shift))
+            if grow:
+                for p, x in enumerate(members):
+                    pos[x] = p
+            while grow:
+                low = grow & -grow
+                grow ^= low
+                T = S | low
+                if T not in visited:
+                    visited.add(T)
+                    w = low.bit_length() - 1
+                    row, inner = 0, nbr[w] & S
+                    while inner:
+                        x = inner & -inner
+                        inner ^= x
+                        row |= 1 << pos[x.bit_length() - 1]
+                    stack.append((T, hood | nbr[w], size + sizes[w], members + (w,), bits | row << shift))
 
 
 @functools.lru_cache(maxsize=None)

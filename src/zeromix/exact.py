@@ -13,8 +13,9 @@ filters it: each component is swept breadth first, or depth first where
 that makes the widest frontier narrower.  Homomorphism sums come from a
 frontier sweep along the vertex labels, which costs n q^(w+1) coefficient
 operations for frontier width w.  A ratio at v takes both its sums from
-one sweep that leaves v open to the end, in either chain.  The hard-core
-sweep keeps v's frontier bit and returns the sums over the independent
+one sweep that leaves v open to the end, in either chain, and so does a
+polymer's weight with its derivative in polymers.hom_ratio_series.  The
+hard-core sweep keeps v's frontier bit and returns the sums over the independent
 sets without and with v, I(H - v) and x I(H - N[v]); by the deletion
 identity I(H) = I(H - v) + x I(H - N[v]) they give the occupation ratio's
 denominator and the odds ratio's.  The homomorphism sweep keeps v's color
@@ -384,10 +385,12 @@ def _as_square(A):
 
 
 def _as_matrix(A):
-    """A as a complex symbol matrix.  It must be symmetric: a graph's edges
-    have no direction, so with A != A^T the sum would change with the vertex
-    labels."""
+    """A as a complex symbol matrix.  Its entries must be finite, and it
+    must be symmetric: a graph's edges have no direction, so with A != A^T
+    the sum would change with the vertex labels."""
     M = _as_square(A)
+    if not np.isfinite(M).all():
+        raise ValueError("symbol matrix entries must be finite")
     if not np.array_equal(M, M.T):
         raise ValueError("symbol matrix must be symmetric")
     return M

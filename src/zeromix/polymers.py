@@ -15,7 +15,9 @@ cluster expansion of this hard-core model on Gamma, graded by polymer edge
 count (the power of z) and differentiated in xi; it runs through the same
 connected-set grower and Ursell-term loop as the vertex hard-core series in
 cluster.py.  Its order-ell coefficient only involves polymers within
-distance ell of the target vertex.
+distance ell of the target vertex.  A polymer through the target vertex v
+is weighed by one sum that leaves v's colour axis open: the total is its
+weight, and column i gives its xi_{v,i} derivative.
 """
 
 import cmath
@@ -33,14 +35,15 @@ from .errors import (
     ZeroRegionViolationError,
 )
 from .exact import (
+    NEAR_ZERO_REL,
     _as_matrix,
     _as_xi,
     _hom_ratio_sums,
     _hom_query,
     _hom_sum,
-    _near_zero,
     _pins,
     _ratios,
+    _sweep,
     edge_matrix_Z,
     eval_poly,
     hom_Z,
@@ -117,21 +120,29 @@ def _shape(polymer, pins):
     return len(local), edges, tuple((local[u], pins[u]) for u in polymer.vertices if u in pins)
 
 
-def _shape_weight(C, k, edges, fixed, rows=None, z=1.0):
+def _shape_weight(C, k, edges, fixed, rows=None, z=1.0, open_v=None):
     """Weight w^sigma(H) of a polymer of the given _shape: z^|F| times its
     (A - J)-sum over its free-vertex mass, from C = A - J and xi's rows for
-    its vertices (all ones when None)."""
+    its vertices (all ones when None).  With open_v, the local index of a
+    free vertex, the sum leaves that vertex's colour axis open, and the
+    weight comes split by its colour: a list whose total is the weight.
+
+    The mass is q^free without rows.  With rows, NearZeroDenominatorError
+    when a vertex's factor vanishes against its own row: a free vertex's
+    |sum_c xi_c| <= NEAR_ZERO_REL * sum_c |xi_c|, or a pinned entry of 0.
+    """
     q, fixed = len(C), dict(fixed)
     if rows is None:
-        norm = complex(q ** (k - len(fixed)))
-    else:  # the free-vertex mass
-        norm = complex(math.prod(rows[a, fixed[a]] if a in fixed else rows[a].sum() for a in range(k)))
-    num = _hom_sum(k, edges, q, [C] * len(edges), rows, fixed)
-    if _near_zero(num, norm):
-        raise NearZeroDenominatorError(
-            "free-vertex mass vanishes", abs_denominator=abs(norm), point=z
-        )
-    return z ** len(edges) * num / norm
+        norm = q ** (k - len(fixed))
+    else:
+        factors, scale = rows.sum(axis=1), NEAR_ZERO_REL * abs(rows).sum(axis=1)
+        for a, c in fixed.items():
+            factors[a], scale[a] = rows[a, c], 0.0
+        norm = math.prod(factors.tolist())
+        if (abs(factors) <= scale).any():
+            raise NearZeroDenominatorError("free-vertex mass vanishes", abs_denominator=abs(norm), point=z)
+    T = _sweep(k, edges, q, [C] * len(edges), rows, fixed, 1, open_v)[0]
+    return (z ** len(edges) * T / norm).tolist()
 
 
 @functools.lru_cache(maxsize=1)
@@ -174,22 +185,26 @@ def hom_ratio_series(g, v, i, sigma, A, order=DEFAULT_SERIES_ORDER):
     Ursell function of the multiset's blowup times the derivative of its
     weight product.  Every polymer involved lies within distance ell of v,
     so the coefficient only depends on that ball.  A call weighs each
-    polymer shape once.
+    polymer shape once, a polymer through v with one _shape_weight that
+    splits its weight w by v's colour: the total is w, and column i - w / q
+    (the open sum's (column i - total / q) / mass) is the xi_{v,i}
+    derivative, which is nonzero even where w is 0.  Each term's derivative
+    multiplies the weights' powers in place.
     """
     A = _hom_query(g, v, i, sigma, A)
     q = A.shape[0]
     _check_order(order)
     polys = enumerate_polymers(g, max_edges=order, within=ball(g, v, order))
-    through = [a for a, p in enumerate(polys) if v in p.vertices]
+    through = {a for a, p in enumerate(polys) if v in p.vertices}
 
     # per-polymer weight at xi = 1 and its xi_{v,i} derivative, which is
     # nonzero only on polymers through v
     C = A - 1.0
-    weigh = functools.cache(lambda shape: _shape_weight(C, *shape))
+    weigh = functools.cache(lambda shape, a: _shape_weight(C, *shape, open_v=a))
     pins = dict(sigma.assignment)
-    w = [weigh(_shape(p, pins)) for p in polys]
-    pins[v] = i
-    dw = {a: (weigh(_shape(polys[a], pins)) - w[a]) / q for a in through}
+    cols = [weigh(_shape(p, pins), p.vertices.index(v) if a in through else None) for a, p in enumerate(polys)]
+    w = [sum(c) if a in through else c for a, c in enumerate(cols)]
+    dw = {a: cols[a][i] - w[a] / q for a in through}
 
     coeffs = [0j] * (order + 1)
     coeffs[0] = 1.0 / q
@@ -199,11 +214,12 @@ def hom_ratio_series(g, v, i, sigma, A, order=DEFAULT_SERIES_ORDER):
         ds = [(pos, dw[a]) for pos, a in enumerate(support) if a in dw]
         for mults, ell, phi, denom in terms:
             # d/dxi_{v,i} of prod_a w_a^{m_a} at xi = 1
-            pw = [x**m for x, m in zip(ws, mults)]
-            deriv = sum(
-                mults[pos] * d * ws[pos] ** (mults[pos] - 1) * math.prod(pw[:pos] + pw[pos + 1 :])
-                for pos, d in ds
-            )
+            deriv = 0
+            for pos, d in ds:
+                t = mults[pos] * d
+                for p, x in enumerate(ws):
+                    t *= x ** (mults[p] - (p == pos))
+                deriv += t
             coeffs[ell] += phi * deriv / denom
     return PowerSeries(tuple(coeffs))
 

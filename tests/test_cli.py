@@ -368,6 +368,27 @@ def test_non_symmetric_matrix_is_usage_error(files, capsys, argv):
     assert captured.err == "error: symbol matrix must be symmetric\n"
 
 
+@pytest.mark.parametrize("entry", ["Infinity", "NaN"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hom-prob", "--vertex", "0", "--color", "0"],
+        ["hom-series", "--vertex", "0", "--color", "0"],
+        ["hom-check", "--mode", "zero"],
+    ],
+    ids=["hom-prob", "hom-series", "hom-check"],
+)
+def test_non_finite_matrix_is_one_error_line(files, capsys, argv, entry):
+    # Python's JSON parser reads both; Infinity gave a NaN ratio with exit 0,
+    # and NaN was refused as not symmetric
+    g = files("g.txt", P3)
+    m = files("m.json", f"[[{entry}, 1], [1, 1]]")
+    assert main(argv + ["--graph", g, "--matrix", m, "--output", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: symbol matrix entries must be finite\n"
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert main(["no-such-command"]) == 1
     capsys.readouterr()

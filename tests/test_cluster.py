@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import time
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from zeromix import (
+    SizeLimitError,
     SpinBoundary,
     cycle_graph,
     eval_poly,
@@ -21,7 +23,7 @@ from zeromix import (
     shearer_radius,
     weitz_lambda_c,
 )
-from zeromix.cluster import _blowup_ursell, _canonical_form, _connected_sets
+from zeromix.cluster import _blowup_ursell, _canonical_form, _connected_sets, _unpack
 from zeromix.series import _padded
 from helpers import (
     blowup_ursell,
@@ -243,6 +245,41 @@ def test_connected_subsets_containing():
         pair = (v, (v + 3) % 7)
         got = connected_subsets(g, 4, containing=pair)
         assert sorted(got) == sorted({s for s in connected_subsets(g, 4) if set(s) & set(pair)})
+
+
+
+def test_connected_sets_against_brute_force():
+    # sizes 1..3: the budget cuts sets by total size, not by count
+    rng = np.random.default_rng(34)
+    for _ in range(60):
+        n = int(rng.integers(1, 9))
+        g = random_graph(rng, n, p=float(rng.uniform(0.2, 0.6)))
+        sizes = [int(s) for s in rng.integers(1, 4, size=n)]
+        budget = int(rng.integers(1, 11))
+        for containing in (None, (int(rng.integers(n)),), tuple(int(u) for u in rng.integers(n, size=2))):
+            anchors = set(range(n) if containing is None else containing)
+            want = collections.Counter(
+                frozenset(c)
+                for k in range(1, n + 1)
+                for c in itertools.combinations(range(n), k)
+                if sum(sizes[u] for u in c) <= budget and brute_connected(g, c) and anchors & set(c)
+            )
+            found = list(_connected_sets(g, budget, sizes, containing))
+            # every set once: a Counter shows a duplicate that a set would hide
+            assert collections.Counter(frozenset(m) for m, _ in found) == want
+            for members, bits in found:
+                assert members[0] == min(anchors & set(members))
+                # each member joins next to an earlier one, and the pattern
+                # is the induced subgraph in join order
+                for p, u in enumerate(members[1:], 1):
+                    assert set(g.adj[u]) & set(members[:p])
+                nbr = [sum(1 << j for j, w in enumerate(members) if w in g.adj[u]) for u in members]
+                assert _unpack(bits, len(members)) == nbr
+            total = len(found)
+            assert len(list(_connected_sets(g, budget, sizes, containing, max_count=total))) == total
+            if total:
+                with pytest.raises(SizeLimitError, match=f"more than {total - 1} connected sets"):
+                    list(_connected_sets(g, budget, sizes, containing, max_count=total - 1))
 
 
 def test_connected_subsets_rejects_vertices_outside_the_graph():

@@ -8,6 +8,7 @@ import pytest
 from zeromix import (
     BoundaryError,
     HypothesisViolationError,
+    NearZeroDenominatorError,
     Polymer,
     SpinBoundary,
     barvinok_zero_check,
@@ -206,6 +207,46 @@ def test_hom_ratio_series_matches_division_oracle():
         den = hom_Z_poly(g, A, sigma=sigma)
         want = series_quotient(num, den, order)
         assert np.allclose(s.coeffs, want, atol=1e-9)
+
+
+
+def test_a_large_polymer_sum_is_not_a_vanishing_mass():
+    # the mass of K2 is 4 whatever A is; it was compared with the polymer's
+    # sum of about 1e13 and refused
+    k2 = from_edges(2, [(0, 1)])
+    A = [[1e13, 1.0], [1.0, 1.0]]
+    assert hom_Z(k2, A) == 1e13 + 3
+    assert abs(hom_Z_via_polymers(k2, A) - (1e13 + 3)) <= 1e-15 * 1e13
+    s = hom_ratio_series(k2, 0, 0, SpinBoundary({}, 2), A, order=2)
+    num = hom_Z_poly(k2, A, sigma=SpinBoundary({0: 0}, 2))
+    want = series_quotient(num, hom_Z_poly(k2, A), 2)
+    assert np.allclose(s.coeffs, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "xi, pins",
+    [([[1, 1], [1, -1], [1, 1]], {}), ([[1, 1], [1, 1], [0, 1]], {2: 0})],
+    ids=["free-row-sums-to-zero", "pinned-entry-zero"],
+)
+def test_a_vanishing_vertex_factor_is_refused(xi, pins):
+    sigma = SpinBoundary(pins, 2) if pins else None
+    with pytest.raises(NearZeroDenominatorError, match="free-vertex mass vanishes"):
+        hom_Z_via_polymers(path_graph(3), [[1.2, 1.0], [1.0, 0.9]], sigma=sigma, xi=xi)
+
+
+@pytest.mark.parametrize("g", [cycle_graph(5), path_graph(4)], ids=["C5", "P4"])
+@pytest.mark.parametrize("pins", [{}, {2: 1}], ids=["free", "pinned"])
+@pytest.mark.parametrize("i", [0, 1])
+def test_a_zero_weight_with_a_nonzero_derivative(g, pins, i):
+    # C = A - J = diag(1, -1): a one-edge polymer weighs (1 - 1) / 4 = 0,
+    # while its copy with v pinned weighs C_ii / 2 = +-1/2, so its
+    # xi_{v,i} derivative is nonzero and cannot come from dividing by w
+    A = [[2.0, 1.0], [1.0, 0.0]]
+    sigma = SpinBoundary(pins, 2)
+    s = hom_ratio_series(g, 0, i, sigma, A, order=4)
+    num = hom_Z_poly(g, A, sigma=SpinBoundary({**pins, 0: i}, 2))
+    want = series_quotient(num, hom_Z_poly(g, A, sigma=sigma), 4)
+    assert np.allclose(s.coeffs, want, rtol=0, atol=1e-12)
 
 
 def test_hom_ratio_series_locality():
@@ -528,7 +569,7 @@ def test_hom_ssm_at_J_gap_zero():
     assert rep.passed
 
 
-@pytest.mark.parametrize(
+MATRIX_ENTRY_POINTS = pytest.mark.parametrize(
     "call",
     [
         lambda g, A: hom_Z_via_polymers(g, A),
@@ -549,8 +590,20 @@ def test_hom_ssm_at_J_gap_zero():
         "hom_ssm_experiment",
     ],
 )
+
+
+@MATRIX_ENTRY_POINTS
 def test_non_symmetric_matrix_is_rejected(call):
     # an undirected graph gives no orientation to read A_{c(u), c(w)} by
     A = [[1.01, 1.0], [0.99, 1.0]]
     with pytest.raises(ValueError, match="symbol matrix must be symmetric"):
+        call(path_graph(3), A)
+
+
+@MATRIX_ENTRY_POINTS
+@pytest.mark.parametrize("entry", [math.inf, math.nan, complex(1, math.inf)], ids=["inf", "nan", "complex-inf"])
+def test_non_finite_matrix_is_rejected(call, entry):
+    # an infinite entry gave NaN sums, and NaN was blamed on symmetry
+    A = [[entry, 1.0], [1.0, 1.0]]
+    with pytest.raises(ValueError, match="symbol matrix entries must be finite"):
         call(path_graph(3), A)
