@@ -196,8 +196,9 @@ def _subset_terms(bits, weights, order):
     return tuple(out)
 
 
-def _connected_sets(g, budget, sizes=None, containing=None, max_count=None):
-    """Connected induced vertex subsets of g, grown one neighbor at a time
+def _connected_sets(nbr, budget, sizes=None, containing=None, max_count=None):
+    """Connected induced vertex subsets of the graph on 0..len(nbr)-1 with
+    neighbour bit masks nbr, grown one neighbor at a time
     while their total size (sizes[u] each, 1 by default) stays within
     budget, as (members in the order they joined, pattern bits of the
     members in that order as in _unpack).
@@ -208,23 +209,21 @@ def _connected_sets(g, budget, sizes=None, containing=None, max_count=None):
     vertices of size at most r: each candidate is met once per set.  A new
     member's pattern row is read off the set bits of its neighbours in S.
 
-    With `containing` (a collection of vertices of g) only the subsets
-    meeting it are grown, each from its least member there; otherwise each
-    subset is grown from its least vertex.  SizeLimitError past max_count
-    subsets.
+    With `containing` (a collection of vertices, checked by the caller)
+    only the subsets meeting it are grown, each from its least member
+    there; otherwise each subset is grown from its least vertex.
+    SizeLimitError past max_count subsets.
     """
+    n = len(nbr)
     if sizes is None:
-        sizes = [1] * g.n
-    nbr = _neighbor_masks(g)
+        sizes = [1] * n
     fits = [sum(1 << u for u, s in enumerate(sizes) if s <= r) for r in range(budget + 1)]
     if containing is None:
-        anchors = range(g.n)
+        anchors = range(n)
     else:
         anchors = sorted(set(containing))
-        for u in anchors:
-            _check_vertex(g, u)
     barrier = sum(1 << u for u in anchors)
-    pos = [0] * g.n
+    pos = [0] * n
     count = 0
     for anchor in anchors:
         if sizes[anchor] > budget:
@@ -276,11 +275,11 @@ def _graded_compositions(weights, order):
     return tuple(out)
 
 
-def _cluster_terms(g, order, sizes, containing):
+def _cluster_terms(nbr, order, sizes, containing):
     """(members in the order they joined, nonzero terms from _subset_terms)
-    for each connected subset of g through `containing` of graded size
-    sum sizes[u] at most order."""
-    for members, bits in _connected_sets(g, order, sizes, containing):
+    for each connected subset through `containing` of graded size
+    sum sizes[u] at most order, in the graph with neighbour masks nbr."""
+    for members, bits in _connected_sets(nbr, order, sizes, containing):
         yield members, _subset_terms(bits, tuple(sizes[u] for u in members), order)
 
 
@@ -296,7 +295,9 @@ def _hardcore_series(g, order, v=None):
     read as 1 for log Z) over the terms of multiplicity k, in integers over
     order!, with one pass over each pattern's terms."""
     _check_order(order)
-    found = _connected_sets(g, order, containing=None if v is None else (v,))
+    if v is not None:
+        _check_vertex(g, v)
+    found = _connected_sets(_neighbor_masks(g), order, containing=None if v is None else (v,))
     counts = collections.Counter((bits, len(members)) for members, bits in found)
     scale = math.factorial(order)
     sums = [0] * (order + 1)

@@ -19,11 +19,14 @@ hard-core sweep keeps v's frontier bit and returns the sums over the independent
 sets without and with v, I(H - v) and x I(H - N[v]); by the deletion
 identity I(H) = I(H - v) + x I(H - N[v]) they give the occupation ratio's
 denominator and the odds ratio's.  The homomorphism sweep keeps v's color
-axis, whose column i and total are a color ratio's two sums.  Integer
-coefficients are exact (Python ints); complex evaluations are plain
-double-precision arithmetic.  Neither applies a size cap: both are
-exponential in the frontier width, and the caller decides what it can
-afford.
+axis, whose column i and total are a color ratio's two sums.  A batch of
+edge-matrix sets over one graph and one set of pins, a stack of b matrices
+on every edge, takes one homomorphism sweep whose tensor carries a batch
+axis of length b: the edge factors broadcast over it, so the b sums cost
+about the numpy calls of one.  Integer coefficients are exact (Python
+ints); complex evaluations are plain double-precision arithmetic.  Neither
+applies a size cap: both are exponential in the frontier width, and the
+caller decides what it can afford.
 """
 
 import cmath
@@ -317,13 +320,13 @@ def _check_finite(name, value):
         raise ValueError(f"{name} must be finite, got {value}")
 
 
-def _check_count(name, value):
+def _check_count(name, value, least=1):
     """Raise ValueError unless value is an integer (not a bool) of at
-    least 1."""
+    least `least`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def _hardcore_query(g, v, sigma, lam):
@@ -377,18 +380,13 @@ def cond_prob_hardcore(g, v, sigma, lam):
 # --- homomorphism sums ---------------------------------------------------
 
 
-def _as_square(A):
-    M = np.asarray(A, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"symbol matrix must be square, got shape {M.shape}")
-    return M
-
-
 def _as_matrix(A):
     """A as a complex symbol matrix.  Its entries must be finite, and it
     must be symmetric: a graph's edges have no direction, so with A != A^T
     the sum would change with the vertex labels."""
-    M = _as_square(A)
+    M = np.asarray(A, dtype=complex)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"symbol matrix must be square, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise ValueError("symbol matrix entries must be finite")
     if not np.array_equal(M, M.T):
@@ -435,13 +433,17 @@ def _sweep(n, edges, q, mats, xi, fixed, L, open_v=None):
     """Sum over colorings c of 0..n-1 extending `fixed` of prod_v xi[v, c_v]
     times prod_e mats[e][c_u, c_w] (L == 1), or times prod_e (1 + z
     mats[e][c_u, c_w]) as its first L coefficients in z (L > 1).  Every
-    edge (u, w) has u < w.  With a free vertex open_v, an (L, q) array:
-    column c sums the colorings with c_{open_v} = c.
+    edge (u, w) has u < w.  Each mats[e] is one q x q matrix, or every one
+    is a stack of b of them, a batch: then the result gets a batch axis of
+    length b after the coefficient axis, and its element k sums the
+    matrices at k on every edge.  With a free vertex open_v, a further last
+    axis of length q: element c sums the colorings with c_{open_v} = c.
 
-    Vertices join in label order as axes of a tensor whose first axis holds
-    the coefficients; a pinned vertex's axis has length 1.  Each new axis
-    takes the factors of its edges back to earlier vertices, and a vertex
-    other than open_v is summed out once its last neighbor has joined.
+    Vertices join in label order as axes of a tensor whose first axes hold
+    the coefficients and the batch; a pinned vertex's axis has length 1.
+    Each new axis takes the factors of its edges back to earlier vertices,
+    broadcast over the batch, and a vertex other than open_v is summed out
+    once its last neighbor has joined.
     """
     sl = [slice(None)] * n
     for v, c in fixed.items():
@@ -453,7 +455,9 @@ def _sweep(n, edges, q, mats, xi, fixed, L, open_v=None):
     for M, (u, w) in zip(mats, edges):
         back[w].append((u, M))
         last[u] = max(last[u], w)
-    T = np.zeros(L, dtype=complex)
+    batch = mats[0].shape[:-2] if mats else ()
+    lead = 1 + len(batch)  # the coefficient axis, then the batch axis if any
+    T = np.zeros((L, *batch), dtype=complex)
     T[0] = 1.0
     axes = []
     for v in range(n):
@@ -465,15 +469,15 @@ def _sweep(n, edges, q, mats, xi, fixed, L, open_v=None):
             T = np.repeat(T, q, axis=-1)
         axes.append(v)
         for u, M in back[v]:
-            B = M[sl[u], sl[v]]
-            shape = [1] * T.ndim
-            shape[1 + axes.index(u)], shape[-1] = B.shape
+            B = M[..., sl[u], sl[v]]
+            shape = [1, *batch] + [1] * len(axes)
+            shape[lead + axes.index(u)], shape[-1] = B.shape[-2:]
             B = B.reshape(shape)
             if L == 1:
                 T = T * B
             else:
                 T[1:] += B * T[:-1]
-        gone = tuple(p for p, u in enumerate(axes, 1) if last[u] == v)
+        gone = tuple(p for p, u in enumerate(axes, lead) if last[u] == v)
         if gone:
             T = np.add.reduce(T, axis=gone)
             axes = [u for u in axes if last[u] != v]
@@ -482,8 +486,10 @@ def _sweep(n, edges, q, mats, xi, fixed, L, open_v=None):
 
 def _hom_sum(n, edges, q, mats, xi, fixed):
     """Sum over colorings of 0..n-1 extending `fixed` of
-    prod_v xi[v, c_v] * prod_e mats[e][c_u, c_w]."""
-    return complex(_sweep(n, edges, q, mats, xi, fixed, 1)[0])
+    prod_v xi[v, c_v] * prod_e mats[e][c_u, c_w]: a complex, or an array
+    of b sums when every mats[e] is a stack of b matrices."""
+    T = _sweep(n, edges, q, mats, xi, fixed, 1)[0]
+    return T if T.ndim else complex(T)
 
 
 def hom_Z(g, A, xi=None, sigma=None):
@@ -506,20 +512,29 @@ def edge_matrix_Z(g, matrices, xi=None, sigma=None):
     """Homomorphism sum with one matrix per edge.
 
     matrices maps each lexicographically oriented edge (u, w), u < w, to its
-    own q x q matrix; the factor for that edge is M[c(u), c(w)].
+    own q x q matrix; the factor for that edge is M[c(u), c(w)].  A batch
+    gives every edge a stack of b matrices, shape (b, q, q) with the same b
+    on every edge: the result is then the array of the b sums, the k-th
+    taking the k-th matrix on every edge, all from one sweep.
     """
     edges = g.edges()
     mats = {}
     for e in edges:
         if e not in matrices:
             raise ValueError(f"missing matrix for edge {e}")
-        mats[e] = _as_square(matrices[e])
+        M = mats[e] = np.asarray(matrices[e], dtype=complex)
+        if M.ndim not in (2, 3) or M.shape[-2] != M.shape[-1]:
+            raise ValueError(f"edge matrix must be square or a stack of square matrices, got shape {M.shape}")
     if len(matrices) != len(edges):
         extra = set(matrices) - set(edges)
         raise ValueError(f"matrices given for non-edges: {sorted(extra)}")
-    qs = {m.shape[0] for m in mats.values()}
+    qs = {m.shape[-1] for m in mats.values()}
     if len(qs) > 1:
         raise ValueError(f"edge matrices disagree on q: {sorted(qs)}")
+    stacks = {m.shape[:-2] for m in mats.values()}
+    if len(stacks) > 1:
+        sizes = sorted(f"a stack of {b[0]}" if b else "one matrix" for b in stacks)
+        raise ValueError(f"edge matrices mix stack sizes: {', '.join(sizes)}")
     q = qs.pop() if qs else 1
     fixed = _pins(sigma, q, g)
     xi = _as_xi(xi, g.n, q)

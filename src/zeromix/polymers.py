@@ -21,10 +21,11 @@ weight, and column i gives its xi_{v,i} derivative.
 """
 
 import cmath
+import collections
 import functools
 import math
+import operator
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .exact import (
     NEAR_ZERO_REL,
     _as_matrix,
     _as_xi,
+    _check_count,
     _hom_ratio_sums,
     _hom_query,
     _hom_sum,
@@ -49,7 +51,7 @@ from .exact import (
     hom_Z,
     multivariate_Z,
 )
-from .graphs import Graph, ball, dist_to_disagreement, from_edges
+from .graphs import Graph, ball, dist_to_disagreement
 from .interpolate import _check_samples, _circle, _sampled_M, gap_bound_hom
 from .series import PowerSeries
 
@@ -57,6 +59,8 @@ DEFAULT_POLYMER_EDGES = 8
 DEFAULT_POLYMER_CAP = 10**6
 DEFAULT_SERIES_ORDER = 6
 IDENTITY_POINTS = 4
+# edge samples summed in one batch: peak memory does not grow with the count
+_SAMPLE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -85,11 +89,7 @@ def enumerate_polymers(g, max_edges=DEFAULT_POLYMER_EDGES, within=None):
     if within is not None:
         within = set(within)
         edges = [e for e in edges if e[0] in within and e[1] in within]
-    incident = {}
-    for a, e in enumerate(edges):
-        for u in e:
-            incident.setdefault(u, []).append(a)
-    line = from_edges(len(edges), [(a, b) for es in incident.values() for a, b in combinations(es, 2)])
+    line = _intersection_masks(edges)
     try:
         polys = [
             Polymer.from_edge_set(edges[a] for a in members)
@@ -99,6 +99,17 @@ def enumerate_polymers(g, max_edges=DEFAULT_POLYMER_EDGES, within=None):
         raise SizeLimitError(f"more than {DEFAULT_POLYMER_CAP} polymers") from None
     polys.sort(key=lambda p: (p.size, p.edges))
     return polys
+
+
+def _intersection_masks(vertex_sets):
+    """Neighbour bit masks of the intersection graph of the given vertex
+    sets: bit b of mask a is set when sets a and b != a share a vertex.
+    Mask a is the union, over a's vertices u, of the mask of the sets at u."""
+    at = collections.defaultdict(int)
+    for a, vs in enumerate(vertex_sets):
+        for u in vs:
+            at[u] |= 1 << a
+    return [functools.reduce(operator.or_, map(at.get, vs), 0) & ~(1 << a) for a, vs in enumerate(vertex_sets)]
 
 
 def polymer_graph(polymers):
@@ -208,7 +219,8 @@ def hom_ratio_series(g, v, i, sigma, A, order=DEFAULT_SERIES_ORDER):
 
     coeffs = [0j] * (order + 1)
     coeffs[0] = 1.0 / q
-    clusters = _cluster_terms(polymer_graph(polys), order, [p.size for p in polys], through)
+    nbr = _intersection_masks([p.vertices for p in polys])
+    clusters = _cluster_terms(nbr, order, [p.size for p in polys], through)
     for support, terms in clusters:
         ws = [w[a] for a in support]
         ds = [(pos, dw[a]) for pos, a in enumerate(support) if a in dw]
@@ -286,10 +298,11 @@ def barvinok_zero_check(g, A, sigma=None, samples=0, seed=0):
 
     With samples > 0, also draws per-edge matrices uniformly in the same box
     and exercises the edge-matrix sum; the hypothesis covers that case too.
-    Each sample's radii and angles are one block of the stream, edge by edge.
+    Each sample's radii and angles are one block of the stream, edge by edge,
+    and the samples are summed in batches of up to _SAMPLE_BLOCK, one sweep
+    each.
     """
-    if samples < 0:
-        raise ValueError(f"samples must be >= 0, got {samples}")
+    _check_count("samples", samples, least=0)
     A = _as_matrix(A)
     delta, _, dev = _box(g, A)
     hypothesis_ok = dev <= delta + 1e-15
@@ -302,12 +315,14 @@ def barvinok_zero_check(g, A, sigma=None, samples=0, seed=0):
     min_edge = math.inf
     rng = np.random.default_rng(seed)
     edges = g.edges()
-    for _ in range(samples):
-        u = rng.random(size=(len(edges), 2, q, q))
-        radii = delta * np.sqrt(u[:, 0])
-        angles = 2.0 * math.pi * u[:, 1]
-        Ze = edge_matrix_Z(g, dict(zip(edges, 1.0 + radii * np.exp(1j * angles))), sigma=sigma)
-        min_edge = min(min_edge, abs(Ze))
+    for start in range(0, samples, _SAMPLE_BLOCK):
+        u = rng.random(size=(min(_SAMPLE_BLOCK, samples - start), len(edges), 2, q, q))
+        radii = delta * np.sqrt(u[:, :, 0])
+        angles = 2.0 * math.pi * u[:, :, 1]
+        stacks = np.moveaxis(1.0 + radii * np.exp(1j * angles), 1, 0)
+        Ze = edge_matrix_Z(g, dict(zip(edges, stacks)), sigma=sigma)
+        # an array of sums; one complex when g has no edge to stack on
+        min_edge = min(min_edge, *map(abs, np.ravel(Ze).tolist()))
     return BarvinokReport(
         delta=delta,
         max_deviation=dev,
@@ -326,18 +341,26 @@ def build_edge_matrices(g, A, z, xi):
     Multiplying the factors of the deg(u) edges at u recovers xi_{u, c(u)}
     exactly once, so the edge-matrix sum equals the xi-weighted sum.
     Vertices on no edge never contribute; their xi rows must be all ones.
+
+    A batch of b points takes z of shape (b,) and xi of shape (b, n, q),
+    and gives each edge the stack of its b matrices, shape (b, q, q), from
+    one numpy pass; each matrix is the one a call at its own point gives.
     """
     A = _as_matrix(A)
     q = A.shape[0]
-    M = np.ones((q, q), dtype=complex) + z * (A - np.ones((q, q)))
+    z = np.asarray(z, dtype=complex)
     xi = np.asarray(xi, dtype=complex)
+    if xi.shape != (*z.shape, g.n, q):
+        raise ValueError(f"xi must have shape {(*z.shape, g.n, q)}, got {xi.shape}")
+    M = np.ones((q, q), dtype=complex) + z[..., None, None] * (A - np.ones((q, q)))
     deg = np.array([g.degree(u) for u in range(g.n)])
     on = deg > 0
-    powed = np.ones((g.n, q), dtype=complex)
-    powed[on] = np.exp(np.log(xi[on]) / deg[on, None])
+    powed = np.ones(xi.shape, dtype=complex)
+    powed[..., on, :] = np.exp(np.log(xi[..., on, :]) / deg[on, None])
     edges = g.edges()
     u, w = np.array(edges, dtype=int).reshape(-1, 2).T
-    return dict(zip(edges, M * (powed[u, :, None] * powed[w, None, :])))
+    P = M[..., None, :, :] * (powed[..., u, :, None] * powed[..., w, None, :])
+    return dict(zip(edges, np.moveaxis(P, -3, 0)))
 
 
 @dataclass(frozen=True)
@@ -370,7 +393,8 @@ def bounded_ratio_check(
     Also verifies the vanishing identity behind the bound at up to
     IDENTITY_POINTS sampled z: with xi_{v, i} = 1 - 1/ratio(z) and all other
     entries 1, the edge-matrix sum of the matrices from build_edge_matrices
-    is zero.
+    is zero.  The points are the first samples, in order, with a ratio of
+    at least 1e-9, and one batched sweep sums them all.
     """
     if eta <= 0 or eps <= 0:
         raise ValueError("eta and eps must be positive")
@@ -393,9 +417,8 @@ def bounded_ratio_check(
     points = np.concatenate([_circle(radius, samples // 2), interior])
 
     cap = 1.0 / eps
-    max_ratio = max_residual = 0.0
-    checked = 0
-    violations = []
+    max_ratio = 0.0
+    violations, chosen = [], []
     ratios = _ratios(num_poly, den_poly, points)
     for z, ratio in zip(points.tolist(), ratios.tolist()):
         if cmath.isnan(ratio):
@@ -404,12 +427,16 @@ def bounded_ratio_check(
         max_ratio = max(max_ratio, abs(ratio))
         if abs(ratio) > cap * (1.0 + 1e-12):
             violations.append((z, abs(ratio)))
-        if checked < IDENTITY_POINTS and abs(ratio) >= 1e-9:
-            xi = np.ones((g.n, q), dtype=complex)
-            xi[v, i] = 1.0 - 1.0 / ratio
-            residual = abs(edge_matrix_Z(g, build_edge_matrices(g, A, z, xi), sigma=sigma))
-            max_residual = max(max_residual, residual / (1.0 + abs(eval_poly(den_poly, z))))
-            checked += 1
+        if len(chosen) < IDENTITY_POINTS and abs(ratio) >= 1e-9:
+            chosen.append((z, ratio))
+
+    zs = np.array([z for z, _ in chosen], dtype=complex)
+    xi = np.ones((len(chosen), g.n, q), dtype=complex)
+    xi[:, v, i] = [1.0 - 1.0 / ratio for _, ratio in chosen]
+    sums = edge_matrix_Z(g, build_edge_matrices(g, A, zs, xi), sigma=sigma).tolist()
+    scales = [1.0 + abs(eval_poly(den_poly, z)) for z, _ in chosen]
+    # folded from 0.0 as a running max would be, so a NaN residual is skipped
+    max_residual = max([0.0, *(abs(s) / d for s, d in zip(sums, scales))])
 
     return BoundedRatioReport(
         delta=delta,
@@ -420,7 +447,7 @@ def bounded_ratio_check(
         max_abs_ratio=max_ratio,
         violations=tuple(violations),
         max_identity_residual=float(max_residual),
-        identity_points=checked,
+        identity_points=len(chosen),
     )
 
 

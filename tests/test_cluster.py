@@ -24,6 +24,7 @@ from zeromix import (
     weitz_lambda_c,
 )
 from zeromix.cluster import _blowup_ursell, _canonical_form, _connected_sets, _unpack
+from zeromix.exact import _neighbor_masks
 from zeromix.series import _padded
 from helpers import (
     blowup_ursell,
@@ -208,7 +209,8 @@ def test_cluster_series_of_clique_and_star_at_order_9():
 
 def connected_subsets(g, max_size, containing=None):
     """The subsets _connected_sets grows, as sorted tuples."""
-    return [tuple(sorted(members)) for members, _ in _connected_sets(g, max_size, containing=containing)]
+    found = _connected_sets(_neighbor_masks(g), max_size, containing=containing)
+    return [tuple(sorted(members)) for members, _ in found]
 
 
 def test_connected_subsets_counts():
@@ -254,6 +256,7 @@ def test_connected_sets_against_brute_force():
     for _ in range(60):
         n = int(rng.integers(1, 9))
         g = random_graph(rng, n, p=float(rng.uniform(0.2, 0.6)))
+        masks = _neighbor_masks(g)
         sizes = [int(s) for s in rng.integers(1, 4, size=n)]
         budget = int(rng.integers(1, 11))
         for containing in (None, (int(rng.integers(n)),), tuple(int(u) for u in rng.integers(n, size=2))):
@@ -264,7 +267,7 @@ def test_connected_sets_against_brute_force():
                 for c in itertools.combinations(range(n), k)
                 if sum(sizes[u] for u in c) <= budget and brute_connected(g, c) and anchors & set(c)
             )
-            found = list(_connected_sets(g, budget, sizes, containing))
+            found = list(_connected_sets(masks, budget, sizes, containing))
             # every set once: a Counter shows a duplicate that a set would hide
             assert collections.Counter(frozenset(m) for m, _ in found) == want
             for members, bits in found:
@@ -276,17 +279,17 @@ def test_connected_sets_against_brute_force():
                 nbr = [sum(1 << j for j, w in enumerate(members) if w in g.adj[u]) for u in members]
                 assert _unpack(bits, len(members)) == nbr
             total = len(found)
-            assert len(list(_connected_sets(g, budget, sizes, containing, max_count=total))) == total
+            assert len(list(_connected_sets(masks, budget, sizes, containing, max_count=total))) == total
             if total:
                 with pytest.raises(SizeLimitError, match=f"more than {total - 1} connected sets"):
-                    list(_connected_sets(g, budget, sizes, containing, max_count=total - 1))
+                    list(_connected_sets(masks, budget, sizes, containing, max_count=total - 1))
 
 
 def test_connected_subsets_rejects_vertices_outside_the_graph():
     p4 = path_graph(4)
     for v in (-1, 4, 9):
         with pytest.raises(ValueError, match=f"vertex {v} not in graph with n=4"):
-            connected_subsets(p4, 3, containing=(v,))
+            ratio_series_cluster(p4, v, order=3)
 
 
 @pytest.mark.parametrize("max_size", [0, -1])

@@ -373,6 +373,20 @@ def test_edge_matrix_Z_requires_all_edges():
         edge_matrix_Z(g, {(0, 1): np.ones((2, 2))})
 
 
+def test_edge_matrix_Z_refuses_mixed_stack_sizes():
+    g = path_graph(3)
+    cases = (
+        ((2, 2, 2), (3, 2, 2), "a stack of 2, a stack of 3"),
+        ((2, 2, 2), (2, 2), "a stack of 2, one matrix"),
+    )
+    for first, second, sizes in cases:
+        mats = {(0, 1): np.ones(first), (1, 2): np.ones(second)}
+        with pytest.raises(ValueError, match=f"^edge matrices mix stack sizes: {sizes}$"):
+            edge_matrix_Z(g, mats)
+    with pytest.raises(ValueError, match="stack of square matrices, got shape"):
+        edge_matrix_Z(g, {(0, 1): np.ones((1, 2, 2, 2)), (1, 2): np.ones((1, 2, 2, 2))})
+
+
 def test_edge_matrix_Z_matches_hom_Z_when_uniform():
     rng = np.random.default_rng(19)
     for _ in range(10):

@@ -406,6 +406,17 @@ def test_bounded_ratio_check_in_box():
     assert rep.identity_points == 4
 
 
+def test_bounded_ratio_check_with_no_identity_point():
+    # ratio = 1 / (2 + 1e12 z) is below 1e-9 once |z| > ~1e-3: no sample
+    # qualifies, and the identity check reports nothing rather than failing
+    g = path_graph(2)
+    sigma = SpinBoundary({1: 0}, q=2)
+    A = np.array([[1e12, 1.0], [1.0, 1.0]])
+    rep = bounded_ratio_check(g, 0, 1, sigma, A, eta=0.5, eps=0.5, samples=16, seed=1)
+    assert rep.identity_points == 0
+    assert rep.max_identity_residual == 0.0
+
+
 def test_report_float_fields_are_python_floats():
     g = path_graph(4)
     sigma = SpinBoundary({3: 1}, q=2)
@@ -460,6 +471,8 @@ def test_sampled_checks_reject_a_sample_count_that_is_not_an_int(samples):
         hom_ssm_experiment(g, 0, 0, sigma, tau, A, 0.5, samples=samples)
     with pytest.raises(ValueError, match=message):
         bounded_ratio_check(g, 0, 0, sigma, A, eta=0.5, eps=0.5, samples=samples)
+    with pytest.raises(ValueError, match=message):
+        barvinok_zero_check(g, A, sigma=sigma, samples=samples)
 
 
 HOM_ENTRY_POINTS = {

@@ -41,6 +41,7 @@ from zeromix import (
     TruncationDepthError,
     ZeroRegionViolationError,
     approx_cond_prob,
+    build_edge_matrices,
     cond_prob_hardcore,
     cycle_graph,
     edge_matrix_Z,
@@ -209,6 +210,57 @@ def test_edge_matrix_Z_matches_brute_sum(data):
     abs_xi = None if xi is None else np.abs(xi)
     scale = brute_edge_matrix_Z(g, q, {e: np.abs(M) for e, M in mats.items()}, xi=abs_xi, sigma=sigma).real
     assert abs(edge_matrix_Z(g, mats, xi=xi, sigma=sigma) - want) <= 1e-12 * (1 + scale)
+
+
+@PROPERTY
+@given(st.data())
+def test_batched_edge_matrix_Z_matches_single_sums(data):
+    # each element of a batch is the sum of the matrices at its index, as
+    # one single-matrix call and brute force give it
+    g = data.draw(graphs(max_n=7))
+    assume(g.num_edges())
+    q = data.draw(st.integers(2, 3))
+    b = data.draw(st.integers(1, 4))
+    stacks = {
+        e: np.array(data.draw(st.lists(ENTRIES, min_size=b * q * q, max_size=b * q * q))).reshape(b, q, q)
+        for e in g.edges()
+    }
+    xi = None
+    if data.draw(st.booleans()):
+        xi = np.array(data.draw(st.lists(ENTRIES, min_size=g.n * q, max_size=g.n * q))).reshape(g.n, q)
+    pins = data.draw(st.dictionaries(st.integers(0, g.n - 1), st.integers(0, q - 1)))
+    sigma = SpinBoundary(pins, q) if pins else None
+    got = edge_matrix_Z(g, stacks, xi=xi, sigma=sigma)
+    assert got.shape == (b,)
+    # the largest magnitudes over the batch bound every element's cancellation
+    bound = {e: np.abs(S).max(axis=0) for e, S in stacks.items()}
+    abs_xi = None if xi is None else np.abs(xi)
+    scale = 1 + brute_edge_matrix_Z(g, q, bound, xi=abs_xi, sigma=sigma).real
+    for k in range(b):
+        mats = {e: S[k] for e, S in stacks.items()}
+        assert abs(got[k] - edge_matrix_Z(g, mats, xi=xi, sigma=sigma)) <= 1e-12 * scale
+        assert abs(got[k] - brute_edge_matrix_Z(g, q, mats, xi=xi, sigma=sigma)) <= 1e-12 * scale
+
+
+@PROPERTY
+@given(st.data())
+def test_batched_build_edge_matrices_match_single_calls(data):
+    g = data.draw(graphs(max_n=7))
+    q = data.draw(st.integers(2, 3))
+    b = data.draw(st.integers(1, 4))
+    A = np.array(data.draw(st.lists(ENTRIES, min_size=q * q, max_size=q * q))).reshape(q, q)
+    A = (A + A.T) / 2
+    zs = np.array(data.draw(st.lists(ENTRIES, min_size=b, max_size=b)))
+    # nonzero weights: build_edge_matrices takes their logarithms
+    weights = st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+    xi = np.array(data.draw(st.lists(weights, min_size=b * g.n * q, max_size=b * g.n * q))).reshape(b, g.n, q)
+    got = build_edge_matrices(g, A, zs, xi)
+    assert list(got) == g.edges()
+    for k in range(b):
+        single = build_edge_matrices(g, A, zs[k], xi[k])
+        for e, M in single.items():
+            assert got[e].shape == (b, q, q)
+            assert np.array_equal(got[e][k], M)
 
 
 @PROPERTY
