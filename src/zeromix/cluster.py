@@ -20,12 +20,15 @@ vertex, and their neighbourhood mask: a set grows by the vertices of its
 neighbourhood that are free and still fit the budget, so each candidate is
 met once per set.  The hard-core series count subsets per pattern and sum
 each pattern's terms once, exactly, over order!, so every coefficient is
-correctly rounded.  Three memos, emptied by their cache_clear, carry the
-rest: each pattern's terms, which canonicalizes the bare pattern once; phi
-by multiplicity vector per canonical pattern; and the compositions of each
-tuple of sizes.  polymers.hom_ratio_series weighs each polymer shape
-(local edges and pins) once a call, a polymer through v with one sweep
-that leaves v's colour axis open.
+correctly rounded.  Memos, emptied by their cache_clear, carry the rest:
+each pattern's terms; each grown pattern's canonical form, taken from its
+prefix's (the pattern of the set it grew from) with the new row moved to
+the prefix's canonical positions, so individualization-refinement runs once
+per extended pattern, not once per labelled one; phi by multiplicity
+vector per canonical pattern; and the compositions of each tuple of sizes.
+polymers.hom_ratio_series weighs each polymer shape (local edges and pins)
+once a call, a polymer through v with one sweep that leaves v's colour axis
+open.
 """
 
 import collections
@@ -35,7 +38,7 @@ import math
 
 from .errors import SizeLimitError
 from .graphs import _all_vertices, _ball_mask, _check_vertex
-from .exact import _neighbor_masks, _ratio_polys
+from .exact import _check_count, _neighbor_masks, _ratio_polys
 from .series import PowerSeries, _long_division
 
 DEFAULT_CLUSTER_ORDER = 8
@@ -68,11 +71,12 @@ def _refine(adj, cells, width):
         cells = out
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def _canonical_form(bits, s):
     """The canonical form of a pattern of s vertices packed as in
     _unpack: the least relabeled bits over the leaves of
     individualization-refinement, and the vertex order of a leaf that gives
-    them (vertex order[p] becomes vertex p).
+    them, as a tuple (vertex order[p] becomes vertex p).
 
     Refinement individualizes in a smallest cell of more than one vertex, so
     the leaves give the same set of relabeled bits for every labeling.  Of
@@ -109,7 +113,27 @@ def _canonical_form(bits, s):
         for u in reps:
             rest = [w for w in cells[i] if w != u]
             stack.append(_refine(adj, cells[:i] + [[u], rest] + cells[i + 1 :], width))
-    return best, best_order
+    return best, tuple(best_order)
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _grown_form(bits, s):
+    """_canonical_form of a pattern of s vertices packed as in _unpack,
+    taken from the canonical form of the pattern on its first s - 1
+    vertices: the last row is moved to the prefix's canonical positions and
+    only the pattern so extended goes through individualization-refinement,
+    so labelled patterns that extend one prefix class by one mapped row
+    share a single run."""
+    if s <= 2:
+        return bits, tuple(range(s))
+    shift = (s - 1) * (s - 2) // 2
+    prefix, pleaf = _grown_form(bits & ((1 << shift) - 1), s - 1)
+    last = bits >> shift
+    row = 0
+    for p, u in enumerate(pleaf):
+        row |= (last >> u & 1) << p
+    canon, leaf = _canonical_form(prefix | row << shift, s)
+    return canon, tuple(pleaf[q] if q < s - 1 else s - 1 for q in leaf)
 
 
 def _unpack(bits, s):
@@ -187,7 +211,7 @@ def _subset_terms(bits, weights, order):
     canonical form of the pattern with the multiplicities in its order.
     """
     s = len(weights)
-    canon, leaf = _canonical_form(bits, s)
+    canon, leaf = _grown_form(bits, s)
     out = []
     for m, grade, denom in _graded_compositions(weights, order):
         phi = _blowup_ursell(canon, s, tuple(m[u] for u in leaf))
@@ -284,9 +308,9 @@ def _cluster_terms(nbr, order, sizes, containing):
 
 
 def _check_order(order):
-    """Raise ValueError unless order is a valid series order."""
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    """Raise ValueError unless order is a valid series order: an integer
+    (not a bool) of at least 0."""
+    _check_count("order", order, least=0)
 
 
 def _hardcore_series(g, order, v=None):

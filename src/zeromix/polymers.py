@@ -312,17 +312,17 @@ def barvinok_zero_check(g, A, sigma=None, samples=0, seed=0):
     scale = q**nfree * (1.0 + dev) ** g.num_edges()
     zero_free = bool(abs(Z) > 1e-12 * scale)
 
-    min_edge = math.inf
-    rng = np.random.default_rng(seed)
     edges = g.edges()
-    for start in range(0, samples, _SAMPLE_BLOCK):
+    # with no edge to draw a matrix for, each sample's sum is Z itself
+    min_edge = math.inf if edges else abs(Z)
+    rng = np.random.default_rng(seed)
+    for start in range(0, samples if edges else 0, _SAMPLE_BLOCK):
         u = rng.random(size=(min(_SAMPLE_BLOCK, samples - start), len(edges), 2, q, q))
         radii = delta * np.sqrt(u[:, :, 0])
         angles = 2.0 * math.pi * u[:, :, 1]
         stacks = np.moveaxis(1.0 + radii * np.exp(1j * angles), 1, 0)
         Ze = edge_matrix_Z(g, dict(zip(edges, stacks)), sigma=sigma)
-        # an array of sums; one complex when g has no edge to stack on
-        min_edge = min(min_edge, *map(abs, np.ravel(Ze).tolist()))
+        min_edge = min(min_edge, *map(abs, Ze.tolist()))
     return BarvinokReport(
         delta=delta,
         max_deviation=dev,

@@ -23,7 +23,7 @@ from zeromix import (
     shearer_radius,
     weitz_lambda_c,
 )
-from zeromix.cluster import _blowup_ursell, _canonical_form, _connected_sets, _unpack
+from zeromix.cluster import _blowup_ursell, _canonical_form, _connected_sets, _grown_form, _unpack
 from zeromix.exact import _neighbor_masks
 from zeromix.series import _padded
 from helpers import (
@@ -173,6 +173,35 @@ def test_canonical_key_of_symmetric_patterns(h, mults):
         assert _blowup_ursell(key, h.n, tuple(moved_mults[u] for u in moved_order)) == want
 
 
+def test_isomorphic_extension_of_a_known_prefix_class_runs_no_refinement():
+    # two labellings of the star K_{1,3}: each grows a path on three
+    # vertices by a leaf at its middle, vertex 1 in one and vertex 0 in the
+    # other, so both extend one prefix class by the same mapped row.  Both
+    # prefixes are met first, as _connected_sets yields a set's prefix
+    first = 0b101 | 1 << 4
+    second = 0b011 | 1 << 3
+    _canonical_form.cache_clear()
+    _grown_form.cache_clear()
+    for bits in (first, second):
+        _grown_form(bits & 0b111, 3)
+    key, order = _grown_form(first, 4)
+    misses = _canonical_form.cache_info().misses
+    assert _grown_form(second, 4)[0] == key
+    assert _canonical_form.cache_info().misses == misses
+    assert key == _canonical_form(first, 4)[0] == _canonical_form(second, 4)[0]
+
+
+def test_cluster_series_ignore_vertex_labels_to_the_bit():
+    # the grown patterns of a relabelled graph meet the prefix classes in
+    # another order; every coefficient must still come out the same
+    rng = np.random.default_rng(41)
+    for g, v, order in ((grid_graph(4, 4), 5, 6), (random_graph(rng, 9, p=0.4), 0, 6)):
+        perm = [int(u) for u in rng.permutation(g.n)]
+        h = from_edges(g.n, [(perm[u], perm[w]) for u, w in g.edges()])
+        assert repr(ratio_series_cluster(h, perm[v], order)) == repr(ratio_series_cluster(g, v, order))
+        assert repr(logZ_series(h, order)) == repr(logZ_series(g, order))
+
+
 def test_cluster_series_of_clique_and_star_at_order_9():
     # the bound catches a canonical form that tries every order of twins
     # (10! on K10); with one vertex per class of twins the series take about
@@ -311,6 +340,22 @@ def test_connected_subsets_of_nonpositive_size_is_empty(max_size):
 def test_negative_order_is_rejected(series):
     with pytest.raises(ValueError, match=r"^order must be >= 0, got -1$"):
         series(path_graph(3))
+
+
+@pytest.mark.parametrize("order", [True, 2.5])
+@pytest.mark.parametrize(
+    "series",
+    [
+        lambda g, order: logZ_series(g, order=order),
+        lambda g, order: ratio_series_cluster(g, 0, order=order),
+        lambda g, order: ratio_series_division(g, 0, order=order),
+        lambda g, order: hom_ratio_series(g, 0, 0, SpinBoundary({}, q=2), [[2, 1], [1, 1]], order=order),
+    ],
+)
+def test_non_integer_order_is_rejected(series, order):
+    # True would pass for an order of 1, and 2.5 would end in range()
+    with pytest.raises(ValueError, match=rf"^order must be an integer, got {order!r}$"):
+        series(path_graph(3), order)
 
 
 def test_logZ_series_hand_values():

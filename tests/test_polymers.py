@@ -334,6 +334,15 @@ def test_barvinok_zero_check_at_J():
     assert math.isnan(rep.min_edge_abs_Z)
 
 
+@pytest.mark.parametrize("sigma, Z", [(None, 8.0), (SpinBoundary({0: 1}, 2), 4.0)])
+def test_barvinok_zero_check_edgeless_samples_are_Z(sigma, Z):
+    # with no edge to draw a matrix for, each sample's sum is Z itself: not
+    # a sum over q = 1 colors, and no clash with the boundary's q
+    rep = barvinok_zero_check(from_edges(3, []), np.ones((2, 2)), sigma=sigma, samples=1)
+    assert rep.abs_Z == Z
+    assert rep.min_edge_abs_Z == Z
+
+
 def test_barvinok_zero_check_edge_samples_are_pinned():
     # the sampled matrices read the seeded stream edge by edge, q x q radii
     # then q x q angles; any other order changes this value

@@ -6,12 +6,13 @@ and pins against brute force; its z-polynomial against brute force and
 against a relabelled copy of the graph), the polymer series of the color
 ratio against division of those polynomials, the canonical key of the
 Ursell memo and the cluster series against a relabelled copy of the pattern
-or graph (and the key's Ursell value against the subset scan), series long
-division and the series oracles against exact integer and Fraction
-references, the array route that samples the tail bound M against per-point
-scalar evaluation, and the reduction of a graph by a hard-core boundary,
-which the sweep takes as a bit mask of kept vertices, against brute force
-and against the relabelled subgraph, the masked, radius-limited
+or graph (and the key's Ursell value against the subset scan), the
+canonical form each grown set takes from its prefix's against the direct
+one, series long division and the series oracles against exact integer and
+Fraction references, the array route that samples the tail bound M against
+per-point scalar evaluation, and the reduction of a graph by a hard-core
+boundary, which the sweep takes as a bit mask of kept vertices, against
+brute force and against the relabelled subgraph, the masked, radius-limited
 breadth-first search and the components built on it against networkx,
 every certified approx_cond_prob, on the strip ladder and on a given sector
 map, against cond_prob_hardcore within its error bound, the odds ratio's
@@ -59,7 +60,7 @@ from zeromix import (
     ssm_scan,
     zero_scan,
 )
-from zeromix.cluster import _blowup_ursell, _canonical_form
+from zeromix.cluster import _blowup_ursell, _canonical_form, _connected_sets, _grown_form
 from zeromix.exact import (
     NEAR_ZERO_REL,
     _free_component,
@@ -67,6 +68,7 @@ from zeromix.exact import (
     _hom_ratio_sums,
     _ind_poly_cached,
     _near_zero,
+    _neighbor_masks,
     _odds_polys,
     _open_polys,
     _ratio_polys,
@@ -374,6 +376,20 @@ def test_canonical_key_ignores_vertex_labels(data):
     want = ursell(big)
     assert _blowup_ursell(key, h.n, tuple(mults[u] for u in order)) == want
     assert _blowup_ursell(key, h.n, tuple(moved_mults[u] for u in moved_order)) == want
+
+
+@PROPERTY
+@given(graphs(max_n=9))
+def test_grown_form_is_the_canonical_form_of_every_grown_set(g):
+    # a set's pattern takes its canonical form from its prefix's; the bits
+    # must be those a direct individualization-refinement gives, and the
+    # composed order must relabel the set's own pattern to them
+    for members, bits in _connected_sets(_neighbor_masks(g), 7):
+        s = len(members)
+        key, order = _grown_form(bits, s)
+        assert key == _canonical_form(bits, s)[0]
+        assert sorted(order) == list(range(s))
+        assert pattern_bits(g, [members[q] for q in order]) == key
 
 
 @PROPERTY
