@@ -22,6 +22,11 @@ walker.  Both maps send 0 to 0 and 1 to 1 and have positive Taylor
 coefficients, so composing P's positive numerator x I(H - N[v]) and
 denominator I(H) with lam * map cancels nothing; one long division then
 gives P(lam * map(z)).
+
+Each denominator's zeros are found once (_den_roots), and each rung's
+sampled bound M evaluates both polynomials at lam times the rung's circle
+image with one matrix product against a cached table of the points' powers
+(_circle_powers).  The division (series._long_division) runs in blocks.
 """
 
 import cmath
@@ -33,7 +38,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationDepthError, ZeroRegionViolationError
-from .exact import IndPoly, _check_count, _free_component, _hardcore_query, _ratio_polys, _ratios
+from .exact import (
+    IndPoly,
+    _check_count,
+    _free_component,
+    _hardcore_query,
+    _near_zero,
+    _ratio_polys,
+)
 from .series import _long_division
 
 DEFAULT_MAX_DEPTH = 64
@@ -176,20 +188,37 @@ def _check_samples(samples):
         raise ValueError(f"need at least one sample, got {samples}")
 
 
-def _sampled_M(num, den, points):
-    """1.5 times the largest |num(z) / den(z)| over the sampled points.
+def _powers(points, rows):
+    """The complex array whose row j holds z^j at each of the points, for
+    j < max(rows, 2): row 1 is the points themselves."""
+    z = np.asarray(points, dtype=complex)
+    out = np.empty((max(rows, 2), z.size), complex)
+    out[0] = 1.0
+    out[1] = z
+    for j in range(2, len(out)):
+        np.multiply(out[j - 1], z, out=out[j])
+    return out
+
+
+def _sampled_M(num, den, powers):
+    """1.5 times the largest |num(z) / den(z)| over the sample points z, the
+    columns of the table `_powers` gives (as many rows as num or den has
+    coefficients, or more): both polynomials are evaluated by one product.
 
     Raises ZeroRegionViolationError at the first point where den vanishes
     to working precision, and ValueError when there are no points.
     """
-    points = np.asarray(points, dtype=complex)
-    _check_samples(points.size)
-    mags = np.abs(_ratios(num, den, points))
-    zero = np.isnan(mags)
+    _check_samples(powers.shape[1])
+    k = max(len(num), len(den))
+    coeffs = np.zeros((2, k), complex)
+    coeffs[0, : len(num)] = num
+    coeffs[1, : len(den)] = den
+    a, b = coeffs @ powers[:k]
+    zero = _near_zero(a, b)
     if zero.any():
-        z = complex(points[zero.argmax()])
+        z = complex(powers[1, zero.argmax()])
         raise ZeroRegionViolationError(f"denominator vanishes at sampled point {z}", point=z)
-    return 1.5 * float(mags.max())
+    return 1.5 * float(np.abs(a / b).max())
 
 
 def _circle(r, samples):
@@ -209,6 +238,31 @@ def _circle_image(spec, samples=DEFAULT_SAMPLES):
 def _pow2_ceil(k):
     """The least power of two >= k, for k >= 1."""
     return 1 << (k - 1).bit_length()
+
+
+# the most rows of a shared _circle_powers table: 64 KiB at 256 samples.  A
+# larger component's table is built for its query alone, so a few queries
+# on long paths do not keep megabytes per (rung, lam) alive
+_CACHED_ROWS = 16
+
+
+@functools.lru_cache(maxsize=64)
+def _circle_powers(spec, lam, rows):
+    """The read-only `_powers` table of lam times the map's image of the
+    circle |z| = spec.r, one per (spec, lam, rows) shared by every query;
+    the ladder rounds rows up to a power of two, so denominators of nearby
+    degree share a table."""
+    P = _powers(lam * _circle_image(spec), rows)
+    P.flags.writeable = False
+    return P
+
+
+@functools.lru_cache(maxsize=1024)
+def _den_roots(den):
+    """The zeros of the denominator den as Python complexes, found once per
+    denominator: queries with different numerators or activities often
+    share one."""
+    return tuple(complex(rho) for rho in IndPoly(den).roots())
 
 
 @functools.lru_cache(maxsize=64)
@@ -273,7 +327,8 @@ def _rung_and_M(num, den, lam, eps_target, max_depth, rungs, margin):
     preimage of a zero of den scaled by 1 / lam and whose certified depth
     fits under max_depth, with its sampled bound M on num / den and that
     depth."""
-    roots = [complex(rho) for rho in IndPoly(den).roots()]
+    roots = _den_roots(den)
+    rows = max(len(num), len(den))
     best_required = None
     nearest = None
     for spec in rungs:
@@ -284,8 +339,12 @@ def _rung_and_M(num, den, lam, eps_target, max_depth, rungs, margin):
         if hit is not None:
             nearest = hit
             continue
+        if rows <= _CACHED_ROWS:
+            powers = _circle_powers(spec, lam, _pow2_ceil(rows))
+        else:
+            powers = _powers(lam * _circle_image(spec), rows)
         try:
-            M = _sampled_M(num, den, lam * _circle_image(spec))
+            M = _sampled_M(num, den, powers)
         except ZeroRegionViolationError as exc:
             nearest = exc.point
             continue

@@ -52,7 +52,7 @@ from .exact import (
     multivariate_Z,
 )
 from .graphs import Graph, ball, dist_to_disagreement
-from .interpolate import _check_samples, _circle, _sampled_M, gap_bound_hom
+from .interpolate import _check_samples, _circle, _powers, _sampled_M, gap_bound_hom
 from .series import PowerSeries
 
 DEFAULT_POLYMER_EDGES = 8
@@ -482,9 +482,11 @@ def hom_ssm_experiment(g, v, i, sigma, tau, A, eta, samples=64):
 
     d = dist_to_disagreement(g, v, sigma, tau)
     # (numerator, denominator) coefficients of the ratio under sigma and tau
-    pairs = [_hom_ratio_sums(g, v, i, A - 1.0, b, L=g.num_edges() + 1) for b in (sigma, tau)]
+    L = g.num_edges() + 1
+    pairs = [_hom_ratio_sums(g, v, i, A - 1.0, b, L=L) for b in (sigma, tau)]
     r = 1.0 / (1.0 - eta)
-    M = max(_sampled_M(num, den, _circle(r, samples)) for num, den in pairs)
+    powers = _powers(_circle(r, samples), L)
+    M = max(_sampled_M(num, den, powers) for num, den in pairs)
     at_one = [_ratios(num, den, 1.0).item() for num, den in pairs]
     if any(map(cmath.isnan, at_one)):
         raise ZeroRegionViolationError("homomorphism sum vanishes at z = 1.0", point=1.0)

@@ -26,7 +26,7 @@ from zeromix import (
 )
 from zeromix import harness
 from zeromix.exact import _free_component, _hardcore_query, _ratio_polys
-from zeromix.interpolate import DEFAULT_SAMPLES, _circle_image, _sampled_M
+from zeromix.interpolate import DEFAULT_SAMPLES, _circle_image, _powers, _sampled_M
 from zeromix.harness import MAX_BOUNDARY_ATTEMPTS, SPHERE_IN_PROB, SSMRecord, ZeroScanReport
 
 
@@ -63,9 +63,12 @@ def hardcore_reduced(g, sigma):
 def component_M(g, v, lam, spec, samples=DEFAULT_SAMPLES):
     """The sampled bound M on v's occupation ratio over lam times the
     map's circle, as the certify ladder takes it: _sampled_M on the ratio
-    pair of v's component of g."""
+    pair of v's component of g, with the ladder's `_powers` table (the
+    rows past the pair's length, which the ladder rounds up to, are never
+    read)."""
     keep = _free_component(g, v, _hardcore_query(g, v, HardcoreBoundary({}), lam))
-    return _sampled_M(*_ratio_polys(g, v, keep), lam * _circle_image(spec, samples))
+    num, den = _ratio_polys(g, v, keep)
+    return _sampled_M(num, den, _powers(lam * _circle_image(spec, samples), max(map(len, (num, den)))))
 
 
 def random_graph(rng, n, p=0.4, max_degree=None):

@@ -2,6 +2,7 @@ import cmath
 import math
 import re
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,8 +28,18 @@ from zeromix import (
     shearer_radius,
     tail_bound,
 )
-from zeromix.interpolate import EPS_LADDER, _certified, _check_samples, _circle_image, _sampled_M
-from helpers import component_M, disjoint_union, pinned_grid_centre, random_graph
+from zeromix.exact import _ratio_polys
+from zeromix.interpolate import (
+    EPS_LADDER,
+    _certified,
+    _check_samples,
+    _circle_image,
+    _circle_powers,
+    _den_roots,
+    _powers,
+    _sampled_M,
+)
+from helpers import binary_tree, component_M, disjoint_union, pinned_grid_centre, random_graph
 
 
 def seg_dist(w):
@@ -231,7 +242,7 @@ def test_estimate_M_shearer_disk_bound():
 def test_estimate_M_rejects_zero_samples():
     num, den = (0, 1), (1, 1)
     with pytest.raises(ValueError, match="^need at least one sample, got 0$"):
-        _sampled_M(num, den, 0.1 * _circle_image(StripSpec(0.5), 0))
+        _sampled_M(num, den, _powers(0.1 * _circle_image(StripSpec(0.5), 0), 2))
     # the check reports the count it is given
     with pytest.raises(ValueError, match="^need at least one sample, got -1$"):
         _check_samples(-1)
@@ -301,14 +312,14 @@ def test_sampled_M_bounds_the_points_and_stops_at_a_zero():
     num, den = (0, 1), (1, 2)  # z / (1 + 2z); the denominator vanishes at -0.5
     points = [0.1, 1j, -1.0, 0.4 - 0.3j]
     want = max(abs(complex(z) / (2 * complex(z) + 1)) for z in points)
-    assert _sampled_M(num, den, points) == 1.5 * want
+    assert _sampled_M(num, den, _powers(points, 2)) == 1.5 * want
     # the first vanishing point is reported, not the exact zero after it
     near = -0.5 + 1e-14j
     with pytest.raises(ZeroRegionViolationError) as e:
-        _sampled_M(num, den, [0.3, near, -0.5, 2.0])
+        _sampled_M(num, den, _powers([0.3, near, -0.5, 2.0], 2))
     assert e.value.point == near
     with pytest.raises(ValueError, match="need at least one sample, got 0"):
-        _sampled_M(num, den, [])
+        _sampled_M(num, den, _powers([], 2))
 
 
 @pytest.mark.parametrize(
@@ -460,29 +471,31 @@ def test_the_ladder_narrows_as_activity_grows():
 
 
 # (graph, vertex, lam, depth_used, bound_M, rate_r, error_bound, value) of
-# approx_cond_prob at target 1e-8 with no boundary, as the Horner composition
-# with complex long division computed them; the table route in real
-# arithmetic keeps the first four by repr and moves the value only by
-# rounding
+# approx_cond_prob at target 1e-8 with no boundary.  depth_used, rate_r and
+# value are as the Horner composition with complex long division computed
+# them; bound_M and error_bound are the power-table evaluation's, which
+# moved them by rounding alone (at most 6.2e-12 relative, on the grid at
+# lam = 0.21, where the sample point nearest a zero of Z has condition
+# number 1.6e5 and Horner was 3.9e-12 off the exact M)
 CERTIFIED = [
-    ("grid6x6", 0, 0.03, 20, 0.12203903486855933, 2.285255827655929, 6.292347231983929e-09, 0.02758466816852505),
-    ("grid6x6", 0, 0.11, 26, 0.3902485942799855, 1.9744101008840758, 8.341191687786177e-09, 0.08438842404528146),
-    ("grid6x6", 0, 0.21, 60, 0.4495670074857557, 1.3678794411714423, 8.398845205232693e-09, 0.13541427739798093),
-    ("grid6x6", 14, 0.03, 20, 0.1066786171882204, 2.285255827655929, 5.5003622594946216e-09, 0.026198010246999352),
-    ("grid6x6", 14, 0.11, 28, 1.1878143384020539, 1.9744101008840758, 6.5126927444526975e-09, 0.07346622766575442),
-    ("grid6x6", 14, 0.21, 64, 1.7747563087563978, 1.3678794411714423, 9.470492938098463e-09, 0.11091626100984486),
-    ("grid6x6", 27, 0.03, 20, 0.10621025518704205, 2.285255827655929, 5.476213458704324e-09, 0.02618065975522179),
-    ("grid6x6", 27, 0.11, 28, 0.9958731706312559, 1.9744101008840758, 5.460294393727003e-09, 0.07312444423687978),
-    ("grid6x6", 27, 0.21, 64, 1.413480123382856, 1.3678794411714423, 7.542643156468016e-09, 0.10988126160716914),
+    ("grid6x6", 0, 0.03, 20, 0.1220390348685593, 2.285255827655929, 6.292347231983928e-09, 0.02758466816852505),
+    ("grid6x6", 0, 0.11, 26, 0.390248594280149, 1.9744101008840758, 8.341191687789673e-09, 0.08438842404528146),
+    ("grid6x6", 0, 0.21, 60, 0.449567007483043, 1.3678794411714423, 8.398845205182015e-09, 0.13541427739798093),
+    ("grid6x6", 14, 0.03, 20, 0.10667861718822041, 2.285255827655929, 5.500362259494622e-09, 0.026198010246999352),
+    ("grid6x6", 14, 0.11, 28, 1.1878143384023834, 1.9744101008840758, 6.512692744454504e-09, 0.07346622766575442),
+    ("grid6x6", 14, 0.21, 64, 1.7747563087453355, 1.3678794411714423, 9.470492938039432e-09, 0.11091626100984486),
+    ("grid6x6", 27, 0.03, 20, 0.10621025518704202, 2.285255827655929, 5.476213458704322e-09, 0.02618065975522179),
+    ("grid6x6", 27, 0.11, 28, 0.995873170631248, 1.9744101008840758, 5.46029439372696e-09, 0.07312444423687978),
+    ("grid6x6", 27, 0.21, 64, 1.4134801233746588, 1.3678794411714423, 7.542643156424275e-09, 0.10988126160716914),
     ("line16", 0, 0.03, 20, 0.10560623472746467, 2.285255827655929, 5.4450700915761185e-09, 0.026161780907870885),
-    ("line16", 0, 0.11, 27, 0.8701977772531619, 1.9744101008840758, 9.420356966907161e-09, 0.07267941229105597),
-    ("line16", 0, 0.21, 63, 1.16970919346593, 1.3678794411714423, 8.538067452897464e-09, 0.10830253270271688),
-    ("line16", 9, 0.03, 20, 0.10551253079927846, 2.285255827655929, 5.440238705833159e-09, 0.02616075475080947),
-    ("line16", 9, 0.11, 27, 0.9234008679929735, 1.9744101008840758, 9.996308916697041e-09, 0.07260793974904117),
-    ("line16", 9, 0.21, 63, 1.2720375497348568, 1.3678794411714423, 9.28499362313592e-09, 0.10790852937040483),
-    ("line16", 17, 0.03, 20, 0.10490747320037722, 2.285255827655929, 5.4090418636773875e-09, 0.026141874427090064),
-    ("line16", 17, 0.11, 27, 0.8132049385517839, 1.9744101008840758, 8.803378965861146e-09, 0.0721620633784576),
-    ("line16", 17, 0.21, 63, 1.074576648641424, 1.3678794411714423, 7.843665725344417e-09, 0.10631955423833829),
+    ("line16", 0, 0.11, 27, 0.8701977772531124, 1.9744101008840758, 9.420356966906625e-09, 0.07267941229105597),
+    ("line16", 0, 0.21, 63, 1.16970919346595, 1.3678794411714423, 8.538067452897611e-09, 0.10830253270271688),
+    ("line16", 9, 0.03, 20, 0.10551253079927844, 2.285255827655929, 5.440238705833158e-09, 0.02616075475080947),
+    ("line16", 9, 0.11, 27, 0.9234008679929154, 1.9744101008840758, 9.996308916696412e-09, 0.07260793974904117),
+    ("line16", 9, 0.21, 63, 1.2720375497348788, 1.3678794411714423, 9.284993623136081e-09, 0.10790852937040483),
+    ("line16", 17, 0.03, 20, 0.10490747320037724, 2.285255827655929, 5.409041863677389e-09, 0.026141874427090064),
+    ("line16", 17, 0.11, 27, 0.8132049385517502, 1.9744101008840758, 8.803378965860782e-09, 0.0721620633784576),
+    ("line16", 17, 0.21, 63, 1.0745766486414403, 1.3678794411714423, 7.843665725344536e-09, 0.10631955423833829),
 ]
 CERTIFIED_GRAPHS = {
     "grid6x6": grid_graph(6, 6),
@@ -490,7 +503,35 @@ CERTIFIED_GRAPHS = {
 }
 
 
-@pytest.mark.parametrize("name,v,lam,depth,M,r,bound,value", CERTIFIED)
+# bound_M and error_bound of each case as the Horner evaluation of M gave
+# them: the cases keep the names they were first pinned under
+HORNER_M_AND_BOUND = [
+    (0.12203903486855933, 6.292347231983929e-09),
+    (0.3902485942799855, 8.341191687786177e-09),
+    (0.4495670074857557, 8.398845205232693e-09),
+    (0.1066786171882204, 5.5003622594946216e-09),
+    (1.1878143384020539, 6.5126927444526975e-09),
+    (1.7747563087563978, 9.470492938098463e-09),
+    (0.10621025518704205, 5.476213458704324e-09),
+    (0.9958731706312559, 5.460294393727003e-09),
+    (1.413480123382856, 7.542643156468016e-09),
+    (0.10560623472746467, 5.4450700915761185e-09),
+    (0.8701977772531619, 9.420356966907161e-09),
+    (1.16970919346593, 8.538067452897464e-09),
+    (0.10551253079927846, 5.440238705833159e-09),
+    (0.9234008679929735, 9.996308916697041e-09),
+    (1.2720375497348568, 9.28499362313592e-09),
+    (0.10490747320037722, 5.4090418636773875e-09),
+    (0.8132049385517839, 8.803378965861146e-09),
+    (1.074576648641424, 7.843665725344417e-09),
+]
+CERTIFIED_IDS = [
+    "-".join(map(str, (*row[:4], M, row[5], bound, row[7])))
+    for row, (M, bound) in zip(CERTIFIED, HORNER_M_AND_BOUND)
+]
+
+
+@pytest.mark.parametrize("name,v,lam,depth,M,r,bound,value", CERTIFIED, ids=CERTIFIED_IDS)
 def test_certified_metadata_is_pinned(name, v, lam, depth, M, r, bound, value):
     res = approx_cond_prob(CERTIFIED_GRAPHS[name], v, HardcoreBoundary({}), lam, 1e-8)
     assert (res.depth_used, repr(res.bound_M), repr(res.rate_r), repr(res.error_bound)) == (
@@ -527,3 +568,48 @@ def test_queries_sharing_a_ratio_pair_share_one_certified_entry():
         with pytest.raises(TruncationDepthError):
             approx_cond_prob(*large, 0.3, 1e-8, max_depth=1)
     assert _certified.cache_info().currsize == 6 and _certified.cache_info().hits == 0
+
+
+def test_queries_sharing_a_denominator_find_its_zeros_once():
+    # the same component at two activities: two certified entries, one
+    # root finding
+    _certified.cache_clear()
+    _den_roots.cache_clear()
+    for lam in (0.1, 0.3):
+        approx_cond_prob(path_graph(7), 3, HardcoreBoundary({}), lam, 1e-8)
+    assert _certified.cache_info().misses == 2
+    assert (_den_roots.cache_info().misses, _den_roots.cache_info().hits) == (1, 1)
+
+
+def test_only_small_circle_power_tables_are_kept():
+    # P7's pair has 5 coefficients and shares an 8-row table; P40's has 21,
+    # and its 32-row tables are built for the query alone
+    _certified.cache_clear()
+    _circle_powers.cache_clear()
+    small = approx_cond_prob(path_graph(7), 3, HardcoreBoundary({}), 0.1, 1e-8)
+    assert _circle_powers.cache_info().currsize == 1
+    large = approx_cond_prob(path_graph(40), 20, HardcoreBoundary({}), 0.1, 1e-8, max_depth=1024)
+    assert _circle_powers.cache_info().currsize == 1
+    # either way M is the one the test oracle's uncached table gives, to the bit
+    for n, res in ((7, small), (40, large)):
+        spec = next(StripSpec(eps) for eps in EPS_LADDER if StripSpec(eps).r == res.rate_r)
+        assert component_M(path_graph(n), n // 2, 0.1, spec) == res.bound_M
+
+
+# ROADMAP item 1's false certificates through the API: the composition and
+# the division in float64 move each value far past its tail bound, which
+# holds for the exact value of the truncated series
+FALSE_CERTIFICATES = [
+    (path_graph(30), 15, 5.0, SectorSpec(0.06103515625), 1e-8, 1024),
+    (binary_tree(5), 0, 0.5, SectorSpec(0.02 * 1.25**14), 1e-8, 64),
+    (binary_tree(6), 0, 0.2, StripSpec(0.30816 / 0.4), 1e-12, 1024),
+]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1(a): no bound on the float64 rounding yet")
+@pytest.mark.parametrize("g,v,lam,spec,target,cap", FALSE_CERTIFICATES, ids=["P30", "tree5", "tree6"])
+def test_false_certificates_of_item_1(g, v, lam, spec, target, cap):
+    res = approx_cond_prob(g, v, HardcoreBoundary({}), lam, target, spec=spec, max_depth=cap)
+    x = Fraction(lam)
+    num, den = (sum(c * x**k for k, c in enumerate(p)) for p in _ratio_polys(g, v))
+    assert abs(Fraction(res.value) - num / den) <= Fraction(res.error_bound)

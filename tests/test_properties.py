@@ -76,7 +76,7 @@ from zeromix.exact import (
 )
 from zeromix.graphs import _all_vertices, _bfs, _hardcore_keep
 from zeromix import harness, interpolate
-from zeromix.interpolate import EPS_LADDER, _sampled_M
+from zeromix.interpolate import EPS_LADDER, _powers, _sampled_M
 from zeromix.series import _long_division
 from helpers import (
     brute_cond_prob,
@@ -530,6 +530,74 @@ def test_power_table_composition_matches_horner(eps, lam, den, num, n):
     assert (np.abs(quotient - want) <= 1e-11 * scale).all()
 
 
+# --- the blocked long division against an exact oracle ----------------------
+
+# 2^-20 <= |x| <= 1: no product of two entries, nor of an entry and a
+# quotient coefficient, comes near the subnormal range, where rounding is
+# absolute, not relative.  den[0] = 1 and |den_j| <= 1 put every zero of den
+# outside the disk of radius 1/2, so the quotient grows at most like 2^k
+UNIT_REAL = st.one_of(st.floats(2.0**-20, 1.0), st.floats(-1.0, -(2.0**-20)))
+UNIT_COMPLEX = st.builds(complex, UNIT_REAL, UNIT_REAL)
+
+
+def _exact(x):
+    """The Fraction parts (real, imaginary) of a float or complex."""
+    x = complex(x)
+    return Fraction(x.real), Fraction(x.imag)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from([UNIT_REAL, UNIT_COMPLEX]), st.data())
+def test_long_division_residual_is_within_its_rounding_bound(entries, data):
+    """At every k the residual r_k = t_k - sum_{j<=k} b_j q_{k-j} of the
+    returned quotient q, taken exactly, is at most
+    c (k + 3) 2^-52 R_k with R_k = |t_k| + sum_{j>=1} |b_j| |q_{k-j}|,
+    c = 1 in float64 and sqrt(2) in complex arithmetic, across the seams
+    of the 32-coefficient blocks (orders up to 130, five blocks).
+
+    With b_0 = 1 the division by it is exact, and q_k = fl(fl(t_k - C) - I):
+    C sums the a terms b_j q_{k-j} of earlier blocks (np.convolve), I the c
+    terms of q_k's own block (a C-level sum), a + c <= k.  With u = 2^-53
+    and gamma_n = n u / (1 - n u), a sum of n products in any order, fused
+    or not, errs by at most gamma_n times the sum of the products' sizes
+    (Higham, Accuracy and Stability of Numerical Algorithms, 3.1), and each
+    subtraction by u relative, so r_k = -(t_k - C_exact)((1 + d1)(1 + d2) - 1)
+    + (C - C_exact)(1 + d1)(1 + d2) + I_exact d2 + (I - I_exact)(1 + d2)
+    gives |r_k| <= gamma_(k+2) R_k <= (k + 3) 2^-53 R_k.  In complex
+    arithmetic a product rounds by sqrt(2) gamma_2 times its size, and BLAS
+    sums the real and imaginary parts of n products as real sums of 2n
+    terms, each within gamma_2n of its sizes, whose moduli total at most
+    sqrt(2) |b_j| |q_{k-j}| per product: sqrt(2) gamma_2n in all.  The same
+    steps then give |r_k| <= sqrt(2) gamma_(2k+2) R_k <= sqrt(2) (k + 3)
+    2^-52 R_k.  The real bound keeps this factor 2 of room; this residual is
+    the quantity ROADMAP item 1(a) must bound at each step.
+    """
+    # drawn small numbers are the likeliest, so half the orders are drawn
+    # past three blocks and den's length is order minus the draw
+    order = data.draw(st.one_of(st.integers(0, 130), st.integers(97, 130)))
+    num, den = (data.draw(st.lists(entries, min_size=n, max_size=n))
+                for n in (data.draw(st.integers(1, order + 1)), order - data.draw(st.integers(0, order))))
+    den = [1.0, *den]
+    kind = complex if entries is UNIT_COMPLEX else float
+    q = _long_division(np.array(num, kind), np.array(den, kind), order)
+    assert q.dtype == kind and q.shape == (order + 1,)
+    q = [_exact(c) for c in q]
+    t = [_exact(c) for c in num] + [(0, 0)] * (order + 1 - len(num))
+    b = [_exact(c) for c in den][: order + 1]
+    c = math.sqrt(2) if kind is complex else 1.0
+    for k in range(order + 1):
+        re, im = t[k]
+        size = abs(complex(*map(float, t[k])))
+        for j in range(min(k, len(b) - 1) + 1):
+            (br, bi), (qr, qi) = b[j], q[k - j]
+            re -= br * qr - bi * qi
+            im -= br * qi + bi * qr
+            if j:
+                size += abs(complex(*map(float, b[j]))) * abs(complex(*map(float, q[k - j])))
+        # the sizes are summed in float64, 1e-13 relative at most off
+        assert abs(complex(float(re), float(im))) <= c * (k + 3) * 2.0**-52 * size * (1 + 1e-12)
+
+
 # --- the companion-matrix roots of IndPoly ---------------------------------
 
 
@@ -608,7 +676,7 @@ def test_sampled_M_on_an_array_stops_at_the_first_vanishing_point(data):
     for c in data.draw(st.lists(st.sampled_from([c1, c2]), max_size=3)):
         points.insert(data.draw(st.integers(0, len(points))), complex(c))
     first = next((z for z in points if _near_zero(eval_poly(num, z), eval_poly(den, z))), None)
-    array = np.array(points, dtype=complex)
+    table = _powers(points, max(len(num), len(den)))
     if first is None:
         sizes = [abs(eval_poly(num, z) / eval_poly(den, z)) for z in points]
         want = 1.5 * max(sizes)
@@ -617,13 +685,13 @@ def test_sampled_M_on_an_array_stops_at_the_first_vanishing_point(data):
             (_scale(num, z) + m * _scale(den, z)) / abs(eval_poly(den, z))
             for z, m in zip(points, sizes)
         )
-        assert abs(_sampled_M(num, den, array) - want) <= tol
+        assert abs(_sampled_M(num, den, table) - want) <= tol
     else:
         with pytest.raises(ZeroRegionViolationError) as e:
-            _sampled_M(num, den, array)
+            _sampled_M(num, den, table)
         assert e.value.point == first
     with pytest.raises(ValueError, match="need at least one sample, got 0"):
-        _sampled_M(num, den, array[:0])
+        _sampled_M(num, den, table[:, :0])
 
 
 @PROPERTY
